@@ -12,7 +12,12 @@ patterns three independent ways:
   commutation constraints, one block per generator.
 
 Closed forms for product and hierarchical actions (:func:`kron_pattern`,
-:func:`wreath_pattern`) compose patterns without touching the group itself.
+:func:`wreath_pattern`) compose patterns without touching the group itself,
+and leaf patterns are arithmetic, so :func:`pattern_of_structure` is a route
+independent of the three above.  Patterns are ``N x N`` and serve rendering
+and these oracles only; :func:`orbit_index` gives the canonical orbit order
+that :func:`layer.apply <wreathlin.layer.apply>` needs in time linear in the
+orbit count.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import rational
 from .perm import PermGroup, Permutation, enumerate_group, fixed_point_count
-from .structure import Cycle, Prod, Set, Structure, Trivial, Wreath, degree, group_of
+from .structure import Cycle, Prod, Set, Structure, Trivial, Wreath, degree
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
 
@@ -224,9 +229,19 @@ def commutes_exactly(matrix: np.ndarray, g: Permutation) -> bool:
 
 @lru_cache(maxsize=32)
 def pattern_of_structure(expr: Structure) -> SharingPattern:
-    """Sharing pattern of a structure: groups for leaves, closed forms above."""
+    """Sharing pattern of a structure: arithmetic for leaves, closed forms above.
+
+    Builds the full ``N x N`` id matrix, so only rendering and the oracles
+    call it; :func:`apply` numbers orbits through :func:`orbit_index`.
+    """
     if isinstance(expr, (Set, Cycle, Trivial)):
-        return orbit_pattern(group_of(expr))
+        n = expr.n
+        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        if isinstance(expr, Set):
+            return canonical_pattern(i != j)
+        if isinstance(expr, Cycle):
+            return canonical_pattern((j - i) % n)
+        return canonical_pattern(i * n + j)
     if isinstance(expr, Prod):
         return kron_pattern(pattern_of_structure(expr.outer), pattern_of_structure(expr.inner))
     if isinstance(expr, Wreath):
@@ -234,30 +249,47 @@ def pattern_of_structure(expr: Structure) -> SharingPattern:
     raise TypeError(f"not a structure: {expr!r}")
 
 
+@lru_cache(maxsize=256)
+def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical orbit order of a structure without building its pattern.
+
+    Returns ``(rows, cols, rank)``: ``rows[o], cols[o]`` is the first
+    row-major appearance of canonical orbit ``o`` in
+    ``pattern_of_structure(expr)``, and ``rank[k]`` is the canonical id of
+    the node's ``k``-th candidate orbit.  A ``prod`` node's candidates are
+    the ``(outer, inner)`` id pairs, outer major; a ``wr`` node's are the
+    inner orbits, then the outer orbits off the diagonal.  Leaves are their
+    own candidates.  Every orbit lies wholly on or wholly off the diagonal,
+    so first appearances compose: a pair's is the two factors' interleaved,
+    and an outer orbit's is its own scaled to fiber corners.
+    """
+    if isinstance(expr, (Set, Cycle, Trivial)):
+        n = expr.n
+        count = min(n, 2) if isinstance(expr, Set) else n if isinstance(expr, Cycle) else n * n
+        rows, cols = np.divmod(np.arange(count), n)
+    elif isinstance(expr, (Prod, Wreath)):
+        Q = degree(expr.inner)
+        ra, ca, _ = orbit_index(expr.outer)
+        rb, cb, _ = orbit_index(expr.inner)
+        if isinstance(expr, Prod):
+            rows, cols = (ra[:, None] * Q + rb).ravel(), (ca[:, None] * Q + cb).ravel()
+        else:
+            off = ra != ca
+            rows, cols = np.concatenate([rb, ra[off] * Q]), np.concatenate([cb, ca[off] * Q])
+    else:
+        raise TypeError(f"not a structure: {expr!r}")
+    order = np.lexsort((cols, rows))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    out = (rows[order], cols[order], rank)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def structure_orbit_count(expr: Structure) -> int:
     """``pattern_of_structure(expr).num_orbits`` without building the matrix."""
-    return _orbit_counts(expr)[0]
-
-
-@lru_cache(maxsize=None)
-def _orbit_counts(expr: Structure) -> tuple[int, int]:
-    """(total orbit count, count of orbits containing off-diagonal entries)."""
-    if isinstance(expr, Set):
-        return (1, 0) if expr.n == 1 else (2, 1)
-    if isinstance(expr, Cycle):
-        return expr.n, expr.n - 1
-    if isinstance(expr, Trivial):
-        return expr.n * expr.n, expr.n * expr.n - expr.n
-    if isinstance(expr, Prod):
-        ca, oa = _orbit_counts(expr.outer)
-        cb, ob = _orbit_counts(expr.inner)
-        # a pair orbit sits entirely on the diagonal iff both factors do
-        return ca * cb, ca * cb - (ca - oa) * (cb - ob)
-    if isinstance(expr, Wreath):
-        ca, oa = _orbit_counts(expr.outer)
-        cb, ob = _orbit_counts(expr.inner)
-        return cb + oa, ob + oa
-    raise TypeError(f"not a structure: {expr!r}")
+    return len(orbit_index(expr)[2])
 
 
 def pattern_refines(fine: SharingPattern, coarse: SharingPattern) -> bool:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -26,10 +27,10 @@ from .basis import (
     pattern_summary,
 )
 from .layer import equivariance_check, random_layer
-from .perm import EnumerationLimitError, max_order_limit
+from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, max_order_limit
 from .pointcloud import format_predictions, make_blob_scene
 from .structure import (
-    StructureParseError,
+    Structure,
     degree,
     format_structure,
     group_of,
@@ -56,10 +57,27 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _pattern_structure(text: str) -> Structure:
+    """Parse a structure whose ``N x N`` pattern a command will build.
+
+    Raises ``ValueError`` for a malformed expression, and for a degree whose
+    pattern (8 bytes per entry) exceeds physical memory, before allocating.
+    """
+    expr = parse_structure(text)
+    n = degree(expr)
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n * n > ram:
+        raise ValueError(
+            f"degree {n} is too large: its {n} x {n} pattern needs {8 * n * n} bytes, "
+            f"more than the {ram} bytes of physical memory"
+        )
+    return expr
+
+
 def cmd_pattern(args: argparse.Namespace) -> int:
     try:
-        expr = parse_structure(args.structure)
-    except StructureParseError as exc:
+        expr = _pattern_structure(args.structure)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     pattern = pattern_of_structure(expr)
@@ -121,13 +139,16 @@ def _verify_rows(expr, max_order: int, trials: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        expr = parse_structure(args.structure)
-    except StructureParseError as exc:
+        expr = _pattern_structure(args.structure)
+        max_order = max_order_limit() if args.max_order is None else args.max_order
+        if max_order < 1:
+            raise ValueError(f"--max-order must be at least 1, got {max_order}")
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"structure {format_structure(expr)}  degree {degree(expr)}")
     failed = False
-    for leg, status, detail in _verify_rows(expr, args.max_order, args.trials):
+    for leg, status, detail in _verify_rows(expr, max_order, args.trials):
         print(f"  {leg:<17} {status:<4} {detail}")
         failed = failed or status == "FAIL"
     print("result: " + ("FAIL" if failed else "pass"))
@@ -212,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification suite on a structure")
     v.add_argument("--structure", required=True)
-    v.add_argument("--max-order", type=int, default=max_order_limit(),
-                   help="group-order cap for exhaustive enumeration")
+    v.add_argument("--max-order", type=int, default=None,
+                   help="group-order cap for exhaustive enumeration "
+                        f"(default: ${MAX_ORDER_ENV_VAR}, else {DEFAULT_MAX_ORDER})")
     v.add_argument("--trials", type=int, default=5, help="random inputs per equivariance leg")
     v.set_defaults(fn=cmd_verify)
 

@@ -8,7 +8,9 @@ its own ``c_in x c_out`` channel-mixing matrix, so the weight tensor has shape
 :func:`apply` walks the structure recursively and never materializes the
 ``N x N`` map: set factors pool and broadcast, ring factors convolve
 circularly, hierarchical factors pool each fiber, map the pooled summary with
-the outer structure, broadcast back, and add the per-fiber inner map.
+the outer structure, broadcast back, and add the per-fiber inner map.  Orbit
+ids map to node-local coefficients through :func:`basis.orbit_index
+<wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
 :func:`apply_dense` materializes the shared matrix per channel pair and is the
 oracle the fast path is checked against.
 """
@@ -17,12 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .basis import SharingPattern, materialize, pattern_of_structure, structure_orbit_count
+from .basis import materialize, orbit_index, pattern_of_structure, structure_orbit_count
 from .perm import PermGroup, permute_rows
 from .structure import (
     Cycle,
@@ -82,82 +83,6 @@ def random_layer(
     return EquivariantLayer(structure, c_in, c_out, w, b)
 
 
-def _first_occurrences(pattern: SharingPattern) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each orbit id's first row-major appearance."""
-    flat = pattern.orbit_id.ravel()
-    _, first = np.unique(flat, return_index=True)
-    rows, cols = np.divmod(first, pattern.n)
-    return rows, cols
-
-
-def _first_offdiag_occurrences(pattern: SharingPattern) -> dict[int, tuple[int, int]]:
-    """First row-major off-diagonal appearance of each id that has one."""
-    ids = pattern.orbit_id
-    found: dict[int, tuple[int, int]] = {}
-    n = pattern.n
-    for r in range(n):
-        row = ids[r]
-        for c in range(n):
-            if r != c:
-                o = int(row[c])
-                if o not in found:
-                    found[o] = (r, c)
-    return found
-
-
-@lru_cache(maxsize=None)
-def _prod_orbit_table(expr: Prod) -> np.ndarray:
-    """Canonical orbit id of each (outer id, inner id) pair of a product.
-
-    The first appearance of the pair ``(a, b)`` in the big row-major scan
-    factors into the per-factor first appearances, which fixes the canonical
-    order without building the ``N x N`` pattern.
-    """
-    pa = pattern_of_structure(expr.outer)
-    pb = pattern_of_structure(expr.inner)
-    ra, ca = _first_occurrences(pa)
-    rb, cb = _first_occurrences(pb)
-    keyed = []
-    for a in range(pa.num_orbits):
-        for b in range(pb.num_orbits):
-            keyed.append(((int(ra[a]), int(rb[b]), int(ca[a]), int(cb[b])), a, b))
-    keyed.sort()
-    table = np.empty((pa.num_orbits, pb.num_orbits), dtype=np.int64)
-    for idx, (_, a, b) in enumerate(keyed):
-        table[a, b] = idx
-    return table
-
-
-@lru_cache(maxsize=None)
-def _wreath_orbit_maps(expr: Wreath) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Canonical ids of the fiber-local and cross-fiber orbits of a hierarchy.
-
-    Returns ``(inner_map, off_pairs)`` where ``inner_map[b]`` is the canonical
-    id of inner orbit ``b`` (shared over the diagonal blocks) and
-    ``off_pairs`` lists ``(outer id a, canonical id)`` for every outer orbit
-    with off-diagonal entries.
-    """
-    po = pattern_of_structure(expr.outer)
-    pi = pattern_of_structure(expr.inner)
-    Q = pi.n
-    ri, ci = _first_occurrences(pi)
-    off = _first_offdiag_occurrences(po)
-    keyed: list[tuple[tuple[int, int], str, int]] = []
-    for b in range(pi.num_orbits):
-        keyed.append(((int(ri[b]), int(ci[b])), "in", b))
-    for a, (r, c) in off.items():
-        keyed.append(((r * Q, c * Q), "off", a))
-    keyed.sort()
-    inner_map = np.empty(pi.num_orbits, dtype=np.int64)
-    off_pairs = []
-    for idx, (_, kind, which) in enumerate(keyed):
-        if kind == "in":
-            inner_map[which] = idx
-        else:
-            off_pairs.append((which, idx))
-    return inner_map, tuple(off_pairs)
-
-
 def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply ``sum_o coeffs[o] * B_o`` along the second-to-last axis of ``x``.
 
@@ -167,8 +92,11 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
     if isinstance(expr, Set):
         if expr.n == 1:
             return x @ coeffs[0]
-        s = x.sum(axis=-2, keepdims=True)
-        return x @ coeffs[0] + (s - x) @ coeffs[1]
+        # one output buffer, pooled row added in place: the temporaries of
+        # x @ W0 + (s - x) @ W1 fault in fresh pages on every large call
+        y = x @ (coeffs[0] - coeffs[1])
+        y += x.sum(axis=-2, keepdims=True) @ coeffs[1]
+        return y
     if isinstance(expr, Cycle):
         out = x @ coeffs[0]
         for d in range(1, expr.n):
@@ -182,7 +110,7 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         P = degree(expr.outer)
         Q = degree(expr.inner)
         c_in = coeffs.shape[-2]
-        table = _prod_orbit_table(expr)
+        table = orbit_index(expr)[2].reshape(structure_orbit_count(expr.outer), -1)
         xr = x.reshape(*x.shape[:-2], P, Q, c_in)
         out = None
         n_inner = table.shape[1]
@@ -199,16 +127,15 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         P = degree(expr.outer)
         Q = degree(expr.inner)
         c_in, c_out = coeffs.shape[-2], coeffs.shape[-1]
-        inner_map, off_pairs = _wreath_orbit_maps(expr)
+        rank = orbit_index(expr)[2]
+        ra, ca, _ = orbit_index(expr.outer)
+        n_inner = structure_orbit_count(expr.inner)
         xr = x.reshape(*x.shape[:-2], P, Q, c_in)
-        fiber = _apply_structure(expr.inner, coeffs[inner_map], xr)
-        pooled = xr.sum(axis=-2)
-        outer_coeffs = np.zeros((structure_orbit_count(expr.outer), c_in, c_out))
-        for a, idx in off_pairs:
-            outer_coeffs[a] = coeffs[idx]
-        across = _apply_structure(expr.outer, outer_coeffs, pooled)
-        out = fiber + across[..., :, None, :]
-        return out.reshape(*x.shape[:-2], P * Q, c_out)
+        fiber = _apply_structure(expr.inner, coeffs[rank[:n_inner]], xr)
+        outer_coeffs = np.zeros((len(ra), c_in, c_out))
+        outer_coeffs[ra != ca] = coeffs[rank[n_inner:]]
+        fiber += _apply_structure(expr.outer, outer_coeffs, xr.sum(axis=-2))[..., :, None, :]
+        return fiber.reshape(*x.shape[:-2], P * Q, c_out)
     raise TypeError(f"not a structure: {expr!r}")
 
 

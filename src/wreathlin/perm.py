@@ -38,11 +38,17 @@ class EnumerationLimitError(RuntimeError):
 
 
 def max_order_limit() -> int:
-    """Default enumeration limit, overridable via ``WREATHLIN_MAX_ORDER``."""
+    """Default enumeration limit, overridable via ``WREATHLIN_MAX_ORDER``.
+
+    Raises ``ValueError`` when the variable is set to anything but a
+    positive integer.
+    """
     raw = os.environ.get(MAX_ORDER_ENV_VAR)
-    if raw:
-        return int(raw)
-    return DEFAULT_MAX_ORDER
+    if not raw:
+        return DEFAULT_MAX_ORDER
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{MAX_ORDER_ENV_VAR} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -177,6 +183,14 @@ def trivial_group(n: int) -> PermGroup:
     return PermGroup(n, (identity(n),), label=f"trivial{n}")
 
 
+def _lifted_outer_generators(outer: PermGroup, Q: int) -> list[Permutation]:
+    """Outer generators moving whole fibers of size ``Q``: ``(p, q) -> (h.p, q)``."""
+    return [
+        Permutation(tuple(h(p) * Q + q for p in range(outer.degree) for q in range(Q)))
+        for h in outer.generators
+    ]
+
+
 def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     """Direct product acting on pairs: ``(h, k) . (p, q) = (h.p, k.q)``.
 
@@ -184,15 +198,7 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     index major.
     """
     P, Q = outer.degree, inner.degree
-    gens: list[Permutation] = []
-    for h in outer.generators:
-        images = [0] * (P * Q)
-        for p in range(P):
-            dest = h(p) * Q
-            src = p * Q
-            for q in range(Q):
-                images[src + q] = dest + q
-        gens.append(Permutation(tuple(images)))
+    gens = _lifted_outer_generators(outer, Q)
     for k in inner.generators:
         images = [0] * (P * Q)
         for p in range(P):
@@ -214,15 +220,7 @@ def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     ``|inner| ** P * |outer|``.
     """
     P, Q = outer.degree, inner.degree
-    gens: list[Permutation] = []
-    for h in outer.generators:
-        images = [0] * (P * Q)
-        for p in range(P):
-            dest = h(p) * Q
-            src = p * Q
-            for q in range(Q):
-                images[src + q] = dest + q
-        gens.append(Permutation(tuple(images)))
+    gens = _lifted_outer_generators(outer, Q)
     for k in inner.generators:
         images = list(range(P * Q))
         for q in range(Q):

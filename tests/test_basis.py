@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathlin.basis import (
     CommutantBasis,
@@ -14,6 +16,7 @@ from wreathlin.basis import (
     constant_on_orbits,
     kron_pattern,
     materialize,
+    orbit_index,
     orbit_pattern,
     pattern_csv,
     pattern_of_structure,
@@ -30,7 +33,8 @@ from wreathlin.perm import (
     trivial_group,
     wreath_product_group,
 )
-from wreathlin.structure import group_of, parse_structure
+from wreathlin.layer import apply, apply_dense, random_layer
+from wreathlin.structure import Cycle, Prod, Set, Trivial, Wreath, degree, group_of, parse_structure
 
 
 def P(text):
@@ -196,13 +200,48 @@ def test_pattern_matches_generator_orbits():
         assert pattern_of_structure(expr) == orbit_pattern(group_of(expr)), text
 
 
-def test_structure_orbit_count_agrees_with_pattern():
-    for text in [
-        "S(4)", "C(6)", "trivial(3)", "prod(S(4),C(3))", "wr(S(3),C(4))",
-        "wr(prod(C(2),C(2)),prod(S(2),S(2)))", "prod(S(2),wr(S(2),S(2)))",
-    ]:
-        expr = parse_structure(text)
-        assert structure_orbit_count(expr) == pattern_of_structure(expr).num_orbits
+@st.composite
+def structures(draw, depth=3, max_degree=256):
+    """Random trees over S/C/trivial leaves of degree 1-4 with at most
+    ``max_degree`` points; intransitive factors included."""
+    if depth == 0 or max_degree < 2 or draw(st.integers(0, 2)) == 0:
+        leaf = draw(st.sampled_from([Set, Cycle, Trivial]))
+        return leaf(draw(st.integers(1, min(4, max_degree))))
+    first = draw(structures(depth - 1, max_degree // 2))
+    second = draw(structures(depth - 1, max_degree // degree(first)))
+    a, b = (first, second) if draw(st.booleans()) else (second, first)
+    return draw(st.sampled_from([Prod, Wreath]))(a, b)
+
+
+def _leaves(expr):
+    if isinstance(expr, (Prod, Wreath)):
+        return _leaves(expr.outer) + _leaves(expr.inner)
+    return [expr]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(expr=structures(), seed=st.integers(0, 2**16))
+def test_structure_orbit_count_agrees_with_pattern(expr, seed):
+    pattern = pattern_of_structure(expr)
+    rows, cols, rank = orbit_index(expr)
+    _, first = np.unique(pattern.orbit_id.ravel(), return_index=True)
+    first_rows, first_cols = np.divmod(first, pattern.n)
+    assert np.array_equal(rows, first_rows) and np.array_equal(cols, first_cols)
+    assert sorted(rank) == list(range(pattern.num_orbits))
+    assert structure_orbit_count(expr) == pattern.num_orbits
+    for leaf in _leaves(expr):
+        assert pattern_of_structure(leaf) == orbit_pattern(group_of(leaf))
+    layer = random_layer(expr, 2, 3, np.random.default_rng(seed), bias=True)
+    x = np.random.default_rng(seed + 1).standard_normal((layer.degree, 2))
+    np.testing.assert_allclose(apply(layer, x), apply_dense(layer, x), rtol=0, atol=1e-10)
+
+
+def test_apply_builds_no_pattern():
+    expr = parse_structure("wr(S(2),S(1024))")
+    pattern_of_structure.cache_clear()
+    layer = random_layer(expr, 2, 2, np.random.default_rng(0))
+    apply(layer, np.ones((layer.degree, 2)))
+    assert pattern_of_structure.cache_info().misses == 0
 
 
 def test_hierarchy_commutant_within_componentwise_commutant():

@@ -114,6 +114,35 @@ def test_verify_cap_from_environment(monkeypatch, capsys):
     assert "skip warning: group order exceeds limit 100" in out
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e5"])
+def test_malformed_max_order_env_exits_two(monkeypatch, capsys, raw):
+    monkeypatch.setenv("WREATHLIN_MAX_ORDER", raw)
+    code, out, err = run_cli(capsys, ["verify", "--structure", "S(3)"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: WREATHLIN_MAX_ORDER") and err.count("\n") == 1
+    # pattern never enumerates a group, so the variable does not concern it
+    assert run_cli(capsys, ["pattern", "--structure", "S(3)"])[:2] == (0, "structure=S(3) N=3 orbits=2\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_max_order_exits_two(capsys, value):
+    code, out, err = run_cli(capsys, ["verify", "--structure", "S(3)", f"--max-order={value}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-order must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["pattern", "verify"])
+@pytest.mark.parametrize("text", ["S(100000000000)", "wr(S(10000000),C(1000000))"])
+def test_oversize_degree_exits_two_before_allocating(capsys, command, text):
+    code, out, err = run_cli(capsys, [command, "--structure", text])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: degree ") and err.count("\n") == 1
+    assert "physical memory" in err
+
+
 def test_verify_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, ["verify", "--structure", "nosuch(3)"])
     assert code == 2
