@@ -6,8 +6,6 @@ action.  The pattern of those orbits is the whole story: one free weight per
 orbit.  This script builds the patterns for a few structures and renders them.
 """
 
-import numpy as np
-
 from wreathlin.basis import pattern_of_structure, pattern_pgm, pattern_summary
 from wreathlin.structure import format_structure, parse_structure
 

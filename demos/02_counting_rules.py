@@ -12,8 +12,6 @@ fixed index pairs over all group elements, and the nullspace dimension of the
 exact rational commutation system.
 """
 
-import numpy as np
-
 from wreathlin.basis import burnside_count, commutant_basis, orbit_pattern, pattern_of_structure
 from wreathlin.structure import group_of, param_count, parse_structure
 

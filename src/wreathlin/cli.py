@@ -38,14 +38,7 @@ from .structure import (
     parse_structure,
     reassociate_wreaths,
 )
-from .train import (
-    TrainingDivergedError,
-    build_segnet,
-    make_seg_samples,
-    net_forward,
-    sgd_train,
-    trace_csv,
-)
+from .train import TrainingDivergedError, net_forward, seg_setup, sgd_train, trace_csv
 
 USAGE_ERROR = 2
 
@@ -155,28 +148,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _demo_size_error(args: argparse.Namespace) -> str | None:
+    """The first demo size out of range, as an error message, or ``None``."""
+    least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0}
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
+    if args.blobs > args.res ** 3:
+        return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
+    return None
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
+    error = _demo_size_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return USAGE_ERROR
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scene_rng = np.random.default_rng(args.seed)
     centers = make_blob_scene(args.blobs, args.res, scene_rng)
-    data_rng = np.random.default_rng(args.seed * 1000 + 1)
-    train = make_seg_samples(centers, 6, args.points_per_blob, args.noise, 0.25, args.res, data_rng)
-    test = make_seg_samples(centers, 3, args.points_per_blob, args.noise, 0.25, args.res, data_rng)
-    init_rng = np.random.default_rng(args.seed * 1000 + 2)
-    kernel = 3 if args.res >= 3 else 1
-    blocks = build_segnet(
-        6, args.blobs, args.blocks, 8, kernel, init_rng, attention_latents=args.attention
+    train, test, blocks = seg_setup(
+        centers, args.seed, args.res, args.blocks, args.points_per_blob, args.noise,
+        attention_latents=args.attention,
     )
     # the soft-assignment path pools unnormalized sums over points, so its
     # gradients scale with cloud size; a gentler, longer schedule keeps it
     # stable (single-latent softmax is the touchiest case)
-    if args.attention == 0:
-        lr = 0.2
-    elif args.attention == 1:
-        lr = 0.001
-    else:
-        lr = 0.005
+    lr = {0: 0.2, 1: 0.001}.get(args.attention, 0.005)
     epochs = args.epochs if args.epochs is not None else (40 if args.attention == 0 else 400)
     try:
         trained, trace = sgd_train(blocks, train, epochs=epochs, lr=lr, seed=args.seed)

@@ -112,19 +112,23 @@ def voxelize(cloud: PointCloud, resolution: int) -> VoxelizedCloud:
     scaled[:, degenerate] = 0.5
     idx = np.minimum(np.floor(scaled).astype(np.int64), resolution - 1)
     rel = scaled - (idx + 0.5)
-    D = resolution
-    flat = idx[:, 0] * D * D + idx[:, 1] * D + idx[:, 2]
-    occupancy = np.bincount(flat, minlength=D ** 3)
-    return VoxelizedCloud(resolution=D, assignment=flat, rel_coords=rel, occupancy=occupancy)
+    flat = np.ravel_multi_index(idx.T, (resolution,) * 3)
+    occupancy = np.bincount(flat, minlength=resolution ** 3)
+    return VoxelizedCloud(resolution=resolution, assignment=flat, rel_coords=rel, occupancy=occupancy)
+
+
+def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
+    """Per-voxel sum of point values, the adjoint of ``gather_to_points``:
+    one flat ``bincount`` over (voxel, channel) bins."""
+    x = np.asarray(x, dtype=np.float64)
+    c = x.shape[1]
+    bins = (vox.assignment[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(bins, weights=x.ravel(), minlength=vox.n_voxels * c).reshape(vox.n_voxels, c)
 
 
 def mean_pool(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
     """Per-voxel mean of point values; empty voxels pool to zero."""
-    x = np.asarray(x, dtype=np.float64)
-    acc = np.zeros((vox.n_voxels, x.shape[1]))
-    np.add.at(acc, vox.assignment, x)
-    counts = np.maximum(vox.occupancy, 1)[:, None]
-    return acc / counts
+    return voxel_sum(vox, x) / np.maximum(vox.occupancy, 1)[:, None]
 
 
 def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray) -> np.ndarray:
@@ -132,12 +136,23 @@ def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray) -> np.ndarray:
     return np.asarray(per_voxel)[vox.assignment]
 
 
+def _shifted_grids(grid: np.ndarray, width: int):
+    """Yield each tap ``t`` of a ``width**3`` kernel with the grid rolled so
+    every voxel holds the value ``t`` reads, at offset ``t - width // 2``,
+    flattened to ``(D**3, c)``; one shifted grid is live at a time."""
+    for tap in np.ndindex(width, width, width):
+        shift = [width // 2 - t for t in tap]
+        yield tap, np.roll(grid, shift, axis=(0, 1, 2)).reshape(-1, grid.shape[3])
+
+
 def conv3d_periodic(kernel: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Circular 3-D convolution of a ``(D, D, D, c)`` grid.
 
     ``kernel`` has shape ``(K, K, K, c_in, c_out)`` with ``K`` odd and
     ``K <= D``; all three axes wrap around.  A delta kernel (identity mixing
-    at the center tap, zero elsewhere) is the identity map.
+    at the center tap, zero elsewhere) is the identity map.  The adjoint in
+    the grid is the same convolution with the kernel flipped along its three
+    spatial axes and its channel axes swapped.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -149,14 +164,20 @@ def conv3d_periodic(kernel: np.ndarray, grid: np.ndarray) -> np.ndarray:
         raise KernelError(f"kernel width must be odd, got {K}")
     if K > D:
         raise KernelError(f"kernel width {K} exceeds grid resolution {D}")
-    c = K // 2
-    out = np.zeros(grid.shape[:3] + (kernel.shape[4],))
-    for a in range(K):
-        for b in range(K):
-            for d in range(K):
-                shifted = np.roll(grid, (c - a, c - b, c - d), axis=(0, 1, 2))
-                out += shifted @ kernel[a, b, d]
-    return out
+    out = np.zeros((D ** 3, kernel.shape[4]))
+    for tap, shifted in _shifted_grids(grid, K):
+        out += shifted @ kernel[tap]
+    return out.reshape(grid.shape[:3] + (kernel.shape[4],))
+
+
+def conv3d_kernel_grad(grid: np.ndarray, d_out: np.ndarray, width: int) -> np.ndarray:
+    """Gradient of ``conv3d_periodic`` with respect to a ``width**3`` kernel,
+    given the grid it convolved and the gradient of its output."""
+    d_out = d_out.reshape(-1, d_out.shape[3])
+    d_kernel = np.empty((width,) * 3 + (grid.shape[3], d_out.shape[1]))
+    for tap, shifted in _shifted_grids(grid, width):
+        d_kernel[tap] = shifted.T @ d_out
+    return d_kernel
 
 
 @dataclass(frozen=True)
@@ -261,8 +282,8 @@ def _set_forward(layer: SetPCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tuple
 def _attn_forward(layer: AttnPCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
     soft = _softmax_rows(x @ layer.w_assign)  # (n, L)
     pooled = soft.T @ x  # (L, c_in)
-    mixed = np.einsum("lkcd,kc->lcd", layer.w_interact, pooled)  # (L, c_in, c_out)
-    y = np.einsum("nl,lcd->nd", soft, mixed)
+    mixed = np.einsum("lkcd,kc->ld", layer.w_interact, pooled)  # (L, c_out)
+    y = soft @ mixed
     return y, {"x": x, "soft": soft, "pooled": pooled, "mixed": mixed}
 
 
@@ -324,12 +345,8 @@ def segnet_forward(blocks: list[SegBlock] | tuple[SegBlock, ...], vox: Voxelized
 def shift_assignment(vox: VoxelizedCloud, shifts: tuple[int, int, int]) -> VoxelizedCloud:
     """Relabel voxels by a cyclic shift per axis; points do not move."""
     D = vox.resolution
-    ix, rest = np.divmod(vox.assignment, D * D)
-    iy, iz = np.divmod(rest, D)
-    ix = (ix + shifts[0]) % D
-    iy = (iy + shifts[1]) % D
-    iz = (iz + shifts[2]) % D
-    flat = ix * D * D + iy * D + iz
+    idx = np.unravel_index(vox.assignment, (D, D, D))
+    flat = np.ravel_multi_index([(i + s) % D for i, s in zip(idx, shifts)], (D, D, D))
     occupancy = np.bincount(flat, minlength=D ** 3)
     return VoxelizedCloud(D, flat, vox.rel_coords, occupancy)
 
@@ -354,9 +371,7 @@ def make_blob_scene(n_blobs: int, resolution: int, rng: np.random.Generator) -> 
     if n_blobs > resolution ** 3:
         raise ValueError("more blobs than voxels")
     chosen = rng.choice(resolution ** 3, size=n_blobs, replace=False)
-    ix, rest = np.divmod(chosen, resolution * resolution)
-    iy, iz = np.divmod(rest, resolution)
-    return (np.stack([ix, iy, iz], axis=1) + 0.5) / resolution
+    return (np.stack(np.unravel_index(chosen, (resolution,) * 3), axis=1) + 0.5) / resolution
 
 
 def sample_blob_cloud(

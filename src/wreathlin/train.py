@@ -1,15 +1,16 @@
 """Hand-written reverse-mode gradients, finite-difference checking, and a
 small SGD loop for the point-cloud block stacks.
 
-The adjoints mirror the forward structure: the adjoint of a per-voxel mean
-pool is a broadcast divided by the voxel count, the adjoint of a broadcast is
-a per-voxel sum, and the adjoint of a circular convolution is a circular
-correlation with the flipped kernel.
+Each backward reuses the forward primitives: the adjoint of a broadcast to
+points is ``voxel_sum``, that of a per-voxel mean pool is a gather of the
+gradient over the voxel counts, and that of ``conv3d_periodic`` in its grid is
+``conv3d_periodic`` with the kernel flipped in space and transposed in
+channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -21,10 +22,12 @@ from .pointcloud import (
     VoxelizedCloud,
     WreathPCLayer,
     block_forward,
-    mean_pool,
+    conv3d_kernel_grad,
+    conv3d_periodic,
+    gather_to_points,
     sample_blob_cloud,
+    voxel_sum,
     voxelize,
-    with_relative_coords,
 )
 
 
@@ -53,39 +56,18 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, soft / n
 
 
-def _conv3d_backward(
-    kernel: np.ndarray, grid: np.ndarray, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``conv3d_periodic`` w.r.t. kernel and grid."""
-    K = kernel.shape[0]
-    c = K // 2
-    d_kernel = np.zeros_like(kernel)
-    d_grid = np.zeros_like(grid)
-    for a in range(K):
-        for b in range(K):
-            for d in range(K):
-                shift = (c - a, c - b, c - d)
-                shifted = np.roll(grid, shift, axis=(0, 1, 2))
-                d_kernel[a, b, d] = np.einsum("xyzc,xyzd->cd", shifted, d_out)
-                back = (-shift[0], -shift[1], -shift[2])
-                d_grid += np.roll(d_out, back, axis=(0, 1, 2)) @ kernel[a, b, d].T
-    return d_kernel, d_grid
-
-
 def _wreath_backward(
     layer: WreathPCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray
 ) -> tuple[dict, np.ndarray]:
     x, grid = cache["x"], cache["grid"]
     D = vox.resolution
-    d_w_point = x.T @ d_y
     d_x = d_y @ layer.w_point.T
-    d_conv = np.zeros((vox.n_voxels, layer.c_out))
-    np.add.at(d_conv, vox.assignment, d_y)
-    d_w_conv, d_grid = _conv3d_backward(layer.w_conv, grid, d_conv.reshape(D, D, D, layer.c_out))
-    d_pooled = d_grid.reshape(vox.n_voxels, layer.c_in)
-    counts = np.maximum(vox.occupancy, 1)[:, None]
-    d_x += (d_pooled / counts)[vox.assignment]
-    return {"w_point": d_w_point, "w_conv": d_w_conv}, d_x
+    d_conv = voxel_sum(vox, d_y).reshape(D, D, D, layer.c_out)
+    d_w_conv = conv3d_kernel_grad(grid, d_conv, layer.w_conv.shape[0])
+    flipped = layer.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
+    d_pooled = conv3d_periodic(flipped, d_conv).reshape(vox.n_voxels, layer.c_in)
+    d_x += gather_to_points(vox, d_pooled / np.maximum(vox.occupancy, 1)[:, None])
+    return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 
 def _set_backward(
@@ -104,13 +86,10 @@ def _attn_backward(
     layer: AttnPCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray
 ) -> tuple[dict, np.ndarray]:
     x, soft, pooled, mixed = cache["x"], cache["soft"], cache["pooled"], cache["mixed"]
-    d_soft = np.einsum("nd,lcd->nl", d_y, mixed)
-    # channel axis of mixed is summed out in the forward, so its adjoint
-    # broadcasts the (latent, out) gradient across channels
-    d_mixed = np.broadcast_to((soft.T @ d_y)[:, None, :], mixed.shape)
-    d_w_interact = np.einsum("lcd,kc->lkcd", d_mixed, pooled)
-    d_pooled = np.einsum("lkcd,lcd->kc", layer.w_interact, d_mixed)
-    d_soft += x @ d_pooled.T
+    d_mixed = soft.T @ d_y  # (L, c_out)
+    d_w_interact = np.einsum("ld,kc->lkcd", d_mixed, pooled)
+    d_pooled = np.einsum("lkcd,ld->kc", layer.w_interact, d_mixed)
+    d_soft = d_y @ mixed.T + x @ d_pooled.T
     d_x = soft @ d_pooled
     d_z = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
     d_w_assign = x.T @ d_z
@@ -186,14 +165,8 @@ class GradReport:
 
 
 def _block_params(block: SegBlock) -> dict[str, np.ndarray]:
-    layer = block.layer
-    if isinstance(layer, WreathPCLayer):
-        return {"w_point": layer.w_point, "w_conv": layer.w_conv}
-    if isinstance(layer, SetPCLayer):
-        return {"w_point": layer.w_point, "w_pool": layer.w_pool}
-    if isinstance(layer, AttnPCLayer):
-        return {"w_assign": layer.w_assign, "w_interact": layer.w_interact}
-    raise TypeError(f"not a point-cloud layer: {layer!r}")
+    """The layer's trainable arrays by name: every field of a layer is one."""
+    return {f.name: getattr(block.layer, f.name) for f in fields(block.layer)}
 
 
 def _with_param(block: SegBlock, name: str, value: np.ndarray) -> SegBlock:
@@ -353,37 +326,38 @@ def make_seg_samples(
     return samples
 
 
-def run_seg_experiment(
+def seg_setup(
     centers: np.ndarray,
     seed: int,
-    set_only: bool,
-    n_train: int = 6,
-    n_test: int = 3,
-    points_per_blob: int = 12,
-    noise: float = 0.2,
-    feature_noise: float = 0.25,
     resolution: int = 4,
     n_blocks: int = 2,
-    hidden: int = 8,
-    kernel: int = 3,
-    epochs: int = 40,
-    lr: float = 0.2,
-) -> tuple[float, float, list[tuple[int, float, float]]]:
-    """Train one model on the blob task; returns (train acc, held-out acc, trace).
-
-    The data rng and the init rng both derive from ``seed`` so paired runs of
-    the voxel model and its global-pool ablation see identical samples.
-    """
+    points_per_blob: int = 12,
+    noise: float = 0.2,
+    attention_latents: int = 0,
+    set_only: bool = False,
+) -> tuple[list, list, list[SegBlock]]:
+    """Six train samples, three held-out samples (rng ``seed * 1000 + 1``) and
+    8-wide initial blocks (rng ``seed * 1000 + 2``) for the blob task, so a
+    voxel model and its global-pool ablation see identical samples."""
     data_rng = np.random.default_rng(seed * 1000 + 1)
-    train = make_seg_samples(
-        centers, n_train, points_per_blob, noise, feature_noise, resolution, data_rng
-    )
-    test = make_seg_samples(
-        centers, n_test, points_per_blob, noise, feature_noise, resolution, data_rng
-    )
+    train = make_seg_samples(centers, 6, points_per_blob, noise, 0.25, resolution, data_rng)
+    test = make_seg_samples(centers, 3, points_per_blob, noise, 0.25, resolution, data_rng)
     init_rng = np.random.default_rng(seed * 1000 + 2)
-    blocks = build_segnet(6, len(centers), n_blocks, hidden, kernel, init_rng, set_only=set_only)
-    trained, trace = sgd_train(blocks, train, epochs=epochs, lr=lr, seed=seed)
+    kernel = 3 if resolution >= 3 else 1
+    blocks = build_segnet(
+        6, len(centers), n_blocks, 8, kernel, init_rng,
+        attention_latents=attention_latents, set_only=set_only,
+    )
+    return train, test, blocks
+
+
+def run_seg_experiment(
+    centers: np.ndarray, seed: int, set_only: bool, epochs: int = 40
+) -> tuple[float, float, list[tuple[int, float, float]]]:
+    """Train one model on the blob task with ``lr = 0.2``; returns
+    (train acc, held-out acc, trace)."""
+    train, test, blocks = seg_setup(centers, seed, set_only=set_only)
+    trained, trace = sgd_train(blocks, train, epochs=epochs, lr=0.2, seed=seed)
     _, test_acc = evaluate(trained, test)
     return trace[-1][2], test_acc, trace
 

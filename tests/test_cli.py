@@ -194,3 +194,21 @@ def test_demo_attention_path(tmp_path, capsys):
     assert code == 0
     assert "attention=2" in out
     assert (out_dir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--res", "0"], "--res must be at least 1, got 0"),
+    (["--blocks", "0"], "--blocks must be at least 1, got 0"),
+    (["--blobs", "0"], "--blobs must be at least 1, got 0"),
+    (["--points-per-blob", "0"], "--points-per-blob must be at least 1, got 0"),
+    (["--res", "1", "--blobs", "3"], "--blobs 3 exceeds the 1 voxels of a resolution-1 grid"),
+    (["--attention", "-2"], "--attention must be at least 0, got -2"),
+    (["--epochs", "-1"], "--epochs must be at least 0, got -1"),
+])
+def test_demo_bad_sizes_exit_two_before_writing(tmp_path, capsys, bad, message):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, DEMO_ARGS + bad + ["--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()

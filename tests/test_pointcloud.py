@@ -9,6 +9,7 @@ from wreathlin.pointcloud import (
     SetPCLayer,
     WreathPCLayer,
     attn_layer_apply,
+    conv3d_kernel_grad,
     conv3d_periodic,
     format_predictions,
     gather_to_points,
@@ -20,6 +21,7 @@ from wreathlin.pointcloud import (
     sample_blob_cloud,
     segnet_forward,
     shift_assignment,
+    voxel_sum,
     voxelize,
     with_relative_coords,
     within_voxel_permutation,
@@ -91,6 +93,41 @@ def test_mean_pool_is_duplication_invariant():
     )
     vox_dup = voxelize(dup, 2)
     assert np.allclose(mean_pool(vox_dup, dup.features), pooled)
+
+
+@pytest.mark.parametrize("n", [37, 4000, 100000])
+def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cloud = random_cloud(rng, n=n, c=5)
+    vox = voxelize(cloud, 8)
+    acc = np.zeros((vox.n_voxels, 5))
+    np.add.at(acc, vox.assignment, cloud.features)
+    assert np.array_equal(voxel_sum(vox, cloud.features), acc)
+    assert np.array_equal(mean_pool(vox, cloud.features), acc / np.maximum(vox.occupancy, 1)[:, None])
+
+
+@pytest.mark.parametrize("D, K", [(2, 1), (3, 3), (5, 3), (5, 5)])
+def test_conv3d_adjoint_is_flipped_transposed_kernel(D, K):
+    rng = np.random.default_rng(10 * D + K)
+    kernel = rng.normal(size=(K, K, K, 2, 3))
+    g = rng.normal(size=(D, D, D, 2))
+    h = rng.normal(size=(D, D, D, 3))
+    flipped = kernel[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
+    lhs = np.vdot(conv3d_periodic(kernel, g), h)
+    rhs = np.vdot(g, conv3d_periodic(flipped, h))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("D, K", [(3, 3), (5, 3)])
+def test_conv3d_kernel_grad_is_the_kernel_adjoint(D, K):
+    # conv3d_periodic is linear in its kernel, so <conv(k, g), h> == <k, grad(g, h)>
+    rng = np.random.default_rng(D + K)
+    kernel = rng.normal(size=(K, K, K, 2, 3))
+    g = rng.normal(size=(D, D, D, 2))
+    h = rng.normal(size=(D, D, D, 3))
+    lhs = np.vdot(conv3d_periodic(kernel, g), h)
+    rhs = np.vdot(kernel, conv3d_kernel_grad(g, h, K))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_conv3d_delta_kernel_is_identity():
