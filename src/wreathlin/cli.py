@@ -50,6 +50,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _pattern_structure(text: str) -> Structure:
     """Parse a structure whose ``N x N`` pattern a command will build.
 
@@ -58,7 +62,7 @@ def _pattern_structure(text: str) -> Structure:
     """
     expr = parse_structure(text)
     n = degree(expr)
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    ram = _physical_memory()
     if 8 * n * n > ram:
         raise ValueError(
             f"degree {n} is too large: its {n} x {n} pattern needs {8 * n * n} bytes, "
@@ -136,6 +140,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_order = max_order_limit() if args.max_order is None else args.max_order
         if max_order < 1:
             raise ValueError(f"--max-order must be at least 1, got {max_order}")
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -155,6 +161,13 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
         value = getattr(args, name)
         if value is not None and value < low:
             return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        return f"--noise must be finite and at least 0, got {args.noise}"
+    grid_bytes = args.res ** 3 * 8 * 8  # one float per voxel and hidden channel
+    ram = _physical_memory()
+    if grid_bytes > ram:
+        return (f"--res {args.res} is too large: its per-voxel grid needs {grid_bytes} bytes, "
+                f"more than the {ram} bytes of physical memory")
     if args.blobs > args.res ** 3:
         return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
     return None

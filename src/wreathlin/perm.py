@@ -183,14 +183,6 @@ def trivial_group(n: int) -> PermGroup:
     return PermGroup(n, (identity(n),), label=f"trivial{n}")
 
 
-def _lifted_outer_generators(outer: PermGroup, Q: int) -> list[Permutation]:
-    """Outer generators moving whole fibers of size ``Q``: ``(p, q) -> (h.p, q)``."""
-    return [
-        Permutation(tuple(h(p) * Q + q for p in range(outer.degree) for q in range(Q)))
-        for h in outer.generators
-    ]
-
-
 def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     """Direct product acting on pairs: ``(h, k) . (p, q) = (h.p, k.q)``.
 
@@ -198,14 +190,9 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     index major.
     """
     P, Q = outer.degree, inner.degree
-    gens = _lifted_outer_generators(outer, Q)
-    for k in inner.generators:
-        images = [0] * (P * Q)
-        for p in range(P):
-            base = p * Q
-            for q in range(Q):
-                images[base + q] = base + k(q)
-        gens.append(Permutation(tuple(images)))
+    id_P, id_Q = identity(P), identity(Q)
+    gens = [wreath_element(h, [id_Q] * P) for h in outer.generators]
+    gens += [wreath_element(id_P, [k] * P) for k in inner.generators]
     label = f"({outer.label} x {inner.label})"
     return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
 
@@ -220,12 +207,9 @@ def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     ``|inner| ** P * |outer|``.
     """
     P, Q = outer.degree, inner.degree
-    gens = _lifted_outer_generators(outer, Q)
-    for k in inner.generators:
-        images = list(range(P * Q))
-        for q in range(Q):
-            images[q] = k(q)
-        gens.append(Permutation(tuple(images)))
+    id_P, id_Q = identity(P), identity(Q)
+    gens = [wreath_element(h, [id_Q] * P) for h in outer.generators]
+    gens += [wreath_element(id_P, [k] + [id_Q] * (P - 1)) for k in inner.generators]
     label = f"({inner.label} wr {outer.label})"
     return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
 

@@ -11,6 +11,14 @@ where ``mean_pool`` averages the points of each voxel (empty voxels are zero),
 ``gather`` hands each point the value of its voxel.  An attention variant
 replaces the hard voxel assignment with a learned soft one and is equivariant
 to arbitrary reorderings of the points.
+
+Each layer class owns its ``forward`` and its ``backward``, and with them the
+cache that passes between the two.  Each backward reuses the forward
+primitives: the adjoint of a broadcast to points is ``voxel_sum``, that of a
+per-voxel mean pool is a gather of the gradient over the voxel counts, and
+that of ``conv3d_periodic`` in its grid is ``conv3d_periodic`` with the kernel
+flipped in space and transposed in channels; ``conv3d_kernel_grad`` walks the
+forward's kernel taps.
 """
 
 from __future__ import annotations
@@ -180,6 +188,12 @@ def conv3d_kernel_grad(grid: np.ndarray, d_out: np.ndarray, width: int) -> np.nd
     return d_kernel
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class WreathPCLayer:
     """Pointwise map plus a voxel-pooled circular convolution broadcast back."""
@@ -203,6 +217,25 @@ class WreathPCLayer:
     def c_out(self) -> int:
         return self.w_point.shape[1]
 
+    def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        D = vox.resolution
+        pooled = mean_pool(vox, x)
+        grid = pooled.reshape(D, D, D, self.c_in)
+        conv = conv3d_periodic(self.w_conv, grid)
+        y = x @ self.w_point + gather_to_points(vox, conv.reshape(vox.n_voxels, self.c_out))
+        return y, {"x": x, "grid": grid}
+
+    def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
+        x, grid = cache["x"], cache["grid"]
+        D = vox.resolution
+        d_x = d_y @ self.w_point.T
+        d_conv = voxel_sum(vox, d_y).reshape(D, D, D, self.c_out)
+        d_w_conv = conv3d_kernel_grad(grid, d_conv, self.w_conv.shape[0])
+        flipped = self.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
+        d_pooled = conv3d_periodic(flipped, d_conv).reshape(vox.n_voxels, self.c_in)
+        d_x += gather_to_points(vox, d_pooled / np.maximum(vox.occupancy, 1)[:, None])
+        return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
+
 
 @dataclass(frozen=True)
 class SetPCLayer:
@@ -224,6 +257,20 @@ class SetPCLayer:
     @property
     def c_out(self) -> int:
         return self.w_point.shape[1]
+
+    def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        mean = x.mean(axis=0)
+        y = x @ self.w_point + mean @ self.w_pool
+        return y, {"x": x, "mean": mean}
+
+    def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
+        x, mean = cache["x"], cache["mean"]
+        d_w_point = x.T @ d_y
+        d_x = d_y @ self.w_point.T
+        d_mean_out = d_y.sum(axis=0)
+        d_w_pool = np.outer(mean, d_mean_out)
+        d_x += (self.w_pool @ d_mean_out)[None, :] / x.shape[0]
+        return {"w_point": d_w_point, "w_pool": d_w_pool}, d_x
 
 
 @dataclass(frozen=True)
@@ -254,37 +301,27 @@ class AttnPCLayer:
     def n_latent(self) -> int:
         return self.w_assign.shape[1]
 
+    def forward(self, vox: VoxelizedCloud | None, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        soft = _softmax_rows(x @ self.w_assign)  # (n, L)
+        pooled = soft.T @ x  # (L, c_in)
+        mixed = np.einsum("lkcd,kc->ld", self.w_interact, pooled)  # (L, c_out)
+        y = soft @ mixed
+        return y, {"x": x, "soft": soft, "pooled": pooled, "mixed": mixed}
+
+    def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
+        x, soft, pooled, mixed = cache["x"], cache["soft"], cache["pooled"], cache["mixed"]
+        d_mixed = soft.T @ d_y  # (L, c_out)
+        d_w_interact = np.einsum("ld,kc->lkcd", d_mixed, pooled)
+        d_pooled = np.einsum("lkcd,ld->kc", self.w_interact, d_mixed)
+        d_soft = d_y @ mixed.T + x @ d_pooled.T
+        d_x = soft @ d_pooled
+        d_z = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
+        d_w_assign = x.T @ d_z
+        d_x += d_z @ self.w_assign.T
+        return {"w_assign": d_w_assign, "w_interact": d_w_interact}, d_x
+
 
 PCLayer = WreathPCLayer | SetPCLayer | AttnPCLayer
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _wreath_forward(layer: WreathPCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    D = vox.resolution
-    pooled = mean_pool(vox, x)
-    grid = pooled.reshape(D, D, D, layer.c_in)
-    conv = conv3d_periodic(layer.w_conv, grid)
-    y = x @ layer.w_point + gather_to_points(vox, conv.reshape(vox.n_voxels, layer.c_out))
-    return y, {"x": x, "grid": grid}
-
-
-def _set_forward(layer: SetPCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    mean = x.mean(axis=0)
-    y = x @ layer.w_point + mean @ layer.w_pool
-    return y, {"x": x, "mean": mean}
-
-
-def _attn_forward(layer: AttnPCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    soft = _softmax_rows(x @ layer.w_assign)  # (n, L)
-    pooled = soft.T @ x  # (L, c_in)
-    mixed = np.einsum("lkcd,kc->ld", layer.w_interact, pooled)  # (L, c_out)
-    y = soft @ mixed
-    return y, {"x": x, "soft": soft, "pooled": pooled, "mixed": mixed}
 
 
 def pc_layer_forward(layer: PCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -292,13 +329,12 @@ def pc_layer_forward(layer: PCLayer, vox: VoxelizedCloud, x: np.ndarray) -> tupl
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (vox.n_points, layer.c_in):
         raise ValueError(f"input shape {x.shape} != ({vox.n_points}, {layer.c_in})")
-    if isinstance(layer, WreathPCLayer):
-        return _wreath_forward(layer, vox, x)
-    if isinstance(layer, SetPCLayer):
-        return _set_forward(layer, vox, x)
-    if isinstance(layer, AttnPCLayer):
-        return _attn_forward(layer, vox, x)
-    raise TypeError(f"not a point-cloud layer: {layer!r}")
+    return layer.forward(vox, x)
+
+
+def layer_backward(layer: PCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Parameter gradients by field name, and the input gradient, of one layer."""
+    return layer.backward(vox, cache, d_y)
 
 
 def pc_layer_apply(layer: PCLayer, vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
@@ -308,38 +344,7 @@ def pc_layer_apply(layer: PCLayer, vox: VoxelizedCloud, x: np.ndarray) -> np.nda
 def attn_layer_apply(layer: AttnPCLayer, x: np.ndarray) -> np.ndarray:
     """Attention layer on bare features; needs no voxel assignment."""
     x = np.asarray(x, dtype=np.float64)
-    return _attn_forward(layer, None, x)[0]
-
-
-@dataclass(frozen=True)
-class SegBlock:
-    """One network block: a layer, an identity skip when shapes allow, and an
-    optional rectifier (omitted on the final block)."""
-
-    layer: PCLayer
-    rectify: bool
-
-    @property
-    def has_skip(self) -> bool:
-        return self.layer.c_in == self.layer.c_out
-
-
-def block_forward(block: SegBlock, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    y, cache = pc_layer_forward(block.layer, vox, x)
-    if block.has_skip:
-        y = y + x
-    cache["pre_act"] = y
-    if block.rectify:
-        y = np.maximum(y, 0.0)
-    return y, cache
-
-
-def segnet_forward(blocks: list[SegBlock] | tuple[SegBlock, ...], vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
-    """Run the block stack; the last block's output are the per-point logits."""
-    h = np.asarray(x, dtype=np.float64)
-    for block in blocks:
-        h, _ = block_forward(block, vox, h)
-    return h
+    return layer.forward(None, x)[0]
 
 
 def shift_assignment(vox: VoxelizedCloud, shifts: tuple[int, int, int]) -> VoxelizedCloud:

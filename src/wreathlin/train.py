@@ -1,11 +1,7 @@
-"""Hand-written reverse-mode gradients, finite-difference checking, and a
-small SGD loop for the point-cloud block stacks.
-
-Each backward reuses the forward primitives: the adjoint of a broadcast to
-points is ``voxel_sum``, that of a per-voxel mean pool is a gather of the
-gradient over the voxel counts, and that of ``conv3d_periodic`` in its grid is
-``conv3d_periodic`` with the kernel flipped in space and transposed in
-channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.
+"""The point-cloud block stack and its training: each block's identity skip
+and rectifier, reverse mode through the stack (each layer supplies its own
+``backward``), finite-difference gradient checking, plain SGD, and the blob
+segmentation experiment.
 """
 
 from __future__ import annotations
@@ -17,16 +13,12 @@ import numpy as np
 from .pointcloud import (
     AttnPCLayer,
     PCLayer,
-    SegBlock,
     SetPCLayer,
     VoxelizedCloud,
     WreathPCLayer,
-    block_forward,
-    conv3d_kernel_grad,
-    conv3d_periodic,
-    gather_to_points,
+    layer_backward,
+    pc_layer_forward,
     sample_blob_cloud,
-    voxel_sum,
     voxelize,
 )
 
@@ -49,75 +41,46 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
     z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(log_norm - z[np.arange(n), labels]))
-    soft = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    e = np.exp(z)
+    norm = e.sum(axis=1)
+    loss = float(np.mean(np.log(norm) - z[np.arange(n), labels]))
+    soft = e / norm[:, None]
     soft[np.arange(n), labels] -= 1.0
     return loss, soft / n
 
 
-def _wreath_backward(
-    layer: WreathPCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray
-) -> tuple[dict, np.ndarray]:
-    x, grid = cache["x"], cache["grid"]
-    D = vox.resolution
-    d_x = d_y @ layer.w_point.T
-    d_conv = voxel_sum(vox, d_y).reshape(D, D, D, layer.c_out)
-    d_w_conv = conv3d_kernel_grad(grid, d_conv, layer.w_conv.shape[0])
-    flipped = layer.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
-    d_pooled = conv3d_periodic(flipped, d_conv).reshape(vox.n_voxels, layer.c_in)
-    d_x += gather_to_points(vox, d_pooled / np.maximum(vox.occupancy, 1)[:, None])
-    return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
+@dataclass(frozen=True)
+class SegBlock:
+    """One network block: a layer, an identity skip when shapes allow, and an
+    optional rectifier (omitted on the final block)."""
+
+    layer: PCLayer
+    rectify: bool
+
+    @property
+    def has_skip(self) -> bool:
+        return self.layer.c_in == self.layer.c_out
 
 
-def _set_backward(
-    layer: SetPCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray
-) -> tuple[dict, np.ndarray]:
-    x, mean = cache["x"], cache["mean"]
-    d_w_point = x.T @ d_y
-    d_x = d_y @ layer.w_point.T
-    d_mean_out = d_y.sum(axis=0)
-    d_w_pool = np.outer(mean, d_mean_out)
-    d_x += (layer.w_pool @ d_mean_out)[None, :] / x.shape[0]
-    return {"w_point": d_w_point, "w_pool": d_w_pool}, d_x
-
-
-def _attn_backward(
-    layer: AttnPCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray
-) -> tuple[dict, np.ndarray]:
-    x, soft, pooled, mixed = cache["x"], cache["soft"], cache["pooled"], cache["mixed"]
-    d_mixed = soft.T @ d_y  # (L, c_out)
-    d_w_interact = np.einsum("ld,kc->lkcd", d_mixed, pooled)
-    d_pooled = np.einsum("lkcd,ld->kc", layer.w_interact, d_mixed)
-    d_soft = d_y @ mixed.T + x @ d_pooled.T
-    d_x = soft @ d_pooled
-    d_z = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
-    d_w_assign = x.T @ d_z
-    d_x += d_z @ layer.w_assign.T
-    return {"w_assign": d_w_assign, "w_interact": d_w_interact}, d_x
-
-
-def layer_backward(
-    layer: PCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray
-) -> tuple[dict, np.ndarray]:
-    if isinstance(layer, WreathPCLayer):
-        return _wreath_backward(layer, vox, cache, d_y)
-    if isinstance(layer, SetPCLayer):
-        return _set_backward(layer, vox, cache, d_y)
-    if isinstance(layer, AttnPCLayer):
-        return _attn_backward(layer, vox, cache, d_y)
-    raise TypeError(f"not a point-cloud layer: {layer!r}")
+def block_forward(block: SegBlock, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    y, cache = pc_layer_forward(block.layer, vox, x)
+    if block.has_skip:
+        y = y + x
+    cache["pre_act"] = y
+    if block.rectify:
+        y = np.maximum(y, 0.0)
+    return y, cache
 
 
 def net_forward(
     blocks: tuple[SegBlock, ...] | list[SegBlock], vox: VoxelizedCloud, x: np.ndarray
 ) -> tuple[np.ndarray, list[dict]]:
+    """Run the block stack: the last block's output (the per-point logits)
+    and one cache per block for ``net_backward``."""
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for block in blocks:
-        cache_x = h
         h, cache = block_forward(block, vox, h)
-        cache["block_in"] = cache_x
         caches.append(cache)
     return h, caches
 

@@ -24,7 +24,6 @@ from wreathlin.layer import apply, apply_dense, equivariance_check_map, random_l
 from wreathlin.pointcloud import (
     AttnPCLayer,
     PointCloud,
-    SegBlock,
     WreathPCLayer,
     attn_layer_apply,
     make_blob_scene,
@@ -36,6 +35,7 @@ from wreathlin.pointcloud import (
 )
 from wreathlin.structure import group_of, param_count, parse_structure
 from wreathlin.train import (
+    SegBlock,
     build_segnet,
     gradient_check,
     init_attn_layer,

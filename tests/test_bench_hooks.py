@@ -1,0 +1,46 @@
+"""The library names the benchmark's traced run wraps still exist.
+
+``perfbench/spans.py`` installs its span wrappers by module and attribute
+name and names point-cloud layer spans by class name, so a rename or move in
+the library would otherwise show up only as a crashed benchmark run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+import typing
+from pathlib import Path
+
+import wreathlin.pointcloud
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_span_target_resolves():
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr, _, _ in load_spans().TARGETS
+        if not callable(getattr(importlib.import_module(mod), attr, None))
+    ]
+    assert missing == []
+
+
+def test_layer_kinds_name_the_point_cloud_layer_classes():
+    tree = ast.parse(SPANS.read_text())
+    kind_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_layer_kind")
+    table = next(n for n in ast.walk(kind_fn) if isinstance(n, ast.Dict))
+    names = {key.value for key in table.keys}
+    assert all(isinstance(getattr(wreathlin.pointcloud, name, None), type) for name in names)
+    assert names == {cls.__name__ for cls in typing.get_args(wreathlin.pointcloud.PCLayer)}

@@ -143,6 +143,14 @@ def test_oversize_degree_exits_two_before_allocating(capsys, command, text):
     assert "physical memory" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_trials_exits_two(capsys, value):
+    code, out, err = run_cli(capsys, ["verify", "--structure", "S(3)", f"--trials={value}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {value}\n"
+
+
 def test_verify_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, ["verify", "--structure", "nosuch(3)"])
     assert code == 2
@@ -204,6 +212,9 @@ def test_demo_attention_path(tmp_path, capsys):
     (["--res", "1", "--blobs", "3"], "--blobs 3 exceeds the 1 voxels of a resolution-1 grid"),
     (["--attention", "-2"], "--attention must be at least 0, got -2"),
     (["--epochs", "-1"], "--epochs must be at least 0, got -1"),
+    (["--noise", "nan"], "--noise must be finite and at least 0, got nan"),
+    (["--noise", "inf"], "--noise must be finite and at least 0, got inf"),
+    (["--noise", "-1"], "--noise must be finite and at least 0, got -1.0"),
 ])
 def test_demo_bad_sizes_exit_two_before_writing(tmp_path, capsys, bad, message):
     out_dir = tmp_path / "run"
@@ -211,4 +222,14 @@ def test_demo_bad_sizes_exit_two_before_writing(tmp_path, capsys, bad, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, DEMO_ARGS + ["--res", "100000", "--epochs", "0", "--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --res 100000 is too large") and err.count("\n") == 1
+    assert "physical memory" in err
     assert not out_dir.exists()

@@ -5,7 +5,6 @@ from wreathlin.pointcloud import (
     AttnPCLayer,
     KernelError,
     PointCloud,
-    SegBlock,
     SetPCLayer,
     WreathPCLayer,
     attn_layer_apply,
@@ -19,7 +18,6 @@ from wreathlin.pointcloud import (
     permute_points,
     read_cloud_text,
     sample_blob_cloud,
-    segnet_forward,
     shift_assignment,
     voxel_sum,
     voxelize,
@@ -27,6 +25,7 @@ from wreathlin.pointcloud import (
     within_voxel_permutation,
     write_cloud_text,
 )
+from wreathlin.train import SegBlock, net_forward
 
 
 def random_cloud(rng, n=30, c=4):
@@ -259,7 +258,7 @@ def test_segnet_zero_weights_zero_logits():
         SegBlock(WreathPCLayer(w_point=np.zeros((3, 2)), w_conv=np.zeros((1, 1, 1, 3, 2))),
                  rectify=False),
     ]
-    assert np.array_equal(segnet_forward(blocks, vox, cloud.features), np.zeros((10, 2)))
+    assert np.array_equal(net_forward(blocks, vox, cloud.features)[0], np.zeros((10, 2)))
 
 
 def test_segnet_channel_mismatch_raises():
@@ -271,7 +270,7 @@ def test_segnet_channel_mismatch_raises():
                  rectify=False)
     ]
     with pytest.raises(ValueError):
-        segnet_forward(blocks, vox, cloud.features)
+        net_forward(blocks, vox, cloud.features)
 
 
 def test_segnet_end_to_end_hierarchy_equivariance():
@@ -284,9 +283,9 @@ def test_segnet_end_to_end_hierarchy_equivariance():
         SegBlock(WreathPCLayer(w_point=rng.normal(size=(3, 2)),
                                w_conv=rng.normal(size=(3, 3, 3, 3, 2))), rectify=False),
     ]
-    y = segnet_forward(blocks, vox, cloud.features)
+    y = net_forward(blocks, vox, cloud.features)[0]
     order = within_voxel_permutation(vox, rng)
-    y_perm = segnet_forward(blocks, permute_points(vox, order), cloud.features[order])
+    y_perm = net_forward(blocks, permute_points(vox, order), cloud.features[order])[0]
     assert np.allclose(y[order], y_perm)
 
 

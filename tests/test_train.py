@@ -3,13 +3,13 @@ import pytest
 
 from wreathlin.pointcloud import (
     PointCloud,
-    SegBlock,
     permute_points,
     shift_assignment,
     voxelize,
     within_voxel_permutation,
 )
 from wreathlin.train import (
+    SegBlock,
     TrainingDivergedError,
     build_segnet,
     evaluate,
