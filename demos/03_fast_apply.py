@@ -1,10 +1,10 @@
 """Matrix-free application: pool, mix per orbit, broadcast back.
 
 The shared matrix of a structured action never needs to be built.  Set blocks
-reduce to a residual plus a broadcast sum, cycle blocks to a circular
-correlation, and composite structures recurse through their factors.  This
+reduce to a residual plus a broadcast sum, products of cycles to one circular
+correlation by FFT, and composite structures apply each factor once.  This
 script checks the fast path against the materialized matrix and times both on
-a doubling ladder of set-of-sets structures.
+a doubling ladder of set-of-sets structures, then on a ladder of cyclic grids.
 """
 
 import time
@@ -23,22 +23,31 @@ for text in ["S(6)", "C(9)", "wr(S(3),C(5))", "prod(S(4),S(4))", "wr(prod(C(2),C
     rel = np.abs(apply(layer, x) - apply_dense(layer, x)).max() / np.abs(apply_dense(layer, x)).max()
     print(f"{text:28s} N={layer.degree:3d}  fast vs dense rel err {rel:.2e}")
 
-# Now the ladder.  Dense cost is O(N^2) per channel pair; the pooled path
-# touches each entry a constant number of times.
-print(f"\n{'N':>6s} {'fast':>10s} {'dense':>10s} {'ratio':>8s}")
-for side in (8, 16, 32, 64):
-    layer = random_layer(parse_structure(f"wr(S({side}),S({side}))"), c_in=1, c_out=1, rng=rng)
-    x = rng.standard_normal((side * side, 1))
 
-    t = time.perf_counter()
-    y_fast = apply(layer, x)
-    t_fast = time.perf_counter() - t
+def ladder(template, sides):
+    """Time the fast and dense paths on ``template.format(s=side)`` per side."""
+    print(f"\n{template}\n{'side':>6s} {'N':>6s} {'fast':>10s} {'dense':>10s} {'ratio':>8s}")
+    for side in sides:
+        layer = random_layer(parse_structure(template.format(s=side)), c_in=1, c_out=1, rng=rng)
+        x = rng.standard_normal((layer.degree, 1))
 
-    t = time.perf_counter()
-    y_dense = apply_dense(layer, x)
-    t_dense = time.perf_counter() - t
+        t = time.perf_counter()
+        y_fast = apply(layer, x)
+        t_fast = time.perf_counter() - t
 
-    assert np.allclose(y_fast, y_dense, rtol=1e-10)
-    print(f"{side * side:6d} {t_fast * 1e3:9.2f}ms {t_dense * 1e3:9.2f}ms {t_dense / t_fast:7.1f}x")
+        t = time.perf_counter()
+        y_dense = apply_dense(layer, x)
+        t_dense = time.perf_counter() - t
+
+        assert np.allclose(y_fast, y_dense, rtol=1e-10)
+        print(f"{side:6d} {layer.degree:6d} {t_fast * 1e3:9.2f}ms {t_dense * 1e3:9.2f}ms "
+              f"{t_dense / t_fast:7.1f}x")
+
+
+# Now the ladders.  Dense cost is O(N^2) per channel pair; the pooled path
+# touches each entry a constant number of times, and the FFT of a cyclic grid
+# costs O(N log N).
+ladder("wr(S({s}),S({s}))", (8, 16, 32, 64))
+ladder("prod(C({s}),C({s}))", (8, 16, 32))
 
 print("\nthe dense column buys nothing but a quadratic bill")

@@ -43,11 +43,21 @@ from .train import TrainingDivergedError, net_forward, seg_setup, sgd_train, tra
 USAGE_ERROR = 2
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to stdout or to the file ``out``; returns the exit code.
+
+    A path that cannot be written is a usage error: one ``error:`` line, exit 2.
+    """
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
 
 
 def _physical_memory() -> int:
@@ -79,12 +89,10 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     pattern = pattern_of_structure(expr)
     if args.format == "csv":
-        _emit(pattern_csv(pattern), args.out)
-    elif args.format == "pgm":
-        _emit(pattern_pgm(pattern), args.out)
-    else:
-        _emit(pattern_summary(format_structure(expr), pattern), args.out)
-    return 0
+        return _emit(pattern_csv(pattern), args.out)
+    if args.format == "pgm":
+        return _emit(pattern_pgm(pattern), args.out)
+    return _emit(pattern_summary(format_structure(expr), pattern), args.out)
 
 
 def _verify_rows(expr, max_order: int, trials: int):
@@ -179,7 +187,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
     scene_rng = np.random.default_rng(args.seed)
     centers = make_blob_scene(args.blobs, args.res, scene_rng)
     train, test, blocks = seg_setup(

@@ -5,11 +5,14 @@ A layer for a structure on ``N`` points maps ``(N, c_in)`` arrays to
 its own ``c_in x c_out`` channel-mixing matrix, so the weight tensor has shape
 ``(num_orbits, c_in, c_out)`` in canonical orbit order.
 
-:func:`apply` walks the structure recursively and never materializes the
-``N x N`` map: set factors pool and broadcast, ring factors convolve
-circularly, hierarchical factors pool each fiber, map the pooled summary with
-the outer structure, broadcast back, and add the per-fiber inner map.  Orbit
-ids map to node-local coefficients through :func:`basis.orbit_index
+:func:`apply` runs each factor of the structure once and never materializes
+the ``N x N`` map.  Per channel pair, ``S`` pools and broadcasts in ``O(N)``;
+cyclic subtrees correlate by FFT in ``O(N log N)``; ``trivial`` subtrees, whose
+orbits are single entries, multiply by their full map in ``O(N^2)``, their
+weight count; other products run one pass per factor, widening the channels of
+the side with fewer orbits; ``wr`` adds the outer map of the pooled fibers to
+the inner map of each, ``O(N)`` beyond its factors.
+Orbit ids map to node-local coefficients through :func:`basis.orbit_index
 <wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
 :func:`apply_dense` materializes the shared matrix per channel pair and is the
 oracle the fast path is checked against.
@@ -30,7 +33,6 @@ from .structure import (
     Prod,
     Set,
     Structure,
-    Trivial,
     Wreath,
     degree,
     format_structure,
@@ -83,12 +85,25 @@ def random_layer(
     return EquivariantLayer(structure, c_in, c_out, w, b)
 
 
+def _cycle_lengths(expr: Structure) -> tuple[int, ...] | None:
+    """Cycle lengths of a subtree of ``C`` leaves and ``prod`` nodes, else ``None``."""
+    if isinstance(expr, Prod):
+        outer, inner = _cycle_lengths(expr.outer), _cycle_lengths(expr.inner)
+        return None if outer is None or inner is None else outer + inner
+    return (expr.n,) if isinstance(expr, Cycle) else None
+
+
 def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply ``sum_o coeffs[o] * B_o`` along the second-to-last axis of ``x``.
 
     ``B_o`` is the 0/1 indicator of orbit ``o`` in canonical order; ``x`` has
-    shape ``(..., N, c_in)`` and the result ``(..., N, c_out)``.
+    shape ``(..., N, c_in)`` and the result ``(..., N, c_out)``.  Each node
+    runs the kernel the module docstring lists: ``S`` pools; a node whose
+    orbits are single entries (a product of ``trivial``) multiplies by its
+    full map; a product of cycles, its orbits in row-major offset order, is
+    one FFT correlation; another ``prod`` runs each factor once; ``wr`` pools.
     """
+    batch, c_in, c_out = x.shape[:-2], coeffs.shape[-2], coeffs.shape[-1]
     if isinstance(expr, Set):
         if expr.n == 1:
             return x @ coeffs[0]
@@ -97,45 +112,41 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         y = x @ (coeffs[0] - coeffs[1])
         y += x.sum(axis=-2, keepdims=True) @ coeffs[1]
         return y
-    if isinstance(expr, Cycle):
-        out = x @ coeffs[0]
-        for d in range(1, expr.n):
-            out += np.roll(x, -d, axis=-2) @ coeffs[d]
-        return out
-    if isinstance(expr, Trivial):
-        n = expr.n
-        c = coeffs.reshape(n, n, coeffs.shape[-2], coeffs.shape[-1])
-        return np.einsum("...jc,ijcd->...id", x, c)
+    if structure_orbit_count(expr) == degree(expr) ** 2:
+        rows, cols, _ = orbit_index(expr)
+        full = np.zeros((degree(expr), degree(expr), c_in, c_out))
+        full[rows, cols] = coeffs
+        return np.tensordot(x, full, axes=([-2, -1], [1, 2]))
+    lengths = _cycle_lengths(expr)
+    if lengths is not None:
+        axes = tuple(range(-len(lengths) - 1, -1))
+        xf = np.fft.rfftn(x.reshape(*batch, *lengths, c_in), axes=axes)
+        kf = np.fft.rfftn(coeffs.reshape(*lengths, c_in, c_out), axes=tuple(range(len(lengths))))
+        y = np.fft.irfftn((xf[..., None, :] @ np.conj(kf))[..., 0, :], s=lengths, axes=axes)
+        return y.reshape(*batch, -1, c_out)
+    xr = x.reshape(*batch, degree(expr.outer), degree(expr.inner), c_in)
     if isinstance(expr, Prod):
-        P = degree(expr.outer)
-        Q = degree(expr.inner)
-        c_in = coeffs.shape[-2]
-        table = orbit_index(expr)[2].reshape(structure_orbit_count(expr.outer), -1)
-        xr = x.reshape(*x.shape[:-2], P, Q, c_in)
-        out = None
-        n_inner = table.shape[1]
-        eye = np.eye(c_in)
-        for b in range(n_inner):
-            onehot = np.zeros((n_inner, c_in, c_in))
-            onehot[b] = eye
-            u = _apply_structure(expr.inner, onehot, xr)
-            v = _apply_structure(expr.outer, coeffs[table[:, b]], u.swapaxes(-2, -3))
-            v = v.swapaxes(-2, -3)
-            out = v if out is None else out + v
-        return out.reshape(*x.shape[:-2], P * Q, coeffs.shape[-1])
+        # the side with more orbits runs first, widened to one channel block per orbit of the other
+        n_o, n_i = structure_orbit_count(expr.outer), structure_orbit_count(expr.inner)
+        w = coeffs[orbit_index(expr)[2]].reshape(n_o, n_i, c_in, c_out)
+        m = min(n_o, n_i)
+        pick = np.eye(m * c_out).reshape(m * c_out, m, c_out).transpose(1, 0, 2)  # orbit a reads block a
+        if n_o <= n_i:
+            u = _apply_structure(expr.inner, w.transpose(1, 2, 0, 3).reshape(n_i, c_in, -1), xr)
+            y = _apply_structure(expr.outer, pick, u.swapaxes(-2, -3)).swapaxes(-2, -3)
+        else:
+            u = _apply_structure(expr.outer, w.transpose(0, 2, 1, 3).reshape(n_o, c_in, -1), xr.swapaxes(-2, -3))
+            y = _apply_structure(expr.inner, pick, u.swapaxes(-2, -3))
+        return y.reshape(*batch, -1, c_out)
     if isinstance(expr, Wreath):
-        P = degree(expr.outer)
-        Q = degree(expr.inner)
-        c_in, c_out = coeffs.shape[-2], coeffs.shape[-1]
         rank = orbit_index(expr)[2]
         ra, ca, _ = orbit_index(expr.outer)
         n_inner = structure_orbit_count(expr.inner)
-        xr = x.reshape(*x.shape[:-2], P, Q, c_in)
         fiber = _apply_structure(expr.inner, coeffs[rank[:n_inner]], xr)
         outer_coeffs = np.zeros((len(ra), c_in, c_out))
         outer_coeffs[ra != ca] = coeffs[rank[n_inner:]]
         fiber += _apply_structure(expr.outer, outer_coeffs, xr.sum(axis=-2))[..., :, None, :]
-        return fiber.reshape(*x.shape[:-2], P * Q, c_out)
+        return fiber.reshape(*batch, -1, c_out)
     raise TypeError(f"not a structure: {expr!r}")
 
 

@@ -177,6 +177,64 @@ def test_pooled_apply_matches_dense_and_outscales_it():
     )
 
 
+# Edge cases of apply's routes, each against the dense map: one-point, even
+# and odd cycles; cyclic subtrees alone, on batched fibers (the inner C(6)) and
+# on pooled fibers; products widened on either side; unconstrained subtrees.
+APPLY_ROUTE_EDGES = [
+    "C(1)", "C(2)", "C(5)", "C(6)",
+    "prod(C(1),C(5))", "prod(C(3),prod(C(4),C(5)))",
+    "wr(C(6),prod(C(3),C(2)))", "wr(prod(C(2),C(3)),C(4))",
+    "prod(S(3),C(5))", "prod(C(5),S(3))",
+    "prod(trivial(3),C(4))", "prod(trivial(2),prod(trivial(3),trivial(2)))",
+]
+
+
+def _warm_apply(layer, x):
+    """The fast path's output and the seconds of its second call."""
+    apply(layer, x)
+    t = time.perf_counter()
+    y = apply(layer, x)
+    return y, time.perf_counter() - t
+
+
+def _fast_vs_dense(text, c_in, c_out, rng):
+    """Relative fast-versus-dense error and the warm fast-path seconds."""
+    layer = random_layer(parse_structure(text), c_in, c_out, rng, bias=True)
+    x = rng.standard_normal((layer.degree, c_in))
+    y_fast, seconds = _warm_apply(layer, x)
+    y_dense = apply_dense(layer, x)
+    return float(np.abs(y_fast - y_dense).max() / max(np.abs(y_dense).max(), 1e-12)), seconds
+
+
+def test_apply_routes_match_dense_on_edge_cases():
+    rng = np.random.default_rng(8)
+    errors = {text: _fast_vs_dense(text, 2, 3, rng)[0] for text in APPLY_ROUTE_EDGES}
+    over = {text: f"{e:.1e}" for text, e in errors.items() if e > 1e-10}
+    _verdict(
+        not over,
+        "apply routes on edge cases",
+        f"{len(errors)} structures agree with the dense path to {max(errors.values()):.2e}; "
+        f"above 1e-10: {over}",
+    )
+
+
+def test_nested_unconstrained_product_applies_each_factor_once():
+    # 8,192 orbits on 128 points: any pass over the inner factor per inner
+    # orbit, repeated at each nesting level, costs minutes here
+    text = "prod(C(2),prod(prod(trivial(4),trivial(4)),trivial(4)))"
+    err, seconds = _fast_vs_dense(text, 2, 3, np.random.default_rng(9))
+    _verdict(err <= 1e-10 and seconds < 1.0, "nested unconstrained product",
+             f"{text}: dense error {err:.2e}, warm apply {seconds * 1e3:.1f} ms")
+
+
+def test_cyclic_grid_apply_budget():
+    rng = np.random.default_rng(10)
+    layer = random_layer(parse_structure("prod(C(16),prod(C(16),C(16)))"), 8, 8, rng)
+    seconds = _warm_apply(layer, rng.standard_normal((layer.degree, 8)))[1]
+    _verdict(seconds < 0.5, "cyclic grid budget",
+             f"prod(C(16),prod(C(16),C(16))) at c=8, warm apply {seconds * 1e3:.1f} ms")
+
+
 def _primitive_texts(max_deg):
     for n in range(1, max_deg + 1):
         yield f"S({n})", n

@@ -57,6 +57,20 @@ def test_pattern_out_file(tmp_path, capsys):
     assert target.read_text() == "0,1,1\n1,0,1\n1,1,0\n"
 
 
+@pytest.mark.parametrize("where", ["missing", "under_file", "directory"])
+def test_pattern_unwritable_out_exits_two(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    target = {
+        "missing": tmp_path / "no_such_dir" / "p.csv",
+        "under_file": tmp_path / "file" / "p.csv",
+        "directory": tmp_path,
+    }[where]
+    code, out, err = run_cli(capsys, ["pattern", "--structure", "S(2)", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_pattern_parse_error_exit_two(capsys):
     code, out, err = run_cli(capsys, ["pattern", "--structure", "wr(S(2),"])
     assert code == 2
@@ -233,3 +247,13 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
     assert err.startswith("error: --res 100000 is too large") and err.count("\n") == 1
     assert "physical memory" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("where", ["under_file", "is_file"])
+def test_demo_unwritable_out_exits_two(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "run" if where == "under_file" else tmp_path / "file"
+    code, out, err = run_cli(capsys, DEMO_ARGS[:-4] + ["--epochs", "0", "--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot create {out_dir}: ") and err.count("\n") == 1
