@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rational
 from .perm import PermGroup, Permutation, enumerate_group, fixed_point_count
-from .structure import Cycle, Prod, Set, Structure, Trivial, Wreath, degree
+from .structure import Cycle, Leaf, Prod, Set, Structure, Wreath, degree
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
 
@@ -234,7 +234,7 @@ def pattern_of_structure(expr: Structure) -> SharingPattern:
     Builds the full ``N x N`` id matrix, so only rendering and the oracles
     call it; :func:`apply` numbers orbits through :func:`orbit_index`.
     """
-    if isinstance(expr, (Set, Cycle, Trivial)):
+    if isinstance(expr, Leaf):
         n = expr.n
         i, j = np.arange(n)[:, None], np.arange(n)[None, :]
         if isinstance(expr, Set):
@@ -263,7 +263,7 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so first appearances compose: a pair's is the two factors' interleaved,
     and an outer orbit's is its own scaled to fiber corners.
     """
-    if isinstance(expr, (Set, Cycle, Trivial)):
+    if isinstance(expr, Leaf):
         n = expr.n
         count = min(n, 2) if isinstance(expr, Set) else n if isinstance(expr, Cycle) else n * n
         rows, cols = np.divmod(np.arange(count), n)
@@ -290,14 +290,6 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def structure_orbit_count(expr: Structure) -> int:
     """``pattern_of_structure(expr).num_orbits`` without building the matrix."""
     return len(orbit_index(expr)[2])
-
-
-def pattern_refines(fine: SharingPattern, coarse: SharingPattern) -> bool:
-    """Whether every orbit of ``fine`` carries a single ``coarse`` id."""
-    if fine.n != coarse.n:
-        raise ValueError("patterns act on different index sets")
-    pairs = fine.orbit_id.ravel() * np.int64(coarse.num_orbits) + coarse.orbit_id.ravel()
-    return len(np.unique(pairs)) == fine.num_orbits
 
 
 def constant_on_orbits(matrix: np.ndarray, pattern: SharingPattern) -> bool:

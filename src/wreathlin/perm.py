@@ -77,9 +77,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
 
 @dataclass(frozen=True)
 class PermGroup:
@@ -292,25 +289,3 @@ def wreath_block_matrix(h: Permutation, ks: list[Permutation] | tuple[Permutatio
         dest = h(p)
         m[dest * Q:(dest + 1) * Q, p * Q:(p + 1) * Q] = perm_to_matrix(ks[dest])
     return m
-
-
-def wreath_decompose(g: Permutation, P: int, Q: int) -> tuple[Permutation, list[Permutation]]:
-    """Recover ``(h, ks)`` with ``g == wreath_element(h, ks)``.
-
-    Requires ``g`` to preserve the fiber partition of ``P`` fibers of size
-    ``Q``; raises ``ValueError`` otherwise.
-    """
-    if g.degree != P * Q:
-        raise DegreeMismatchError(f"degree {g.degree} != {P} * {Q}")
-    fiber_to = [g(p * Q) // Q for p in range(P)]
-    for p in range(P):
-        for q in range(Q):
-            if g(p * Q + q) // Q != fiber_to[p]:
-                raise ValueError("permutation does not preserve the fiber partition")
-    h = Permutation(tuple(fiber_to))
-    hinv = inverse(h)
-    ks = []
-    for dest in range(P):
-        src = hinv(dest)
-        ks.append(Permutation(tuple(g(src * Q + q) - dest * Q for q in range(Q))))
-    return h, ks

@@ -19,11 +19,14 @@ per-voxel mean pool is a gather of the gradient over the voxel counts, and
 that of ``conv3d_periodic`` in its grid is ``conv3d_periodic`` with the kernel
 flipped in space and transposed in channels; ``conv3d_kernel_grad`` walks the
 forward's kernel taps.
+
+Beside the layers the module holds the moves the equivariance checks apply
+(``shift_assignment``, ``permute_points``, ``within_voxel_permutation``), the
+toy blob scenes and the one-class-per-line prediction format.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +69,6 @@ class PointCloud:
     @property
     def n_points(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -337,16 +336,6 @@ def layer_backward(layer: PCLayer, vox: VoxelizedCloud, cache: dict, d_y: np.nda
     return layer.backward(vox, cache, d_y)
 
 
-def pc_layer_apply(layer: PCLayer, vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
-    return pc_layer_forward(layer, vox, x)[0]
-
-
-def attn_layer_apply(layer: AttnPCLayer, x: np.ndarray) -> np.ndarray:
-    """Attention layer on bare features; needs no voxel assignment."""
-    x = np.asarray(x, dtype=np.float64)
-    return layer.forward(None, x)[0]
-
-
 def shift_assignment(vox: VoxelizedCloud, shifts: tuple[int, int, int]) -> VoxelizedCloud:
     """Relabel voxels by a cyclic shift per axis; points do not move."""
     D = vox.resolution
@@ -400,51 +389,6 @@ def sample_blob_cloud(
         labels.extend([b] * points_per_blob)
     coords = np.clip(np.concatenate(coords), 0.0, 1.0)
     return PointCloud(coords=coords, features=coords.copy(), labels=np.asarray(labels))
-
-
-def with_relative_coords(cloud: PointCloud, vox: VoxelizedCloud) -> np.ndarray:
-    """Feature matrix: the cloud's channels plus per-voxel relative coords."""
-    return np.hstack([cloud.features, vox.rel_coords])
-
-
-def write_cloud_text(cloud: PointCloud) -> str:
-    """One point per line: ``x y z f1 .. fC [label]``, after a header line
-    ``#cols n_features has_label``."""
-    has_label = int(cloud.labels is not None)
-    out = io.StringIO()
-    out.write(f"#cols {cloud.n_features} {has_label}\n")
-    for i in range(cloud.n_points):
-        parts = [repr(float(v)) for v in cloud.coords[i]]
-        parts.extend(repr(float(v)) for v in cloud.features[i])
-        if has_label:
-            parts.append(str(int(cloud.labels[i])))
-        out.write(" ".join(parts) + "\n")
-    return out.getvalue()
-
-
-def read_cloud_text(text: str) -> PointCloud:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#cols"):
-        raise ValueError("missing '#cols n_features has_label' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"malformed header: {lines[0]!r}")
-    n_features, has_label = int(head[1]), int(head[2])
-    coords, features, labels = [], [], []
-    expected = 3 + n_features + (1 if has_label else 0)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != expected:
-            raise ValueError(f"expected {expected} columns, got {len(parts)}: {ln!r}")
-        coords.append([float(v) for v in parts[:3]])
-        features.append([float(v) for v in parts[3:3 + n_features]])
-        if has_label:
-            labels.append(int(parts[-1]))
-    return PointCloud(
-        coords=np.asarray(coords, dtype=np.float64).reshape(len(coords), 3),
-        features=np.asarray(features, dtype=np.float64).reshape(len(coords), n_features),
-        labels=np.asarray(labels) if has_label else None,
-    )
 
 
 def format_predictions(labels: np.ndarray) -> str:

@@ -13,26 +13,28 @@ from fractions import Fraction
 SparseRow = dict[int, Fraction]
 
 
+def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
+    """Subtract ``row[col]`` times the normalized ``pivot`` row, in place,
+    which clears column ``col`` from ``row``."""
+    coef = row.pop(col)
+    for d, v in pivot.items():
+        if d == col:
+            continue
+        nv = row.get(d, Fraction(0)) - coef * v
+        if nv == 0:
+            row.pop(d, None)
+        else:
+            row[d] = nv
+
+
 def _reduce_against(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
     """Eliminate every pivot column from ``row``; returns a new sparse row."""
     r = {c: Fraction(v) for c, v in row.items() if v != 0}
     while True:
-        hit = None
-        for c in r:
-            if c in pivots:
-                hit = c
-                break
+        hit = next((c for c in r if c in pivots), None)
         if hit is None:
             return r
-        coef = r.pop(hit)
-        for d, v in pivots[hit].items():
-            if d == hit:
-                continue
-            nv = r.get(d, Fraction(0)) - coef * v
-            if nv == 0:
-                r.pop(d, None)
-            else:
-                r[d] = nv
+        _eliminate(r, hit, pivots[hit])
 
 
 def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
@@ -52,21 +54,9 @@ def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
         r = {c: v * inv for c, v in r.items()}
         for prow in pivots.values():
             if p in prow:
-                coef = prow.pop(p)
-                for d, v in r.items():
-                    if d == p:
-                        continue
-                    nv = prow.get(d, Fraction(0)) - coef * v
-                    if nv == 0:
-                        prow.pop(d, None)
-                    else:
-                        prow[d] = nv
+                _eliminate(prow, p, r)
         pivots[p] = r
     return pivots
-
-
-def rank(rows: list[SparseRow]) -> int:
-    return len(rref(rows))
 
 
 def nullspace(rows: list[SparseRow], n_cols: int) -> list[list[Fraction]]:

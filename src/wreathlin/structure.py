@@ -35,30 +35,30 @@ class StructureParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Set:
+class Leaf:
+    """``n`` points under one of the leaf groups; the subclass names which."""
+
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise InvalidDegreeError(f"S(n) needs n >= 1, got {self.n}")
+            raise InvalidDegreeError(f"{_HEAD_OF[type(self)]}(n) needs n >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Cycle:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidDegreeError(f"C(n) needs n >= 1, got {self.n}")
+class Set(Leaf):
+    """``S(n)``: the full symmetric group."""
 
 
-@dataclass(frozen=True)
-class Trivial:
-    n: int
+class Cycle(Leaf):
+    """``C(n)``: the cyclic group."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidDegreeError(f"trivial(n) needs n >= 1, got {self.n}")
+
+class Trivial(Leaf):
+    """``trivial(n)``: the trivial group."""
+
+
+LEAF_HEADS = {"S": Set, "C": Cycle, "trivial": Trivial}
+_HEAD_OF = {cls: head for head, cls in LEAF_HEADS.items()}
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,9 @@ Structure = Union[Set, Cycle, Trivial, Prod, Wreath]
 
 def degree(expr: Structure) -> int:
     """Number of points the structure's group acts on."""
-    if isinstance(expr, (Set, Cycle, Trivial)):
+    if isinstance(expr, Leaf):
         return expr.n
-    if isinstance(expr, Prod):
-        return degree(expr.outer) * degree(expr.inner)
-    if isinstance(expr, Wreath):
+    if isinstance(expr, (Prod, Wreath)):
         return degree(expr.outer) * degree(expr.inner)
     raise TypeError(f"not a structure: {expr!r}")
 
@@ -93,12 +91,8 @@ def format_structure(expr: Structure) -> str:
     >>> format_structure(Wreath(Set(4), Set(3)))
     'wr(S(4),S(3))'
     """
-    if isinstance(expr, Set):
-        return f"S({expr.n})"
-    if isinstance(expr, Cycle):
-        return f"C({expr.n})"
-    if isinstance(expr, Trivial):
-        return f"trivial({expr.n})"
+    if isinstance(expr, Leaf):
+        return f"{_HEAD_OF[type(expr)]}({expr.n})"
     if isinstance(expr, Prod):
         return f"prod({format_structure(expr.outer)},{format_structure(expr.inner)})"
     if isinstance(expr, Wreath):
@@ -157,12 +151,11 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Structure, int]:
         raise StructureParseError("unexpected end of input")
     head = tokens[pos]
     pos += 1
-    if head in ("S", "C", "trivial"):
+    if head in LEAF_HEADS:
         pos = _expect(tokens, pos, "(")
         n, pos = _parse_int(tokens, pos)
         pos = _expect(tokens, pos, ")")
-        cls = {"S": Set, "C": Cycle, "trivial": Trivial}[head]
-        return cls(n), pos
+        return LEAF_HEADS[head](n), pos
     if head in ("prod", "wr"):
         pos = _expect(tokens, pos, "(")
         first, pos = _parse_expr(tokens, pos)
@@ -175,7 +168,7 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Structure, int]:
     raise StructureParseError(f"unknown structure head {head!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def group_of(expr: Structure) -> PermGroup:
     """The permutation group realizing the structure's symmetry."""
     if isinstance(expr, Set):
@@ -211,24 +204,13 @@ def param_count(expr: Structure) -> int:
     raise TypeError(f"not a structure: {expr!r}")
 
 
-def is_transitive(expr: Structure) -> bool:
-    """Whether the structure's group moves every point to every other."""
-    if isinstance(expr, (Set, Cycle)):
-        return True
-    if isinstance(expr, Trivial):
-        return expr.n == 1
-    if isinstance(expr, (Prod, Wreath)):
-        return is_transitive(expr.outer) and is_transitive(expr.inner)
-    raise TypeError(f"not a structure: {expr!r}")
-
-
 def reassociate_wreaths(expr: Structure) -> Structure:
     """Rewrite every ``wr(wr(A,B),C)`` into ``wr(A,wr(B,C))``, recursively.
 
     The rewritten expression describes the same index set; equality of the
     resulting sharing patterns is the associativity check used by ``verify``.
     """
-    if isinstance(expr, (Set, Cycle, Trivial)):
+    if isinstance(expr, Leaf):
         return expr
     if isinstance(expr, Prod):
         return Prod(reassociate_wreaths(expr.outer), reassociate_wreaths(expr.inner))

@@ -25,9 +25,8 @@ from wreathlin.pointcloud import (
     AttnPCLayer,
     PointCloud,
     WreathPCLayer,
-    attn_layer_apply,
     make_blob_scene,
-    pc_layer_apply,
+    pc_layer_forward,
     permute_points,
     shift_assignment,
     voxelize,
@@ -280,12 +279,12 @@ def test_voxel_hierarchy_and_attention_equivariance():
                 w_point=rng.normal(size=(c_in, c_out)),
                 w_conv=rng.normal(size=(K, K, K, c_in, c_out)),
             )
-            y = pc_layer_apply(layer, vox, cloud.features)
+            y = pc_layer_forward(layer, vox, cloud.features)[0]
             scale = max(float(np.abs(y).max()), 1e-12)
             shifts = tuple(rng.integers(0, D, size=3).tolist())
-            y_shift = pc_layer_apply(layer, shift_assignment(vox, shifts), cloud.features)
+            y_shift = pc_layer_forward(layer, shift_assignment(vox, shifts), cloud.features)[0]
             order = within_voxel_permutation(vox, rng)
-            y_perm = pc_layer_apply(layer, permute_points(vox, order), cloud.features[order])
+            y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
             worst = max(
                 worst,
                 float(np.abs(y_shift - y).max() / scale),
@@ -300,11 +299,11 @@ def test_voxel_hierarchy_and_attention_equivariance():
         layer = AttnPCLayer(
             w_assign=rng.normal(size=(4, 3)), w_interact=rng.normal(size=(3, 3, 4, 3))
         )
-        y = attn_layer_apply(layer, x)
+        y = layer.forward(None, x)[0]
         order = rng.permutation(n)
         attn_worst = max(
             attn_worst,
-            float(np.abs(attn_layer_apply(layer, x[order]) - y[order]).max()
+            float(np.abs(layer.forward(None, x[order])[0] - y[order]).max()
                   / max(np.abs(y).max(), 1e-12)),
         )
     _verdict(
@@ -375,7 +374,7 @@ def test_negative_controls():
     cloud = PointCloud(coords=rng.uniform(size=(25, 3)), features=rng.normal(size=(25, 3)))
     vox = voxelize(cloud, 3)
     ident = WreathPCLayer(w_point=np.eye(3), w_conv=np.zeros((3, 3, 3, 3, 3)))
-    ident_ok = np.array_equal(pc_layer_apply(ident, vox, cloud.features), cloud.features)
+    ident_ok = np.array_equal(pc_layer_forward(ident, vox, cloud.features)[0], cloud.features)
     _verdict(
         (not split_report.passed) and ident_ok,
         "negative controls",

@@ -21,7 +21,6 @@ from wreathlin.basis import (
     pattern_csv,
     pattern_of_structure,
     pattern_pgm,
-    pattern_refines,
     pattern_summary,
     structure_orbit_count,
     wreath_pattern,
@@ -246,12 +245,11 @@ def test_apply_builds_no_pattern():
 
 def test_hierarchy_commutant_within_componentwise_commutant():
     """Maps equivariant to the hierarchy group are in particular equivariant
-    to the componentwise subgroup, and the finer pattern shows it."""
+    to the componentwise subgroup: every hierarchy commutant basis matrix is
+    constant on the orbits of the componentwise pattern."""
     pairs = [("S(2)", "S(3)"), ("C(3)", "C(2)"), ("S(2)", "C(3)")]
     for inner_text, outer_text in pairs:
-        wre = P(f"wr({inner_text},{outer_text})")
         direct = P(f"prod({outer_text},{inner_text})")
-        assert pattern_refines(direct, wre)
         inner_grp = group_of(parse_structure(inner_text))
         outer_grp = group_of(parse_structure(outer_text))
         for mat in commutant_basis(wreath_product_group(inner_grp, outer_grp)).bases:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from wreathlin.perm import (
     symmetric_group,
     trivial_group,
     wreath_block_matrix,
-    wreath_decompose,
     wreath_element,
     wreath_product_group,
 )
@@ -200,22 +200,19 @@ def test_wreath_block_matrix_random_agreement():
 
 
 def test_wreath_action_law_and_decomposition():
-    """Every element of the generated wreath group factors as an outer
-    permutation plus per-fiber inner permutations, acting by
-    (p, q) -> (h(p), k_{h(p)}(q))."""
+    """The generated wreath group is exactly the set of wreath elements
+    (p, q) -> (h(p), k_{h(p)}(q)) over every outer permutation h and every
+    choice of one inner permutation k per fiber."""
     inner, outer = symmetric_group(2), symmetric_group(3)
-    group = wreath_product_group(inner, outer)
-    inner_elems = set(enumerate_group(inner, limit=100))
-    outer_elems = set(enumerate_group(outer, limit=100))
-    for g in enumerate_group(group, limit=100):
-        h, ks = wreath_decompose(g, P=3, Q=2)
-        assert h in outer_elems
-        assert all(k in inner_elems for k in ks)
-        assert wreath_element(h, ks) == g
-        for p in range(3):
-            for q in range(2):
-                dest = g.images[p * 2 + q]
-                assert dest == h.images[p] * 2 + ks[h.images[p]].images[q]
+    group = set(enumerate_group(wreath_product_group(inner, outer), limit=100))
+    inner_elems = enumerate_group(inner, limit=100)
+    expected = {
+        wreath_element(h, ks)
+        for h in enumerate_group(outer, limit=100)
+        for ks in itertools.product(inner_elems, repeat=3)
+    }
+    assert group == expected
+    assert len(group) == 2 ** 3 * 6
 
 
 def test_direct_product_is_subgroup_of_wreath():

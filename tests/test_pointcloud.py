@@ -7,23 +7,19 @@ from wreathlin.pointcloud import (
     PointCloud,
     SetPCLayer,
     WreathPCLayer,
-    attn_layer_apply,
     conv3d_kernel_grad,
     conv3d_periodic,
     format_predictions,
     gather_to_points,
     make_blob_scene,
     mean_pool,
-    pc_layer_apply,
+    pc_layer_forward,
     permute_points,
-    read_cloud_text,
     sample_blob_cloud,
     shift_assignment,
     voxel_sum,
     voxelize,
-    with_relative_coords,
     within_voxel_permutation,
-    write_cloud_text,
 )
 from wreathlin.train import SegBlock, net_forward
 
@@ -170,7 +166,7 @@ def test_zero_kernel_identity_mixing_is_identity():
     cloud = random_cloud(rng, n=25, c=3)
     vox = voxelize(cloud, 3)
     layer = WreathPCLayer(w_point=np.eye(3), w_conv=np.zeros((3, 3, 3, 3, 3)))
-    assert np.array_equal(pc_layer_apply(layer, vox, cloud.features), cloud.features)
+    assert np.array_equal(pc_layer_forward(layer, vox, cloud.features)[0], cloud.features)
 
 
 def test_single_occupancy_unit_kernel_collapses_to_pointwise_map():
@@ -183,7 +179,7 @@ def test_single_occupancy_unit_kernel_collapses_to_pointwise_map():
     layer = WreathPCLayer(
         w_point=rng.normal(size=(3, 2)), w_conv=rng.normal(size=(1, 1, 1, 3, 2))
     )
-    y = pc_layer_apply(layer, vox, cloud.features)
+    y = pc_layer_forward(layer, vox, cloud.features)[0]
     assert np.allclose(y, cloud.features @ (layer.w_point + layer.w_conv[0, 0, 0]))
 
 
@@ -197,12 +193,12 @@ def test_wreath_layer_hierarchy_equivariance():
         layer = WreathPCLayer(
             w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(K, K, K, 4, 3))
         )
-        y = pc_layer_apply(layer, vox, cloud.features)
+        y = pc_layer_forward(layer, vox, cloud.features)[0]
         shifts = tuple(rng.integers(0, D, size=3).tolist())
-        y_shift = pc_layer_apply(layer, shift_assignment(vox, shifts), cloud.features)
+        y_shift = pc_layer_forward(layer, shift_assignment(vox, shifts), cloud.features)[0]
         assert np.allclose(y, y_shift, atol=1e-10 * max(1.0, np.abs(y).max()))
         order = within_voxel_permutation(vox, rng)
-        y_perm = pc_layer_apply(layer, permute_points(vox, order), cloud.features[order])
+        y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
         assert np.allclose(y[order], y_perm, atol=1e-10 * max(1.0, np.abs(y).max()))
 
 
@@ -211,9 +207,9 @@ def test_set_layer_permutation_equivariance():
     cloud = random_cloud(rng, n=15)
     vox = voxelize(cloud, 2)
     layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_pool=rng.normal(size=(4, 3)))
-    y = pc_layer_apply(layer, vox, cloud.features)
+    y = pc_layer_forward(layer, vox, cloud.features)[0]
     order = rng.permutation(15)
-    y_perm = pc_layer_apply(layer, permute_points(vox, order), cloud.features[order])
+    y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
     assert np.allclose(y[order], y_perm)
 
 
@@ -223,9 +219,9 @@ def test_attention_layer_full_permutation_equivariance():
     layer = AttnPCLayer(
         w_assign=rng.normal(size=(4, 3)), w_interact=rng.normal(size=(3, 3, 4, 2))
     )
-    y = attn_layer_apply(layer, x)
+    y = layer.forward(None, x)[0]
     order = rng.permutation(20)
-    assert np.allclose(y[order], attn_layer_apply(layer, x[order]), atol=1e-10)
+    assert np.allclose(y[order], layer.forward(None, x[order])[0], atol=1e-10)
 
 
 def test_attention_single_latent_broadcasts_a_global_statistic():
@@ -234,7 +230,7 @@ def test_attention_single_latent_broadcasts_a_global_statistic():
     layer = AttnPCLayer(
         w_assign=rng.normal(size=(4, 1)), w_interact=rng.normal(size=(1, 1, 4, 3))
     )
-    y = attn_layer_apply(layer, x)
+    y = layer.forward(None, x)[0]
     assert np.allclose(y, y[0])  # every row identical
     pooled = x.sum(axis=0)
     expected = np.array([pooled @ layer.w_interact[0, 0, :, d] for d in range(3)])
@@ -245,7 +241,7 @@ def test_attention_zero_interaction_gives_zero():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(9, 4))
     layer = AttnPCLayer(w_assign=rng.normal(size=(4, 2)), w_interact=np.zeros((2, 2, 4, 3)))
-    assert np.array_equal(attn_layer_apply(layer, x), np.zeros((9, 3)))
+    assert np.array_equal(layer.forward(None, x)[0], np.zeros((9, 3)))
 
 
 def test_segnet_zero_weights_zero_logits():
@@ -304,33 +300,6 @@ def test_sample_blob_cloud_labels_and_shapes():
     assert cloud.n_points == 15
     assert sorted(set(cloud.labels.tolist())) == [0, 1, 2]
     assert np.all((cloud.coords >= 0) & (cloud.coords <= 1))
-
-
-def test_with_relative_coords_appends_three_channels():
-    rng = np.random.default_rng(17)
-    cloud = random_cloud(rng, n=8, c=2)
-    vox = voxelize(cloud, 2)
-    x = with_relative_coords(cloud, vox)
-    assert x.shape == (8, 5)
-    assert np.array_equal(x[:, 2:], vox.rel_coords)
-
-
-def test_cloud_text_round_trip():
-    rng = np.random.default_rng(18)
-    cloud = PointCloud(
-        coords=rng.normal(size=(4, 3)),
-        features=rng.normal(size=(4, 2)),
-        labels=np.array([0, 1, 1, 0]),
-    )
-    back = read_cloud_text(write_cloud_text(cloud))
-    assert np.array_equal(back.coords, cloud.coords)
-    assert np.array_equal(back.features, cloud.features)
-    assert np.array_equal(back.labels, cloud.labels)
-
-
-def test_cloud_text_requires_header():
-    with pytest.raises(ValueError):
-        read_cloud_text("0 0 0 1\n")
 
 
 def test_format_predictions():

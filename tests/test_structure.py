@@ -1,5 +1,6 @@
 import pytest
 
+from wreathlin.basis import structure_orbit_count
 from wreathlin.perm import InvalidDegreeError, enumerate_group
 from wreathlin.structure import (
     Cycle,
@@ -11,7 +12,6 @@ from wreathlin.structure import (
     degree,
     format_structure,
     group_of,
-    is_transitive,
     param_count,
     parse_structure,
     reassociate_wreaths,
@@ -90,13 +90,28 @@ def test_group_of_primitives_and_composites():
     assert len(enumerate_group(group_of(Prod(outer=Cycle(2), inner=Cycle(2))), limit=100)) == 4
 
 
-def test_is_transitive():
-    assert is_transitive(Set(3))
-    assert is_transitive(Cycle(4))
-    assert is_transitive(Trivial(1))
-    assert not is_transitive(Trivial(2))
-    assert is_transitive(parse_structure("wr(S(2),C(3))"))
-    assert not is_transitive(Prod(outer=Trivial(2), inner=Set(2)))
+def test_group_of_cache_is_bounded():
+    bound = group_of.cache_info().maxsize
+    assert bound is not None
+    for n in range(1, bound + 10):
+        group_of(Cycle(n))
+    assert group_of.cache_info().currsize <= bound
+
+
+LEAVES = [("S", Set, 2), ("C", Cycle, 3), ("trivial", Trivial, 9)]
+
+
+@pytest.mark.parametrize("head, cls, orbits", LEAVES, ids=[h for h, _, _ in LEAVES])
+def test_leaf_kinds_share_a_base_but_stay_distinct(head, cls, orbits):
+    others = [other for _, other, _ in LEAVES if other is not cls]
+    assert repr(cls(3)) == f"{cls.__name__}(n=3)"
+    assert all(cls(3) != other(3) for other in others)
+    # Leaves of equal size hash alike; a cached count must not leak across kinds.
+    for other in others:
+        structure_orbit_count(other(3))
+    assert structure_orbit_count(cls(3)) == orbits
+    with pytest.raises(InvalidDegreeError, match=rf"^{head}\(n\) needs n >= 1, got 0$"):
+        parse_structure(f"{head}(0)")
 
 
 def test_reassociate_wreaths_right_normalizes():
