@@ -163,21 +163,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _demo_size_error(args: argparse.Namespace) -> str | None:
-    """The first demo size out of range, as an error message, or ``None``."""
-    least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0}
+    """The first demo size out of range, as an error message, or ``None``.
+
+    The arrays the demo holds at once are summed against physical memory
+    before anything is allocated, counting 8-byte floats at the demo's hidden
+    width of 8 channels; the size that takes the sum past it is named.
+    """
+    least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0,
+             "seed": 0}
     for name, low in least.items():
         value = getattr(args, name)
         if value is not None and value < low:
             return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
     if not (np.isfinite(args.noise) and args.noise >= 0):
         return f"--noise must be finite and at least 0, got {args.noise}"
-    grid_bytes = args.res ** 3 * 8 * 8  # one float per voxel and hidden channel
-    ram = _physical_memory()
-    if grid_bytes > ram:
-        return (f"--res {args.res} is too large: its per-voxel grid needs {grid_bytes} bytes, "
-                f"more than the {ram} bytes of physical memory")
     if args.blobs > args.res ** 3:
         return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
+    n_points = args.blobs * args.points_per_blob
+    taps = 27 if args.res >= 3 else 1  # seg_setup's kernel width is 3, or 1 below D = 3
+    sizes = [
+        ("res", "its per-voxel grid needs", args.res ** 3 * 8),
+        # seg_setup draws six training and three held-out clouds of six channels
+        ("points_per_blob", f"nine {n_points}-point clouds need", 9 * n_points * 6),
+        # the backward holds three (L, n) arrays: the soft assignment and two gradients
+        ("attention", "its interaction weights and soft assignments need",
+         args.attention * (args.attention * 8 * 8 + 3 * n_points)),
+        # each block holds its point map and kernel taps, and caches its output
+        ("blocks", "its weights and cached outputs need", args.blocks * ((taps + 1) * 8 * 8 + n_points * 8)),
+    ]
+    ram = _physical_memory()
+    total = 0
+    for name, what, n_floats in sizes:
+        total += 8 * n_floats
+        if total > ram:
+            return (f"--{name.replace('_', '-')} {getattr(args, name)} is too large: {what} "
+                    f"{8 * n_floats} bytes, {total} in all, more than the {ram} bytes of physical memory")
     return None
 
 

@@ -13,12 +13,18 @@ replaces the hard voxel assignment with a learned soft one and is equivariant
 to arbitrary reorderings of the points.
 
 Each layer class owns its ``forward`` and its ``backward``, and with them the
-cache that passes between the two.  Each backward reuses the forward
-primitives: the adjoint of a broadcast to points is ``voxel_sum``, that of a
-per-voxel mean pool is a gather of the gradient over the voxel counts, and
-that of ``conv3d_periodic`` in its grid is ``conv3d_periodic`` with the kernel
-flipped in space and transposed in channels; ``conv3d_kernel_grad`` walks the
-forward's kernel taps.
+cache that passes between the two.  Both return fresh arrays that alias
+neither their inputs nor the cache, so a caller may update them in place (the
+block epilogue in ``train`` adds its skip and rectifies that way).  Each
+backward reuses the forward primitives: the adjoint of a broadcast to points
+is ``voxel_sum``, that of a per-voxel mean pool is a gather of the gradient
+over the voxel counts, and that of ``conv3d_periodic`` in its grid is
+``conv3d_periodic`` with the kernel flipped in space and transposed in
+channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.  The tap
+walker wrap-pads the grid once and reads each tap as a slice of the padded
+grid.  The attention layer works latent-major: its assignment logits are
+``(L, n)``, so the softmax reduces over the short latent axis as ``L`` whole
+rows rather than ``n`` rows of length ``L``.
 
 Beside the layers the module holds the moves the equivariance checks apply
 (``shift_assignment``, ``permute_points``, ``within_voxel_permutation``), the
@@ -140,16 +146,23 @@ def mean_pool(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
 
 def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray) -> np.ndarray:
     """Hand every point the value of its voxel."""
-    return np.asarray(per_voxel)[vox.assignment]
+    return np.take(per_voxel, vox.assignment, axis=0)
 
 
 def _shifted_grids(grid: np.ndarray, width: int):
-    """Yield each tap ``t`` of a ``width**3`` kernel with the grid rolled so
+    """Yield each tap ``t`` of a ``width**3`` kernel with the grid shifted so
     every voxel holds the value ``t`` reads, at offset ``t - width // 2``,
-    flattened to ``(D**3, c)``; one shifted grid is live at a time."""
+    flattened to ``(D**3, c)``; one shifted grid is live at a time.
+
+    The grid is wrap-padded by ``width // 2`` on every side once, and each
+    tap is the ``D**3`` window of the padded grid starting at ``t``.
+    """
+    D, c = grid.shape[0], grid.shape[3]
+    half = width // 2
+    padded = np.pad(grid, [(half, half)] * 3 + [(0, 0)], mode="wrap")
     for tap in np.ndindex(width, width, width):
-        shift = [width // 2 - t for t in tap]
-        yield tap, np.roll(grid, shift, axis=(0, 1, 2)).reshape(-1, grid.shape[3])
+        i, j, k = tap
+        yield tap, padded[i:i + D, j:j + D, k:k + D].reshape(-1, c)
 
 
 def conv3d_periodic(kernel: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -187,12 +200,6 @@ def conv3d_kernel_grad(grid: np.ndarray, d_out: np.ndarray, width: int) -> np.nd
     return d_kernel
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class WreathPCLayer:
     """Pointwise map plus a voxel-pooled circular convolution broadcast back."""
@@ -221,7 +228,8 @@ class WreathPCLayer:
         pooled = mean_pool(vox, x)
         grid = pooled.reshape(D, D, D, self.c_in)
         conv = conv3d_periodic(self.w_conv, grid)
-        y = x @ self.w_point + gather_to_points(vox, conv.reshape(vox.n_voxels, self.c_out))
+        y = x @ self.w_point
+        y += gather_to_points(vox, conv.reshape(vox.n_voxels, self.c_out))
         return y, {"x": x, "grid": grid}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -301,23 +309,27 @@ class AttnPCLayer:
         return self.w_assign.shape[1]
 
     def forward(self, vox: VoxelizedCloud | None, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        soft = _softmax_rows(x @ self.w_assign)  # (n, L)
-        pooled = soft.T @ x  # (L, c_in)
+        soft = self.w_assign.T @ x.T  # (L, n) logits, softmax over latents in place
+        soft -= soft.max(axis=0)
+        np.exp(soft, out=soft)
+        soft /= soft.sum(axis=0)
+        pooled = soft @ x  # (L, c_in)
         mixed = np.einsum("lkcd,kc->ld", self.w_interact, pooled)  # (L, c_out)
-        y = soft @ mixed
+        y = soft.T @ mixed
         return y, {"x": x, "soft": soft, "pooled": pooled, "mixed": mixed}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
         x, soft, pooled, mixed = cache["x"], cache["soft"], cache["pooled"], cache["mixed"]
-        d_mixed = soft.T @ d_y  # (L, c_out)
+        d_mixed = soft @ d_y  # (L, c_out)
         d_w_interact = np.einsum("ld,kc->lkcd", d_mixed, pooled)
         d_pooled = np.einsum("lkcd,ld->kc", self.w_interact, d_mixed)
-        d_soft = d_y @ mixed.T + x @ d_pooled.T
-        d_x = soft @ d_pooled
-        d_z = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
-        d_w_assign = x.T @ d_z
-        d_x += d_z @ self.w_assign.T
-        return {"w_assign": d_w_assign, "w_interact": d_w_interact}, d_x
+        d_z = mixed @ d_y.T  # (L, n): the gradient of soft, then of its logits
+        d_z += d_pooled @ x.T
+        d_z -= (d_z * soft).sum(axis=0)
+        d_z *= soft
+        d_x = soft.T @ d_pooled
+        d_x += d_z.T @ self.w_assign.T
+        return {"w_assign": (d_z @ x).T, "w_interact": d_w_interact}, d_x
 
 
 PCLayer = WreathPCLayer | SetPCLayer | AttnPCLayer

@@ -2,6 +2,10 @@
 and rectifier, reverse mode through the stack (each layer supplies its own
 ``backward``), finite-difference gradient checking, plain SGD, and the blob
 segmentation experiment.
+
+A block adds its skip and rectifies in place in the fresh array its layer
+returns, and caches that output as ``out``; the backward masks by
+``out > 0``, which is where the rectifier's input was positive.
 """
 
 from __future__ import annotations
@@ -63,12 +67,14 @@ class SegBlock:
 
 
 def block_forward(block: SegBlock, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The layer's output plus the skip, rectified, all in place in the
+    layer's fresh output array, which the cache also keeps as ``out``."""
     y, cache = pc_layer_forward(block.layer, vox, x)
     if block.has_skip:
-        y = y + x
-    cache["pre_act"] = y
+        y += x
     if block.rectify:
-        y = np.maximum(y, 0.0)
+        np.maximum(y, 0.0, out=y)
+    cache["out"] = y
     return y, cache
 
 
@@ -97,10 +103,10 @@ def net_backward(
     for i in range(len(blocks) - 1, -1, -1):
         block, cache = blocks[i], caches[i]
         if block.rectify:
-            d_h = d_h * (cache["pre_act"] > 0)
+            d_h = d_h * (cache["out"] > 0)  # a rectified output is positive where its input was
         layer_grads, d_x = layer_backward(block.layer, vox, cache, d_h)
         if block.has_skip:
-            d_x = d_x + d_h
+            d_x += d_h
         grads[i] = layer_grads
         d_h = d_x
     return grads, d_h

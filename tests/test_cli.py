@@ -229,6 +229,7 @@ def test_demo_attention_path(tmp_path, capsys):
     (["--noise", "nan"], "--noise must be finite and at least 0, got nan"),
     (["--noise", "inf"], "--noise must be finite and at least 0, got inf"),
     (["--noise", "-1"], "--noise must be finite and at least 0, got -1.0"),
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
 ])
 def test_demo_bad_sizes_exit_two_before_writing(tmp_path, capsys, bad, message):
     out_dir = tmp_path / "run"
@@ -246,6 +247,29 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: --res 100000 is too large") and err.count("\n") == 1
     assert "physical memory" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--attention", "40"],
+     "--attention 40 is too large: its interaction weights and soft assignments need 836480 bytes, "
+     "844768 in all"),
+    (["--points-per-blob", "1000"],
+     "--points-per-blob 1000 is too large: nine 3000-point clouds need 1296000 bytes, 1296512 in all"),
+    (["--blocks", "100"],
+     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 225888 in all"),
+    (["--attention", "8", "--blocks", "30"],
+     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 109792 in all"),
+])
+def test_demo_sizes_beyond_memory_exit_two_before_writing(tmp_path, capsys, monkeypatch, bad, message):
+    # a 100 kB machine: each size below is small enough to run, but not there;
+    # the last pair fits it one at a time, but not together
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: 100_000)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, DEMO_ARGS + bad + ["--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}, more than the 100000 bytes of physical memory\n"
     assert not out_dir.exists()
 
 

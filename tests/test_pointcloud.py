@@ -125,6 +125,28 @@ def test_conv3d_kernel_grad_is_the_kernel_adjoint(D, K):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+def _rolled_grids(grid, K):
+    """The tap walker's reference: the whole grid rolled once per tap."""
+    for tap in np.ndindex(K, K, K):
+        shift = [K // 2 - t for t in tap]
+        yield tap, np.roll(grid, shift, axis=(0, 1, 2)).reshape(-1, grid.shape[3])
+
+
+@pytest.mark.parametrize("D, K", [(1, 1), (2, 1), (3, 3), (4, 3), (5, 5), (8, 3)])
+def test_conv3d_and_kernel_grad_match_a_roll_per_tap_bit_for_bit(D, K):
+    rng = np.random.default_rng(100 * D + K)
+    kernel = rng.normal(size=(K, K, K, 2, 3))
+    g = rng.normal(size=(D, D, D, 2))
+    h = rng.normal(size=(D, D, D, 3))
+    out = np.zeros((D ** 3, 3))
+    d_kernel = np.empty_like(kernel)
+    for tap, rolled in _rolled_grids(g, K):
+        out += rolled @ kernel[tap]
+        d_kernel[tap] = rolled.T @ h.reshape(-1, 3)
+    assert np.array_equal(conv3d_periodic(kernel, g), out.reshape(D, D, D, 3))
+    assert np.array_equal(conv3d_kernel_grad(g, h, K), d_kernel)
+
+
 def test_conv3d_delta_kernel_is_identity():
     rng = np.random.default_rng(2)
     grid = rng.normal(size=(4, 4, 4, 3))
@@ -235,6 +257,38 @@ def test_attention_single_latent_broadcasts_a_global_statistic():
     pooled = x.sum(axis=0)
     expected = np.array([pooled @ layer.w_interact[0, 0, :, d] for d in range(3)])
     assert np.allclose(y[0], expected)
+
+
+def _attn_points_major(layer, x, d_y):
+    """Reference attention layer with points as rows: ``(n, L)`` logits and
+    a softmax along each row; returns ``y``, the gradients and ``d_x``."""
+    z = x @ layer.w_assign
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)
+    pooled = soft.T @ x
+    mixed = np.einsum("lkcd,kc->ld", layer.w_interact, pooled)
+    d_mixed = soft.T @ d_y
+    d_pooled = np.einsum("lkcd,ld->kc", layer.w_interact, d_mixed)
+    d_soft = d_y @ mixed.T + x @ d_pooled.T
+    d_z = soft * (d_soft - (d_soft * soft).sum(axis=1, keepdims=True))
+    grads = {"w_assign": x.T @ d_z, "w_interact": np.einsum("ld,kc->lkcd", d_mixed, pooled)}
+    return soft @ mixed, grads, soft @ d_pooled + d_z @ layer.w_assign.T
+
+
+@pytest.mark.parametrize("L", [1, 4, 9])
+def test_attention_latent_major_matches_points_major_reference(L):
+    # at L = 9 numpy sums the latent axis pairwise in one layout and not the other
+    rng = np.random.default_rng(L)
+    layer = AttnPCLayer(w_assign=rng.normal(size=(5, L)), w_interact=rng.normal(size=(L, L, 5, 3)))
+    x = rng.normal(size=(257, 5))
+    d_y = rng.normal(size=(257, 3))
+    y, cache = layer.forward(None, x)
+    grads, d_x = layer.backward(None, cache, d_y)
+    ref_y, ref_grads, ref_d_x = _attn_points_major(layer, x, d_y)
+    pairs = [(y, ref_y), (d_x, ref_d_x)] + [(grads[k], ref_grads[k]) for k in ref_grads]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_attention_zero_interaction_gives_zero():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from wreathlin.pointcloud import (
 from wreathlin.train import (
     SegBlock,
     TrainingDivergedError,
+    block_forward,
     build_segnet,
     evaluate,
     gradient_check,
@@ -189,3 +192,50 @@ def test_seg_samples_have_six_feature_channels():
         assert x.shape == (15, 6)
         assert labels.shape == (15,)
         assert vox.n_points == 15
+
+
+def attention_net_and_cloud(points_per_blob, resolution, seed=0):
+    """The ``demo --attention 4`` block stack at the benchmark's widths (6
+    features, 8 classes, hidden 16, kernel 3) and one 8-blob cloud."""
+    rng = np.random.default_rng(seed)
+    centers = make_blob_scene(8, resolution, rng)
+    sample = make_seg_samples(centers, 1, points_per_blob, 0.2, 0.25, resolution, rng)[0]
+    return build_segnet(6, 8, 2, 16, 3, rng, attention_latents=4), sample
+
+
+def test_net_passes_leave_inputs_and_caches_intact():
+    # blocks add the skip and rectify in place, in arrays their layers return
+    blocks, (vox, x, labels) = attention_net_and_cloud(40, 4)
+    x_before = x.copy()
+    logits, caches = net_forward(blocks, vox, x)
+    assert np.array_equal(x, x_before)
+    again, fresh = net_forward(blocks, vox, x)
+    assert np.array_equal(again, logits)
+    h = x
+    for block, cache in zip(blocks, caches):  # each block cached the input it was given
+        assert np.array_equal(cache["x"], h)
+        h, _ = block_forward(block, vox, h.copy())
+    assert np.array_equal(h, logits)
+    _, d_logits = loss_ce(logits, labels)
+    d_before = d_logits.copy()
+    grads, d_x = net_backward(blocks, vox, caches, d_logits)
+    fresh_grads, fresh_d_x = net_backward(blocks, vox, fresh, d_logits)
+    assert np.array_equal(d_logits, d_before)
+    assert np.array_equal(d_x, fresh_d_x)
+    for g, f in zip(grads, fresh_grads):
+        assert g.keys() == f.keys() and all(np.array_equal(g[k], f[k]) for k in g)
+
+
+def test_net_forward_traced_memory_peak():
+    # a noise-free stand-in for the benchmark's peak memory: numpy reports its
+    # buffers to tracemalloc, so the peak of one pass repeats exactly
+    blocks, (vox, x, _) = attention_net_and_cloud(2500, 8)
+    net_forward(blocks, vox, x)
+    tracemalloc.start()
+    try:
+        net_forward(blocks, vox, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (20_000, 6)
+    assert peak < 10_000_000
