@@ -11,13 +11,14 @@ patterns three independent ways:
 * :func:`commutant_basis` -- exact rational nullspace of the stacked
   commutation constraints, one block per generator.
 
-Closed forms for product and hierarchical actions (:func:`kron_pattern`,
-:func:`wreath_pattern`) compose patterns without touching the group itself,
-and leaf patterns are arithmetic, so :func:`pattern_of_structure` is a route
-independent of the three above.  Patterns are ``N x N`` and serve rendering
-and these oracles only; :func:`orbit_index` gives the canonical orbit order
-that :func:`layer.apply <wreathlin.layer.apply>` needs in time linear in the
-orbit count.
+The closed form never touches the group itself.  :func:`orbit_index` is the
+one place that decides canonical orbit order: leaves are arithmetic, and
+``prod`` and ``wr`` nodes compose their factors' first appearances in time
+linear in the orbit count, which is all :func:`layer.apply
+<wreathlin.layer.apply>` needs.  :func:`orbit_of` reads any entry's orbit id
+out of it, so :func:`pattern_of_structure` is that readout over all
+``N x N`` entries, a route independent of the three above.  Patterns serve
+rendering and these oracles only.
 """
 
 from __future__ import annotations
@@ -139,35 +140,6 @@ def burnside_count(group: PermGroup, limit: int | None = None) -> int:
     return total // len(elements)
 
 
-def kron_pattern(outer: SharingPattern, inner: SharingPattern) -> SharingPattern:
-    """Pattern of a direct-product action: ids pair up factor ids.
-
-    ``num_orbits == outer.num_orbits * inner.num_orbits``.
-    """
-    raw = (
-        outer.orbit_id[:, None, :, None] * np.int64(inner.num_orbits)
-        + inner.orbit_id[None, :, None, :]
-    )
-    n = outer.n * inner.n
-    return canonical_pattern(raw.reshape(n, n))
-
-
-def wreath_pattern(outer: SharingPattern, inner: SharingPattern) -> SharingPattern:
-    """Pattern of a hierarchical action on ``P`` fibers of size ``Q``.
-
-    Off-diagonal blocks ``(p, p')`` carry the outer orbit id of ``(p, p')``
-    broadcast over the whole block; diagonal blocks carry the inner pattern,
-    shared across fibers.  The outer diagonal directions are absorbed into the
-    span of the inner ones, so for transitive factors
-    ``num_orbits == outer.num_orbits + inner.num_orbits - 1``.
-    """
-    P, Q = outer.n, inner.n
-    raw = np.kron(outer.orbit_id + np.int64(inner.num_orbits), np.ones((Q, Q), dtype=np.int64))
-    for p in range(P):
-        raw[p * Q:(p + 1) * Q, p * Q:(p + 1) * Q] = inner.orbit_id
-    return canonical_pattern(raw)
-
-
 def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGREE) -> CommutantBasis:
     """Exact rational basis of all matrices commuting with the group action.
 
@@ -227,28 +199,6 @@ def commutes_exactly(matrix: np.ndarray, g: Permutation) -> bool:
     return np.array_equal(matrix, matrix[np.ix_(img, img)])
 
 
-@lru_cache(maxsize=32)
-def pattern_of_structure(expr: Structure) -> SharingPattern:
-    """Sharing pattern of a structure: arithmetic for leaves, closed forms above.
-
-    Builds the full ``N x N`` id matrix, so only rendering and the oracles
-    call it; :func:`apply` numbers orbits through :func:`orbit_index`.
-    """
-    if isinstance(expr, Leaf):
-        n = expr.n
-        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-        if isinstance(expr, Set):
-            return canonical_pattern(i != j)
-        if isinstance(expr, Cycle):
-            return canonical_pattern((j - i) % n)
-        return canonical_pattern(i * n + j)
-    if isinstance(expr, Prod):
-        return kron_pattern(pattern_of_structure(expr.outer), pattern_of_structure(expr.inner))
-    if isinstance(expr, Wreath):
-        return wreath_pattern(pattern_of_structure(expr.outer), pattern_of_structure(expr.inner))
-    raise TypeError(f"not a structure: {expr!r}")
-
-
 @lru_cache(maxsize=256)
 def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical orbit order of a structure without building its pattern.
@@ -285,6 +235,46 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in out:
         a.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=32)
+def pattern_of_structure(expr: Structure) -> SharingPattern:
+    """Sharing pattern of a structure, read entry by entry through :func:`orbit_of`.
+
+    Builds the full ``N x N`` id matrix, so only rendering and the oracles
+    call it; :func:`apply` numbers orbits through :func:`orbit_index`.
+    """
+    idx = np.arange(degree(expr))
+    return SharingPattern(orbit_of(expr, idx[:, None], idx[None, :]), structure_orbit_count(expr))
+
+
+def orbit_of(expr: Structure, i, j) -> np.ndarray:
+    """Canonical orbit id of the entries ``(i, j)``; index arrays broadcast.
+
+    Leaves are arithmetic and already canonical.  A ``prod`` or ``wr`` node
+    splits each entry into an outer entry ``(i // Q, j // Q)`` and an inner
+    entry ``(i % Q, j % Q)``, numbers the node's candidate orbit as
+    :func:`orbit_index` does, and maps it through that node's ``rank``.
+    """
+    if isinstance(expr, Leaf):
+        n = expr.n
+        if isinstance(expr, Set):
+            return np.not_equal(i, j).astype(np.int64)
+        if isinstance(expr, Cycle):
+            return (j - i) % n
+        return i * n + j
+    rank = orbit_index(expr)[2]
+    Q = degree(expr.inner)
+    (p, a), (q, b) = np.divmod(i, Q), np.divmod(j, Q)
+    inner = orbit_of(expr.inner, a, b)
+    if isinstance(expr, Prod):
+        candidate = orbit_of(expr.outer, p, q) * structure_orbit_count(expr.inner) + inner
+    else:
+        # off-diagonal outer orbits follow the inner ones, in canonical order
+        ra, ca, _ = orbit_index(expr.outer)
+        off = np.cumsum(ra != ca) + (structure_orbit_count(expr.inner) - 1)
+        candidate = np.where(p == q, inner, off[orbit_of(expr.outer, p, q)])
+    return rank[candidate]
 
 
 def structure_orbit_count(expr: Structure) -> int:

@@ -8,10 +8,11 @@ its own ``c_in x c_out`` channel-mixing matrix, so the weight tensor has shape
 :func:`apply` runs each factor of the structure once and never materializes
 the ``N x N`` map.  Per channel pair, ``S`` pools and broadcasts in ``O(N)``;
 cyclic subtrees correlate by FFT in ``O(N log N)``; ``trivial`` subtrees, whose
-orbits are single entries, multiply by their full map in ``O(N^2)``, their
-weight count; other products run one pass per factor, widening the channels of
-the side with fewer orbits; ``wr`` adds the outer map of the pooled fibers to
-the inner map of each, ``O(N)`` beyond its factors.
+orbits are single entries in row-major order, multiply by their weights read
+in place as the full map in ``O(N^2)``, their weight count; other products run
+one pass per factor, widening the channels of the side with fewer orbits;
+``wr`` adds the outer map of the pooled fibers to the inner map of each,
+``O(N)`` beyond its factors.
 Orbit ids map to node-local coefficients through :func:`basis.orbit_index
 <wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
 :func:`apply_dense` materializes the shared matrix per channel pair and is the
@@ -98,25 +99,23 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
 
     ``B_o`` is the 0/1 indicator of orbit ``o`` in canonical order; ``x`` has
     shape ``(..., N, c_in)`` and the result ``(..., N, c_out)``.  Each node
-    runs the kernel the module docstring lists: ``S`` pools; a node whose
-    orbits are single entries (a product of ``trivial``) multiplies by its
-    full map; a product of cycles, its orbits in row-major offset order, is
+    runs the kernel the module docstring lists: a node whose orbits are
+    single entries (a product of ``trivial``, or any one-point node such as
+    ``S(1)``) multiplies by ``coeffs`` reshaped in place to its full map;
+    ``S`` pools; a product of cycles, its orbits in row-major offset order, is
     one FFT correlation; another ``prod`` runs each factor once; ``wr`` pools.
     """
     batch, c_in, c_out = x.shape[:-2], coeffs.shape[-2], coeffs.shape[-1]
+    n = degree(expr)
+    if structure_orbit_count(expr) == n * n:
+        # each entry is its own orbit, so canonical order is row-major entry order
+        return np.tensordot(x, coeffs.reshape(n, n, c_in, c_out), axes=([-2, -1], [1, 2]))
     if isinstance(expr, Set):
-        if expr.n == 1:
-            return x @ coeffs[0]
         # one output buffer, pooled row added in place: the temporaries of
         # x @ W0 + (s - x) @ W1 fault in fresh pages on every large call
         y = x @ (coeffs[0] - coeffs[1])
         y += x.sum(axis=-2, keepdims=True) @ coeffs[1]
         return y
-    if structure_orbit_count(expr) == degree(expr) ** 2:
-        rows, cols, _ = orbit_index(expr)
-        full = np.zeros((degree(expr), degree(expr), c_in, c_out))
-        full[rows, cols] = coeffs
-        return np.tensordot(x, full, axes=([-2, -1], [1, 2]))
     lengths = _cycle_lengths(expr)
     if lengths is not None:
         axes = tuple(range(-len(lengths) - 1, -1))

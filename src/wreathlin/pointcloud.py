@@ -366,8 +366,10 @@ def permute_points(vox: VoxelizedCloud, order: np.ndarray) -> VoxelizedCloud:
 def within_voxel_permutation(vox: VoxelizedCloud, rng: np.random.Generator) -> np.ndarray:
     """A random reordering of point rows that keeps each point in its voxel."""
     order = np.arange(vox.n_points)
-    for v in np.unique(vox.assignment):
-        members = np.flatnonzero(vox.assignment == v)
+    # a stable sort keeps each voxel's run of members in ascending point order
+    by_voxel = np.argsort(vox.assignment, kind="stable")
+    starts = np.flatnonzero(np.diff(vox.assignment[by_voxel])) + 1
+    for members in np.split(by_voxel, starts):
         order[members] = rng.permutation(members)
     return order
 

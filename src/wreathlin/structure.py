@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 from .perm import (
@@ -28,6 +29,11 @@ from .perm import (
     trivial_group,
     wreath_product_group,
 )
+
+
+# Deepest nesting of prod/wr nodes the parser accepts.  Far deeper trees
+# overflow the interpreter stack while hashing the nested frozen dataclasses.
+MAX_NESTING = 100
 
 
 class StructureParseError(ValueError):
@@ -126,6 +132,9 @@ def parse_structure(text: str) -> Structure:
     tokens = _tokenize(text)
     if not tokens:
         raise StructureParseError("empty structure expression")
+    # the innermost node's leaves add one level of parentheses
+    if max(accumulate((t == "(") - (t == ")") for t in tokens)) > MAX_NESTING + 1:
+        raise StructureParseError(f"structure nests deeper than {MAX_NESTING} prod/wr levels")
     expr, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
         raise StructureParseError(f"trailing input after expression: {tokens[pos:]}")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wreathlin.basis import (
@@ -14,16 +14,15 @@ from wreathlin.basis import (
     commutant_basis,
     commutes_exactly,
     constant_on_orbits,
-    kron_pattern,
     materialize,
     orbit_index,
+    orbit_of,
     orbit_pattern,
     pattern_csv,
     pattern_of_structure,
     pattern_pgm,
     pattern_summary,
     structure_orbit_count,
-    wreath_pattern,
 )
 from wreathlin.perm import (
     EnumerationLimitError,
@@ -93,30 +92,24 @@ def test_burnside_respects_enumeration_limit():
 
 
 def test_kron_pattern_counts():
-    s3, s4 = orbit_pattern(symmetric_group(3)), orbit_pattern(symmetric_group(4))
-    assert kron_pattern(s3, s4).num_orbits == 4
-    c3, c4 = orbit_pattern(cyclic_group(3)), orbit_pattern(cyclic_group(4))
-    assert kron_pattern(c3, c4).num_orbits == 12
+    assert P("prod(S(3),S(4))").num_orbits == 4
+    assert P("prod(C(3),C(4))").num_orbits == 12
 
 
 def test_kron_with_one_point_factor_is_identity():
-    one = orbit_pattern(trivial_group(1))
     s3 = orbit_pattern(symmetric_group(3))
-    assert kron_pattern(one, s3) == s3
-    assert kron_pattern(s3, one) == s3
+    assert P("prod(trivial(1),S(3))") == s3
+    assert P("prod(S(3),trivial(1))") == s3
 
 
 def test_wreath_pattern_counts():
-    s3, s4 = orbit_pattern(symmetric_group(3)), orbit_pattern(symmetric_group(4))
-    c3, c4 = orbit_pattern(cyclic_group(3)), orbit_pattern(cyclic_group(4))
-    assert wreath_pattern(s3, s4).num_orbits == 3
-    assert wreath_pattern(c4, c3).num_orbits == 6
-    assert wreath_pattern(c4, s3).num_orbits == 5
+    assert P("wr(S(4),S(3))").num_orbits == 3
+    assert P("wr(C(3),C(4))").num_orbits == 6
+    assert P("wr(S(3),C(4))").num_orbits == 5
 
 
 def test_wreath_pattern_block_layout():
-    pat = wreath_pattern(orbit_pattern(symmetric_group(3)), orbit_pattern(symmetric_group(2)))
-    ids = pat.orbit_id
+    ids = P("wr(S(2),S(3))").orbit_id
     # diagonal blocks repeat one shared inner pattern
     assert np.array_equal(ids[0:2, 0:2], ids[2:4, 2:4])
     assert np.array_equal(ids[0:2, 0:2], ids[4:6, 4:6])
@@ -226,6 +219,7 @@ def test_structure_orbit_count_agrees_with_pattern(expr, seed):
     _, first = np.unique(pattern.orbit_id.ravel(), return_index=True)
     first_rows, first_cols = np.divmod(first, pattern.n)
     assert np.array_equal(rows, first_rows) and np.array_equal(cols, first_cols)
+    assert np.array_equal(orbit_of(expr, rows, cols), np.arange(pattern.num_orbits))
     assert sorted(rank) == list(range(pattern.num_orbits))
     assert structure_orbit_count(expr) == pattern.num_orbits
     for leaf in _leaves(expr):
@@ -233,6 +227,30 @@ def test_structure_orbit_count_agrees_with_pattern(expr, seed):
     layer = random_layer(expr, 2, 3, np.random.default_rng(seed), bias=True)
     x = np.random.default_rng(seed + 1).standard_normal((layer.degree, 2))
     np.testing.assert_allclose(apply(layer, x), apply_dense(layer, x), rtol=0, atol=1e-10)
+
+
+def _intransitive_below_wreath(expr, under_wreath=False):
+    if isinstance(expr, (Prod, Wreath)):
+        under = under_wreath or isinstance(expr, Wreath)
+        return _intransitive_below_wreath(expr.outer, under) or _intransitive_below_wreath(expr.inner, under)
+    return under_wreath and isinstance(expr, Trivial) and expr.n > 1
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(expr=structures(max_degree=36))
+def test_closed_form_pattern_matches_generator_orbits(expr):
+    """The closed form against union-find over the generators, on random
+    trees.  Trees with an intransitive factor under a ``wr`` are skipped: the
+    closed form undercounts them (see the xfail below)."""
+    assume(not _intransitive_below_wreath(expr))
+    assert pattern_of_structure(expr) == orbit_pattern(group_of(expr))
+
+
+@pytest.mark.xfail(strict=True, reason="closed form misses orbits of intransitive factors under wr")
+@pytest.mark.parametrize("text", ["wr(trivial(2),C(3))", "wr(S(3),trivial(2))"])
+def test_closed_form_pattern_with_intransitive_factor_under_wreath(text):
+    expr = parse_structure(text)
+    assert pattern_of_structure(expr) == orbit_pattern(group_of(expr))
 
 
 def test_apply_builds_no_pattern():

@@ -8,6 +8,8 @@ the library would otherwise show up only as a crashed benchmark run.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -44,3 +46,15 @@ def test_layer_kinds_name_the_point_cloud_layer_classes():
     names = {key.value for key in table.keys}
     assert all(isinstance(getattr(wreathlin.pointcloud, name, None), type) for name in names)
     assert names == {cls.__name__ for cls in typing.get_args(wreathlin.pointcloud.PCLayer)}
+
+
+def test_importing_train_loads_basis():
+    """``perfbench/worker.py`` reads the pattern cache of ``wreathlin.basis``
+    out of ``sys.modules`` after importing only ``wreathlin.pointcloud`` and
+    ``wreathlin.train``; the module is there because the package
+    ``__init__`` imports it.  Without it the ``segnet_*`` workloads'
+    measuring process dies with a ``KeyError``."""
+    src = str(Path(wreathlin.pointcloud.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, wreathlin.train; assert 'wreathlin.basis' in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

@@ -3,6 +3,7 @@
 import pytest
 
 from wreathlin.cli import main
+from wreathlin.structure import MAX_NESTING
 
 
 def run_cli(capsys, argv):
@@ -169,6 +170,23 @@ def test_verify_parse_error_exit_two(capsys):
     code, _, err = run_cli(capsys, ["verify", "--structure", "nosuch(3)"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def nested_wreath(depth):
+    return "wr(" * depth + "S(1)" + ",S(1))" * depth
+
+
+@pytest.mark.parametrize("command", ["pattern", "verify"])
+def test_nesting_bound(capsys, command):
+    """At the bound both commands run; one level deeper is one error line and
+    exit 2, where hashing the nested tree would otherwise overflow the stack
+    a few hundred levels further down."""
+    code, _, _ = run_cli(capsys, [command, "--structure", nested_wreath(MAX_NESTING)])
+    assert code == 0
+    code, out, err = run_cli(capsys, [command, "--structure", nested_wreath(MAX_NESTING + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: structure nests deeper than {MAX_NESTING} prod/wr levels\n"
 
 
 # --- demo ---

@@ -224,6 +224,22 @@ def test_wreath_layer_hierarchy_equivariance():
         assert np.allclose(y[order], y_perm, atol=1e-10 * max(1.0, np.abs(y).max()))
 
 
+def scan_within_voxel_permutation(vox, rng):
+    """The former implementation: one scan of all points per voxel."""
+    order = np.arange(vox.n_points)
+    for v in np.unique(vox.assignment):
+        members = np.flatnonzero(vox.assignment == v)
+        order[members] = rng.permutation(members)
+    return order
+
+
+@pytest.mark.parametrize("n", [1, 30, 4_000, 100_000])
+def test_within_voxel_permutation_draws_as_the_scan_did(n):
+    vox = voxelize(random_cloud(np.random.default_rng(n), n=n, c=1), 16)
+    got = within_voxel_permutation(vox, np.random.default_rng(7))
+    assert np.array_equal(got, scan_within_voxel_permutation(vox, np.random.default_rng(7)))
+
+
 def test_set_layer_permutation_equivariance():
     rng = np.random.default_rng(8)
     cloud = random_cloud(rng, n=15)

@@ -3,6 +3,7 @@ import pytest
 from wreathlin.basis import structure_orbit_count
 from wreathlin.perm import InvalidDegreeError, enumerate_group
 from wreathlin.structure import (
+    MAX_NESTING,
     Cycle,
     Prod,
     Set,
@@ -42,6 +43,12 @@ def test_parse_is_whitespace_insensitive():
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(StructureParseError):
         parse_structure(text)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_parse_rejects_deep_nesting(depth):
+    with pytest.raises(StructureParseError, match="nests deeper"):
+        parse_structure("prod(" * depth + "C(2)" + ",S(1))" * depth)
 
 
 def test_sizes_must_be_positive():
