@@ -55,10 +55,16 @@ class SharingPattern:
         ids = np.ascontiguousarray(self.orbit_id, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[0] != ids.shape[1]:
             raise ValueError(f"orbit_id must be square, got shape {ids.shape}")
-        uniq, first = np.unique(ids.ravel(), return_index=True)
-        if len(uniq) != self.num_orbits or not np.array_equal(uniq, np.arange(len(uniq))):
+        # canonical without a sort: the ids open with 0 and each exceeds the
+        # largest id before it by at most 1, so orbits first occur in id order
+        flat = ids.ravel()
+        top = np.maximum.accumulate(flat)
+        count = int(top[-1]) + 1 if flat.size else 0
+        if count != self.num_orbits or count > flat.size or (flat.size and flat.min() < 0):
             raise ValueError("orbit ids must be contiguous 0..num_orbits-1")
-        if np.any(np.diff(first) <= 0):
+        if np.any(flat[:1]) or np.any(flat[1:] > top[:-1] + 1):
+            if not np.bincount(flat, minlength=count).all():
+                raise ValueError("orbit ids must be contiguous 0..num_orbits-1")
             raise ValueError("orbit ids must be canonical (first occurrence increasing)")
         ids.setflags(write=False)
         object.__setattr__(self, "orbit_id", ids)

@@ -38,7 +38,8 @@ from .structure import (
     parse_structure,
     reassociate_wreaths,
 )
-from .train import TrainingDivergedError, net_forward, seg_setup, sgd_train, trace_csv
+from .train import (FEATURE_CHANNELS, HELD_OUT_CLOUDS, HIDDEN_WIDTH, TRAIN_CLOUDS, TrainingDivergedError,
+                    kernel_width, net_forward, seg_setup, sgd_train, trace_csv)
 
 USAGE_ERROR = 2
 
@@ -167,7 +168,7 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
 
     The arrays the demo holds at once are summed against physical memory
     before anything is allocated, counting 8-byte floats at the demo's hidden
-    width of 8 channels; the size that takes the sum past it is named.
+    width; the size that takes the sum past it is named.
     """
     least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0,
              "seed": 0}
@@ -180,16 +181,15 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
     if args.blobs > args.res ** 3:
         return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
     n_points = args.blobs * args.points_per_blob
-    taps = 27 if args.res >= 3 else 1  # seg_setup's kernel width is 3, or 1 below D = 3
+    taps, clouds, width = kernel_width(args.res) ** 3, TRAIN_CLOUDS + HELD_OUT_CLOUDS, HIDDEN_WIDTH
     sizes = [
-        ("res", "its per-voxel grid needs", args.res ** 3 * 8),
-        # seg_setup draws six training and three held-out clouds of six channels
-        ("points_per_blob", f"nine {n_points}-point clouds need", 9 * n_points * 6),
+        ("res", "its per-voxel grid needs", args.res ** 3 * width),
+        ("points_per_blob", f"{clouds} clouds of {n_points} points need", clouds * n_points * FEATURE_CHANNELS),
         # the backward holds three (L, n) arrays: the soft assignment and two gradients
         ("attention", "its interaction weights and soft assignments need",
-         args.attention * (args.attention * 8 * 8 + 3 * n_points)),
+         args.attention * (args.attention * width ** 2 + 3 * n_points)),
         # each block holds its point map and kernel taps, and caches its output
-        ("blocks", "its weights and cached outputs need", args.blocks * ((taps + 1) * 8 * 8 + n_points * 8)),
+        ("blocks", "its weights and cached outputs need", args.blocks * ((taps + 1) * width ** 2 + n_points * width)),
     ]
     ram = _physical_memory()
     total = 0

@@ -8,9 +8,11 @@ The basic layer maps point features ``X`` to
 
 where ``mean_pool`` averages the points of each voxel (empty voxels are zero),
 ``conv`` is a circular 3-D convolution over the ``D x D x D`` grid, and
-``gather`` hands each point the value of its voxel.  An attention variant
-replaces the hard voxel assignment with a learned soft one and is equivariant
-to arbitrary reorderings of the points.
+``gather`` hands each point the value of its voxel.  The global-pool
+ablation is the same layer over a single voxel: every point assigned to the
+one cell of a ``D = 1`` grid, whatever grid the cloud was voxelized into.  An
+attention variant replaces the hard voxel assignment with a learned soft one
+and is equivariant to arbitrary reorderings of the points.
 
 Each layer class owns its ``forward`` and its ``backward``, and with them the
 cache that passes between the two.  Both return fresh arrays that alias
@@ -244,40 +246,21 @@ class WreathPCLayer:
         return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 
+def _one_voxel(vox: VoxelizedCloud) -> VoxelizedCloud:
+    """The same points all assigned to the single voxel of a ``D = 1`` grid."""
+    return VoxelizedCloud(1, np.zeros(vox.n_points, dtype=np.int64), vox.rel_coords, np.array([vox.n_points]))
+
+
 @dataclass(frozen=True)
-class SetPCLayer:
-    """Pointwise map plus a global mean broadcast: ignores all structure."""
-
-    w_point: np.ndarray  # (c_in, c_out)
-    w_pool: np.ndarray  # (c_in, c_out)
-
-    def __post_init__(self) -> None:
-        _frozen_array(self, "w_point", self.w_point)
-        _frozen_array(self, "w_pool", self.w_pool)
-        if self.w_point.shape != self.w_pool.shape or self.w_point.ndim != 2:
-            raise ValueError("w_point and w_pool must both be (c_in, c_out)")
-
-    @property
-    def c_in(self) -> int:
-        return self.w_point.shape[0]
-
-    @property
-    def c_out(self) -> int:
-        return self.w_point.shape[1]
+class SetPCLayer(WreathPCLayer):
+    """Pointwise map plus a global mean broadcast, ignoring all structure: the
+    wreath layer over a single voxel, so ``w_conv`` is ``(1, 1, 1, c_in, c_out)``."""
 
     def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        mean = x.mean(axis=0)
-        y = x @ self.w_point + mean @ self.w_pool
-        return y, {"x": x, "mean": mean}
+        return super().forward(_one_voxel(vox), x)
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
-        x, mean = cache["x"], cache["mean"]
-        d_w_point = x.T @ d_y
-        d_x = d_y @ self.w_point.T
-        d_mean_out = d_y.sum(axis=0)
-        d_w_pool = np.outer(mean, d_mean_out)
-        d_x += (self.w_pool @ d_mean_out)[None, :] / x.shape[0]
-        return {"w_point": d_w_point, "w_pool": d_w_pool}, d_x
+        return super().backward(_one_voxel(vox), cache, d_y)
 
 
 @dataclass(frozen=True)

@@ -138,10 +138,6 @@ def _block_params(block: SegBlock) -> dict[str, np.ndarray]:
     return {f.name: getattr(block.layer, f.name) for f in fields(block.layer)}
 
 
-def _with_param(block: SegBlock, name: str, value: np.ndarray) -> SegBlock:
-    return replace(block, layer=replace(block.layer, **{name: value}))
-
-
 def gradient_check(
     blocks: tuple[SegBlock, ...] | list[SegBlock],
     vox: VoxelizedCloud,
@@ -160,8 +156,9 @@ def gradient_check(
     _, d_logits = loss_ce(logits, labels)
     grads, _ = net_backward(blocks, vox, caches, d_logits)
 
-    def loss_at(mod_blocks: list[SegBlock]) -> float:
-        out, _ = net_forward(mod_blocks, vox, x)
+    def loss_at(i: int, name: str, value: np.ndarray) -> float:
+        block = replace(blocks[i], layer=replace(blocks[i].layer, **{name: value}))
+        out, _ = net_forward(blocks[:i] + [block] + blocks[i + 1:], vox, x)
         return loss_ce(out, labels)[0]
 
     entries = []
@@ -173,9 +170,9 @@ def gradient_check(
             for j in range(flat.size):
                 bumped = value.copy().ravel()
                 bumped[j] += step
-                plus = loss_at(blocks[:i] + [_with_param(block, name, bumped.reshape(value.shape))] + blocks[i + 1:])
+                plus = loss_at(i, name, bumped.reshape(value.shape))
                 bumped[j] -= 2 * step
-                minus = loss_at(blocks[:i] + [_with_param(block, name, bumped.reshape(value.shape))] + blocks[i + 1:])
+                minus = loss_at(i, name, bumped.reshape(value.shape))
                 numeric = (plus - minus) / (2 * step)
                 a = analytic.ravel()[j]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
@@ -232,8 +229,8 @@ def sgd_train(
             _, d_logits = loss_ce(logits, labels)
             grads, _ = net_backward(blocks, vox, caches, d_logits)
             for i, block in enumerate(blocks):
-                for name, value in _block_params(block).items():
-                    blocks[i] = _with_param(blocks[i], name, value - lr * grads[i][name])
+                step = {name: value - lr * grads[i][name] for name, value in _block_params(block).items()}
+                blocks[i] = replace(block, layer=replace(block.layer, **step))
         record(epoch)
     return blocks, trace
 
@@ -253,11 +250,7 @@ def init_wreath_layer(c_in: int, c_out: int, k: int, rng: np.random.Generator) -
 
 
 def init_set_layer(c_in: int, c_out: int, rng: np.random.Generator) -> SetPCLayer:
-    s = 1.0 / np.sqrt(c_in)
-    return SetPCLayer(
-        w_point=rng.uniform(-s, s, size=(c_in, c_out)),
-        w_pool=rng.uniform(-s, s, size=(c_in, c_out)),
-    )
+    return SetPCLayer(**vars(init_wreath_layer(c_in, c_out, 1, rng)))
 
 
 def init_attn_layer(c_in: int, c_out: int, n_latent: int, rng: np.random.Generator) -> AttnPCLayer:
@@ -267,6 +260,17 @@ def init_attn_layer(c_in: int, c_out: int, n_latent: int, rng: np.random.Generat
         w_assign=rng.uniform(-s, s, size=(c_in, n_latent)),
         w_interact=rng.uniform(-t, t, size=(n_latent, n_latent, c_in, c_out)),
     )
+
+
+# the blob task's shape, which ``cli`` also reads to estimate the demo's memory
+FEATURE_CHANNELS = 6  # noisy position and within-voxel offset
+TRAIN_CLOUDS, HELD_OUT_CLOUDS = 6, 3
+HIDDEN_WIDTH = 8
+
+
+def kernel_width(resolution: int) -> int:
+    """The blob task's convolution width: 3, or 1 on grids narrower than 3."""
+    return 3 if resolution >= 3 else 1
 
 
 def make_seg_samples(
@@ -281,10 +285,10 @@ def make_seg_samples(
     """Segmentation samples from a fixed blob scene, fresh noise per draw.
 
     Features are a corrupted copy of each point's position (Gaussian noise of
-    scale ``feature_noise``) plus the clean within-voxel offsets, 6 channels
-    total; labels are blob indices.  Voxel assignment uses the clean
-    positions, so per-voxel pooling can average the corruption away while any
-    purely per-point map cannot.
+    scale ``feature_noise``) plus the clean within-voxel offsets,
+    ``FEATURE_CHANNELS`` in total; labels are blob indices.  Voxel assignment
+    uses the clean positions, so per-voxel pooling can average the corruption
+    away while any purely per-point map cannot.
     """
     samples = []
     for _ in range(n_samples):
@@ -305,16 +309,15 @@ def seg_setup(
     attention_latents: int = 0,
     set_only: bool = False,
 ) -> tuple[list, list, list[SegBlock]]:
-    """Six train samples, three held-out samples (rng ``seed * 1000 + 1``) and
-    8-wide initial blocks (rng ``seed * 1000 + 2``) for the blob task, so a
-    voxel model and its global-pool ablation see identical samples."""
+    """Train and held-out samples (rng ``seed * 1000 + 1``) and initial blocks
+    (rng ``seed * 1000 + 2``) of the blob task's shape constants, so a voxel
+    model and its global-pool ablation see identical samples."""
     data_rng = np.random.default_rng(seed * 1000 + 1)
-    train = make_seg_samples(centers, 6, points_per_blob, noise, 0.25, resolution, data_rng)
-    test = make_seg_samples(centers, 3, points_per_blob, noise, 0.25, resolution, data_rng)
+    train = make_seg_samples(centers, TRAIN_CLOUDS, points_per_blob, noise, 0.25, resolution, data_rng)
+    test = make_seg_samples(centers, HELD_OUT_CLOUDS, points_per_blob, noise, 0.25, resolution, data_rng)
     init_rng = np.random.default_rng(seed * 1000 + 2)
-    kernel = 3 if resolution >= 3 else 1
     blocks = build_segnet(
-        6, len(centers), n_blocks, 8, kernel, init_rng,
+        FEATURE_CHANNELS, len(centers), n_blocks, HIDDEN_WIDTH, kernel_width(resolution), init_rng,
         attention_latents=attention_latents, set_only=set_only,
     )
     return train, test, blocks

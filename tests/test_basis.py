@@ -51,6 +51,44 @@ def test_sharing_pattern_validates_canonical_form():
         SharingPattern(orbit_id=np.array([[1, 0], [0, 1]]), num_orbits=2)
     with pytest.raises(ValueError):
         SharingPattern(orbit_id=np.array([[0, 2], [2, 0]]), num_orbits=2)
+    with pytest.raises(ValueError, match="contiguous"):
+        SharingPattern(orbit_id=np.array([[0, -1], [1, 0]]), num_orbits=2)  # a negative id
+    with pytest.raises(ValueError, match="contiguous"):
+        SharingPattern(orbit_id=np.array([[0, 2], [2, 0]]), num_orbits=3)  # a gap: no 1
+    with pytest.raises(ValueError, match="contiguous"):
+        SharingPattern(orbit_id=np.array([[0, 1], [1, 0]]), num_orbits=3)  # wrong num_orbits
+    with pytest.raises(ValueError, match="square"):
+        SharingPattern(orbit_id=np.array([[0, 1, 1], [1, 0, 1]]), num_orbits=2)
+
+
+def sorted_canonical_form_error(ids, num_orbits):
+    """The sort-based definition of a canonical id matrix: its distinct ids
+    are exactly ``0 .. num_orbits-1``, and they first occur in that order.
+    Returns the message a non-canonical matrix is rejected with, or ``None``."""
+    uniq, first = np.unique(ids.ravel(), return_index=True)
+    if len(uniq) != num_orbits or not np.array_equal(uniq, np.arange(len(uniq))):
+        return "orbit ids must be contiguous 0..num_orbits-1"
+    if np.any(np.diff(first) <= 0):
+        return "orbit ids must be canonical (first occurrence increasing)"
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(0, 4), data=st.data())
+def test_sharing_pattern_accepts_exactly_the_canonical_matrices(n, data):
+    values = data.draw(st.lists(st.integers(-1, 5), min_size=n * n, max_size=n * n))
+    ids = np.array(values, dtype=np.int64).reshape(n, n)
+    if data.draw(st.booleans()):  # relabel by first occurrence, so canonical matrices come up
+        _, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+        ids = np.argsort(np.argsort(first))[inverse].reshape(n, n)
+    num_orbits = data.draw(st.integers(-1, 6))
+    expected = sorted_canonical_form_error(ids, num_orbits)
+    if expected is None:
+        assert np.array_equal(SharingPattern(orbit_id=ids, num_orbits=num_orbits).orbit_id, ids)
+    else:
+        with pytest.raises(ValueError) as info:
+            SharingPattern(orbit_id=ids, num_orbits=num_orbits)
+        assert str(info.value) == expected
 
 
 def test_orbit_pattern_symmetric_group():

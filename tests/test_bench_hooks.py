@@ -6,6 +6,7 @@ the library would otherwise show up only as a crashed benchmark run.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -14,7 +15,10 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 import wreathlin.pointcloud
+from wreathlin.train import init_attn_layer, init_set_layer, init_wreath_layer
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -58,3 +62,25 @@ def test_importing_train_loads_basis():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, wreathlin.train; assert 'wreathlin.basis' in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_layer_gradients_are_keyed_by_the_layer_fields():
+    """``perfbench/worker.py``'s SGD step passes the keys of ``backward``'s
+    gradient dict to ``dataclasses.replace`` on the layer, and
+    ``train._block_params`` reads the layer's fields, so for every layer class
+    the two must name the same arrays."""
+    rng = np.random.default_rng(0)
+    pc = wreathlin.pointcloud
+    layers = {
+        pc.WreathPCLayer: init_wreath_layer(4, 3, 1, rng),
+        pc.SetPCLayer: init_set_layer(4, 3, rng),
+        pc.AttnPCLayer: init_attn_layer(4, 3, 2, rng),
+    }
+    assert set(layers) == set(typing.get_args(pc.PCLayer))
+    cloud = pc.PointCloud(coords=rng.uniform(size=(10, 3)), features=rng.normal(size=(10, 4)))
+    vox = pc.voxelize(cloud, 2)
+    for cls, layer in layers.items():
+        assert type(layer) is cls
+        y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
+        grads, _ = pc.layer_backward(layer, vox, cache, np.ones_like(y))
+        assert set(grads) == {f.name for f in dataclasses.fields(layer)}, cls.__name__

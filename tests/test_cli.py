@@ -273,7 +273,7 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
      "--attention 40 is too large: its interaction weights and soft assignments need 836480 bytes, "
      "844768 in all"),
     (["--points-per-blob", "1000"],
-     "--points-per-blob 1000 is too large: nine 3000-point clouds need 1296000 bytes, 1296512 in all"),
+     "--points-per-blob 1000 is too large: 9 clouds of 3000 points need 1296000 bytes, 1296512 in all"),
     (["--blocks", "100"],
      "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 225888 in all"),
     (["--attention", "8", "--blocks", "30"],

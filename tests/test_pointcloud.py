@@ -244,11 +244,38 @@ def test_set_layer_permutation_equivariance():
     rng = np.random.default_rng(8)
     cloud = random_cloud(rng, n=15)
     vox = voxelize(cloud, 2)
-    layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_pool=rng.normal(size=(4, 3)))
+    layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(1, 1, 1, 4, 3)))
     y = pc_layer_forward(layer, vox, cloud.features)[0]
     order = rng.permutation(15)
     y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
     assert np.allclose(y[order], y_perm)
+
+
+def test_set_layer_is_the_global_mean_pool_closed_form():
+    rng = np.random.default_rng(10)
+    n = 40
+    cloud = random_cloud(rng, n=n)
+    vox = voxelize(cloud, 3)
+    assert np.count_nonzero(vox.occupancy) > 1
+    w_point, w_conv = rng.normal(size=(4, 3)), rng.normal(size=(1, 1, 1, 4, 3))
+    layer = SetPCLayer(w_point=w_point, w_conv=w_conv)
+    x, d_y = cloud.features, rng.normal(size=(n, 3))
+    y, cache = layer.forward(vox, x)
+    grads, d_x = layer.backward(vox, cache, d_y)
+
+    mean, w_pool = x.mean(axis=0), w_conv[0, 0, 0]
+    np.testing.assert_allclose(y, x @ w_point + mean @ w_pool, rtol=1e-12)
+    np.testing.assert_allclose(grads["w_point"], x.T @ d_y, rtol=1e-12)
+    np.testing.assert_allclose(grads["w_conv"][0, 0, 0], np.outer(mean, d_y.sum(axis=0)), rtol=1e-12)
+    np.testing.assert_allclose(d_x, d_y @ w_point.T + (w_pool @ d_y.sum(axis=0)) / n, rtol=1e-12)
+
+    # the layer ignores the grid: a shifted or coarser voxelization changes nothing
+    for other in (shift_assignment(vox, (1, 2, 0)), voxelize(cloud, 2)):
+        y_other, cache_other = layer.forward(other, x)
+        assert np.array_equal(y_other, y)
+        grads_other, d_x_other = layer.backward(other, cache_other, d_y)
+        assert np.array_equal(d_x_other, d_x)
+        assert all(np.array_equal(grads_other[k], grads[k]) for k in grads)
 
 
 def test_attention_layer_full_permutation_equivariance():

@@ -11,6 +11,10 @@ from wreathlin.pointcloud import (
     within_voxel_permutation,
 )
 from wreathlin.train import (
+    FEATURE_CHANNELS,
+    HELD_OUT_CLOUDS,
+    HIDDEN_WIDTH,
+    TRAIN_CLOUDS,
     SegBlock,
     TrainingDivergedError,
     block_forward,
@@ -20,11 +24,13 @@ from wreathlin.train import (
     init_attn_layer,
     init_set_layer,
     init_wreath_layer,
+    kernel_width,
     loss_ce,
     make_seg_samples,
     net_backward,
     net_forward,
     run_seg_experiment,
+    seg_setup,
     sgd_train,
     trace_csv,
 )
@@ -192,6 +198,19 @@ def test_seg_samples_have_six_feature_channels():
         assert x.shape == (15, 6)
         assert labels.shape == (15,)
         assert vox.n_points == 15
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+def test_seg_setup_shape_is_the_named_constants(resolution):
+    centers = np.array([[0.25, 0.25, 0.25], [0.75, 0.75, 0.75]])
+    train, test, blocks = seg_setup(centers, 0, resolution=resolution, n_blocks=3, points_per_blob=4)
+    assert len(train) == TRAIN_CLOUDS and len(test) == HELD_OUT_CLOUDS
+    assert all(x.shape == (2 * 4, FEATURE_CHANNELS) for _, x, _ in train + test)
+    K = kernel_width(resolution)
+    assert K == (3 if resolution >= 3 else 1)
+    assert [b.layer.w_conv.shape for b in blocks] == [
+        (K, K, K, FEATURE_CHANNELS, HIDDEN_WIDTH), (K, K, K, HIDDEN_WIDTH, HIDDEN_WIDTH), (K, K, K, HIDDEN_WIDTH, 2)
+    ]
 
 
 def attention_net_and_cloud(points_per_blob, resolution, seed=0):
