@@ -6,13 +6,15 @@ its own ``c_in x c_out`` channel-mixing matrix, so the weight tensor has shape
 ``(num_orbits, c_in, c_out)`` in canonical orbit order.
 
 :func:`apply` runs each factor of the structure once and never materializes
-the ``N x N`` map.  Per channel pair, ``S`` pools and broadcasts in ``O(N)``;
-cyclic subtrees correlate by FFT in ``O(N log N)``; ``trivial`` subtrees, whose
-orbits are single entries in row-major order, multiply by their weights read
-in place as the full map in ``O(N^2)``, their weight count; other products run
-one pass per factor, widening the channels of the side with fewer orbits;
-``wr`` adds the outer map of the pooled fibers to the inner map of each,
-``O(N)`` beyond its factors.
+the ``N x N`` map.  Per channel pair, ``S`` pools by one matrix-vector
+product and broadcasts in ``O(N)``; cyclic subtrees correlate by FFT in
+``O(N log N)``; ``trivial`` subtrees, whose orbits are single entries in
+row-major order, multiply by their weights read in place as the full map in
+``O(N^2)``, their weight count; other products run one pass per factor,
+widening the channels of the side with fewer orbits; ``wr`` adds the outer map
+of the pooled fibers to the inner map of each, ``O(N)`` beyond its factors.  A
+set inner factor adds its pooled row into that cross-fiber term, so each fiber
+is pooled and broadcast once.
 Orbit ids map to node-local coefficients through :func:`basis.orbit_index
 <wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
 :func:`apply_dense` materializes the shared matrix per channel pair and is the
@@ -94,6 +96,25 @@ def _cycle_lengths(expr: Structure) -> tuple[int, ...] | None:
     return (expr.n,) if isinstance(expr, Cycle) else None
 
 
+def _pool(x: np.ndarray) -> np.ndarray:
+    """Sum ``(..., n, c)`` over its point axis as one matrix-vector product.
+
+    BLAS runs it several times faster than a numpy sum over that axis, whose
+    inner loop covers only ``c`` entries at a time.
+    """
+    return np.ones(x.shape[-2]) @ x
+
+
+def _set_terms(coeffs: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-orbit set map before its broadcast: ``w0 - w1`` on the points, ``w1`` on the pool.
+
+    ``coeffs`` holds the diagonal and off-diagonal orbits' ``(c_in, c_out)``
+    matrices, ``x`` is ``(..., n, c_in)`` and ``pooled`` its sum over points.
+    Adding the second result to every row of the first gives the set's map.
+    """
+    return x @ (coeffs[0] - coeffs[1]), pooled @ coeffs[1]
+
+
 def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply ``sum_o coeffs[o] * B_o`` along the second-to-last axis of ``x``.
 
@@ -104,6 +125,8 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
     ``S(1)``) multiplies by ``coeffs`` reshaped in place to its full map;
     ``S`` pools; a product of cycles, its orbits in row-major offset order, is
     one FFT correlation; another ``prod`` runs each factor once; ``wr`` pools.
+    The result is a fresh array that aliases neither ``x`` nor ``coeffs``, so
+    callers may write into it.
     """
     batch, c_in, c_out = x.shape[:-2], coeffs.shape[-2], coeffs.shape[-1]
     n = degree(expr)
@@ -113,8 +136,8 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
     if isinstance(expr, Set):
         # one output buffer, pooled row added in place: the temporaries of
         # x @ W0 + (s - x) @ W1 fault in fresh pages on every large call
-        y = x @ (coeffs[0] - coeffs[1])
-        y += x.sum(axis=-2, keepdims=True) @ coeffs[1]
+        y, row = _set_terms(coeffs, x, _pool(x))
+        y += row[..., None, :]
         return y
     lengths = _cycle_lengths(expr)
     if lengths is not None:
@@ -141,10 +164,17 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         rank = orbit_index(expr)[2]
         ra, ca, _ = orbit_index(expr.outer)
         n_inner = structure_orbit_count(expr.inner)
-        fiber = _apply_structure(expr.inner, coeffs[rank[:n_inner]], xr)
+        pooled = _pool(xr)
         outer_coeffs = np.zeros((len(ra), c_in, c_out))
         outer_coeffs[ra != ca] = coeffs[rank[n_inner:]]
-        fiber += _apply_structure(expr.outer, outer_coeffs, xr.sum(axis=-2))[..., :, None, :]
+        cross = _apply_structure(expr.outer, outer_coeffs, pooled)
+        if isinstance(expr.inner, Set) and expr.inner.n > 1:
+            # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
+            fiber, row = _set_terms(coeffs[rank[:n_inner]], xr, pooled)
+            cross += row
+        else:
+            fiber = _apply_structure(expr.inner, coeffs[rank[:n_inner]], xr)
+        fiber += cross[..., :, None, :]
         return fiber.reshape(*batch, -1, c_out)
     raise TypeError(f"not a structure: {expr!r}")
 
@@ -161,7 +191,7 @@ def apply(layer: EquivariantLayer, x: np.ndarray) -> np.ndarray:
     x = _check_input(layer, x)
     y = _apply_structure(layer.structure, layer.weights, x)
     if layer.bias is not None:
-        y = y + layer.bias
+        y += layer.bias
     return y
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,67 @@ def test_bias_is_added_per_output_channel():
     layer = make_layer("S(2)", np.zeros((2, 1, 2)), c_in=1, c_out=2, bias=[1.0, -2.0])
     y = apply(layer, np.zeros((2, 1)))
     assert np.array_equal(y, np.array([[1.0, -2.0], [1.0, -2.0]]))
+
+
+def relative_error(layer, x):
+    fast, dense = apply(layer, x), apply_dense(layer, x)
+    return np.abs(fast - dense).max() / max(1.0, np.abs(dense).max())
+
+
+# one structure per kernel of ``_apply_structure``
+BRANCHES = {
+    "all-singleton": "prod(trivial(2),trivial(3))",
+    "set": "S(5)",
+    "cycle-fft": "prod(C(3),C(4))",
+    "prod": "prod(S(3),C(4))",
+    "wr": "wr(C(3),S(2))",
+    "wr-over-set": "wr(S(3),C(2))",
+}
+
+
+@pytest.mark.parametrize("text", BRANCHES.values(), ids=BRANCHES.keys())
+def test_output_is_a_fresh_array_and_bias_is_added_in_place(text):
+    rng = np.random.default_rng(8)
+    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, 2))
+    x_before, w_before = x.copy(), layer.weights.copy()
+    y = apply(layer, x)
+    assert not np.shares_memory(y, x) and not np.shares_memory(y, layer.weights)
+    y[...] = 7.0
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(layer.weights, w_before)
+    assert relative_error(layer, x) <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "wr(S(1),S(3))",  # a one-point set keeps its all-singleton kernel
+    "wr(S(2),S(5))",
+    "wr(S(5),C(3))",
+    "wr(wr(S(3),S(2)),S(2))",
+    "prod(wr(S(3),S(2)),C(4))",  # the fold under batch axes
+    "prod(C(3),wr(S(4),S(2)))",
+    "wr(S(3),trivial(2))",
+])
+def test_set_inner_factor_folded_into_cross_fiber_term_matches_dense(text):
+    rng = np.random.default_rng(9)
+    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, 2))
+    assert relative_error(layer, x) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["S(100000)", "wr(S(256),S(384))"])
+def test_warm_apply_allocates_little_beyond_its_output(text):
+    rng = np.random.default_rng(10)
+    layer = random_layer(parse_structure(text), c_in=8, c_out=8, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, 8))
+    apply(layer, x)  # fills the orbit tables
+    tracemalloc.start()
+    try:
+        y = apply(layer, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * y.nbytes
 
 
 def test_product_factor_maps_commute():
