@@ -4,7 +4,11 @@ The closed-form rules are:
   * one set of n:            2   (diagonal, off-diagonal)
   * one cycle of n:          n   (circulant offsets)
   * prod(A,B):               count(A) * count(B)
-  * wr(inner,outer):         count(inner) + count(outer) - 1   (transitive factors)
+  * wr(inner,outer):         m1(outer) * count(inner)
+                             + (count(outer) - m1(outer)) * m1(inner)**2
+    where m1 counts point orbits (1 for S and C, n for trivial(n), multiplied
+    by prod and wr); with transitive factors this is
+    count(inner) + count(outer) - 1
 
 Each count below is recomputed three more ways that share no code with the
 rules: union-find orbits under the generated group, the average number of

@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import rational
-from .perm import PermGroup, Permutation, enumerate_group, fixed_point_count
-from .structure import Cycle, Leaf, Prod, Set, Structure, Wreath, degree
+from .perm import PermGroup, Permutation, enumerate_group
+from .structure import Cycle, Leaf, Prod, Set, Structure, Trivial, Wreath, degree, orbit_counts
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
 
@@ -137,10 +137,17 @@ def orbit_pattern(group: PermGroup) -> SharingPattern:
     return canonical_pattern(labels.reshape(n, n))
 
 
-def burnside_count(group: PermGroup, limit: int | None = None) -> int:
-    """Number of pair orbits: ``(1/|G|) * sum_g fix(g)**2`` over all elements."""
-    elements = enumerate_group(group, limit)
-    total = sum(fixed_point_count(g) ** 2 for g in elements)
+def burnside_count(group: PermGroup, limit: int | None = None, elements: np.ndarray | None = None) -> int:
+    """Number of pair orbits: ``(1/|G|) * sum_g fix(g)**2`` over all elements.
+
+    ``elements`` is the group's enumeration (:func:`enumerate_group`) when
+    the caller already holds it; otherwise the group is enumerated here, up
+    to ``limit`` elements.
+    """
+    if elements is None:
+        elements = enumerate_group(group, limit)
+    fixed = (elements == np.arange(group.degree)).sum(axis=1, dtype=np.int64)
+    total = int(fixed @ fixed)
     if total % len(elements) != 0:
         raise ArithmeticError("fixed-point sum not divisible by group order")
     return total // len(elements)
@@ -206,6 +213,25 @@ def commutes_exactly(matrix: np.ndarray, g: Permutation) -> bool:
 
 
 @lru_cache(maxsize=256)
+def point_orbit(expr: Structure) -> np.ndarray:
+    """Point-orbit id of each of the structure's points, numbered by least point.
+
+    Leaves are arithmetic: ``S`` and ``C`` are transitive, and each point of
+    ``trivial`` is its own orbit.  A ``prod`` or ``wr`` point ``p * Q + a``
+    lies in orbit ``(orbit of p, orbit of a)``, outer major.
+    """
+    if isinstance(expr, Leaf):
+        ids = np.arange(expr.n) if isinstance(expr, Trivial) else np.zeros(expr.n, dtype=np.int64)
+    elif isinstance(expr, (Prod, Wreath)):
+        outer, inner = point_orbit(expr.outer), point_orbit(expr.inner)
+        ids = (outer[:, None] * orbit_counts(expr.inner)[0] + inner).ravel()
+    else:
+        raise TypeError(f"not a structure: {expr!r}")
+    ids.setflags(write=False)
+    return ids
+
+
+@lru_cache(maxsize=256)
 def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical orbit order of a structure without building its pattern.
 
@@ -213,11 +239,13 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row-major appearance of canonical orbit ``o`` in
     ``pattern_of_structure(expr)``, and ``rank[k]`` is the canonical id of
     the node's ``k``-th candidate orbit.  A ``prod`` node's candidates are
-    the ``(outer, inner)`` id pairs, outer major; a ``wr`` node's are the
-    inner orbits, then the outer orbits off the diagonal.  Leaves are their
-    own candidates.  Every orbit lies wholly on or wholly off the diagonal,
-    so first appearances compose: a pair's is the two factors' interleaved,
-    and an outer orbit's is its own scaled to fiber corners.
+    the ``(outer, inner)`` id pairs, outer major.  A ``wr`` node's are the
+    ``(outer point orbit, inner orbit)`` pairs on the diagonal blocks, then
+    the ``(outer off-diagonal orbit, inner point orbit, inner point orbit)``
+    triples off them, each outer major.  Leaves are their own candidates.
+    Every orbit lies wholly on or wholly off the diagonal, so first
+    appearances compose: a pair's is the two factors' interleaved, and a
+    point orbit's least point is the row of its diagonal orbit.
     """
     if isinstance(expr, Leaf):
         n = expr.n
@@ -231,7 +259,12 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rows, cols = (ra[:, None] * Q + rb).ravel(), (ca[:, None] * Q + cb).ravel()
         else:
             off = ra != ca
-            rows, cols = np.concatenate([rb, ra[off] * Q]), np.concatenate([cb, ca[off] * Q])
+            corner = ra[~off, None] * Q  # the first fiber of each outer point orbit
+            least = rb[rb == cb]  # the least point of each inner point orbit
+            r, c = np.broadcast_arrays((ra[off] * Q)[:, None, None] + least[:, None],
+                                       (ca[off] * Q)[:, None, None] + least)
+            rows = np.concatenate([(corner + rb).ravel(), r.ravel()])
+            cols = np.concatenate([(corner + cb).ravel(), c.ravel()])
     else:
         raise TypeError(f"not a structure: {expr!r}")
     order = np.lexsort((cols, rows))
@@ -276,10 +309,18 @@ def orbit_of(expr: Structure, i, j) -> np.ndarray:
     if isinstance(expr, Prod):
         candidate = orbit_of(expr.outer, p, q) * structure_orbit_count(expr.inner) + inner
     else:
-        # off-diagonal outer orbits follow the inner ones, in canonical order
+        # diagonal blocks: (outer point orbit, inner orbit); off them, the
+        # off-diagonal outer orbit in canonical order, then the inner point
+        # orbits of both entries
         ra, ca, _ = orbit_index(expr.outer)
-        off = np.cumsum(ra != ca) + (structure_orbit_count(expr.inner) - 1)
-        candidate = np.where(p == q, inner, off[orbit_of(expr.outer, p, q)])
+        m1, m2 = orbit_counts(expr.inner)
+        off = (np.cumsum(ra != ca) - 1) * m1 * m1 + orbit_counts(expr.outer)[0] * m2
+        inner_points = point_orbit(expr.inner)
+        candidate = np.where(
+            p == q,
+            point_orbit(expr.outer)[p] * m2 + inner,
+            off[orbit_of(expr.outer, p, q)] + inner_points[a] * m1 + inner_points[b],
+        )
     return rank[candidate]
 
 

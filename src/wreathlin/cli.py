@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,13 +28,14 @@ from .basis import (
     pattern_summary,
 )
 from .layer import equivariance_check, random_layer
-from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, max_order_limit
+from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
 from .pointcloud import format_predictions, make_blob_scene
 from .structure import (
     Structure,
     degree,
     format_structure,
     group_of,
+    group_order,
     param_count,
     parse_structure,
     reassociate_wreaths,
@@ -96,6 +98,18 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     return _emit(pattern_summary(format_structure(expr), pattern), args.out)
 
 
+def _order_text(order: int) -> str:
+    """``order N``, or the digit count of an order above 15 digits."""
+    if order < 10 ** 15:
+        return f"order {order}"
+    digits = int(math.log10(order))  # within one of the count; exact ints settle it
+    while 10 ** digits <= order:
+        digits += 1
+    while 10 ** (digits - 1) > order:
+        digits -= 1
+    return f"order has {digits} digits"
+
+
 def _verify_rows(expr, max_order: int, trials: int):
     """Yield (leg, status, detail) rows; status is 'pass'/'FAIL'/'skip'."""
     group = group_of(expr)
@@ -110,11 +124,20 @@ def _verify_rows(expr, max_order: int, trials: int):
     yield ("pattern-equality", "pass" if pattern == generated else "FAIL",
            "closed-form pattern matches generator orbits")
 
-    try:
-        b = burnside_count(group, limit=max_order)
-        yield ("burnside", "pass" if b == closed else "FAIL", f"average fixed points = {b}")
-    except EnumerationLimitError:
-        yield ("burnside", "skip", f"warning: group order exceeds limit {max_order}")
+    order = group_order(expr)
+    if order > max_order:
+        yield ("burnside", "skip", f"warning: group order exceeds limit {max_order}: {_order_text(order)}")
+    else:
+        # one enumeration serves both legs; more elements than the order is a failure
+        try:
+            elements = enumerate_group(group, limit=order)
+        except EnumerationLimitError:
+            yield ("group-order", "FAIL", f"generators give more than the closed-form order {order}")
+        else:
+            yield ("group-order", "pass" if len(elements) == order else "FAIL",
+                   f"{len(elements)} elements enumerated, closed-form order {order}")
+            b = burnside_count(group, elements=elements)
+            yield ("burnside", "pass" if b == closed else "FAIL", f"average fixed points = {b}")
 
     if degree(expr) <= DEFAULT_ORACLE_MAX_DEGREE:
         oracle = commutant_basis(group)

@@ -12,9 +12,12 @@ product and broadcasts in ``O(N)``; cyclic subtrees correlate by FFT in
 row-major order, multiply by their weights read in place as the full map in
 ``O(N^2)``, their weight count; other products run one pass per factor,
 widening the channels of the side with fewer orbits; ``wr`` adds the outer map
-of the pooled fibers to the inner map of each, ``O(N)`` beyond its factors.  A
-set inner factor adds its pooled row into that cross-fiber term, so each fiber
-is pooled and broadcast once.
+of the pooled fibers to the inner map of each, ``O(N)`` beyond its factors.
+Fibers pool per inner point orbit, one indicator product, and the outer map
+runs at channels widened by that orbit count; the inner map runs once per
+outer point orbit, with that orbit's weights.  A set inner factor adds its
+pooled row into the cross-fiber term, so each fiber is pooled and broadcast
+once.
 Orbit ids map to node-local coefficients through :func:`basis.orbit_index
 <wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
 :func:`apply_dense` materializes the shared matrix per channel pair and is the
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import materialize, orbit_index, pattern_of_structure, structure_orbit_count
+from .basis import materialize, orbit_index, pattern_of_structure, point_orbit, structure_orbit_count
 from .perm import PermGroup, permute_rows
 from .structure import (
     Cycle,
@@ -40,6 +43,7 @@ from .structure import (
     degree,
     format_structure,
     group_of,
+    orbit_counts,
     parse_structure,
 )
 
@@ -161,20 +165,43 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
             y = _apply_structure(expr.inner, pick, u.swapaxes(-2, -3))
         return y.reshape(*batch, -1, c_out)
     if isinstance(expr, Wreath):
+        P, Q = xr.shape[-3:-1]
         rank = orbit_index(expr)[2]
         ra, ca, _ = orbit_index(expr.outer)
-        n_inner = structure_orbit_count(expr.inner)
-        pooled = _pool(xr)
-        outer_coeffs = np.zeros((len(ra), c_in, c_out))
-        outer_coeffs[ra != ca] = coeffs[rank[n_inner:]]
-        cross = _apply_structure(expr.outer, outer_coeffs, pooled)
-        if isinstance(expr.inner, Set) and expr.inner.n > 1:
-            # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
-            fiber, row = _set_terms(coeffs[rank[:n_inner]], xr, pooled)
-            cross += row
+        (a1, _), (b1, b2) = orbit_counts(expr.outer), orbit_counts(expr.inner)
+        inner_coeffs = coeffs[rank[:a1 * b2]].reshape(a1, b2, c_in, c_out)
+        # an off-diagonal outer orbit maps the pool of inner point orbit r' to inner point orbit r
+        outer_coeffs = np.zeros((len(ra), b1 * c_in, b1 * c_out))
+        outer_coeffs[ra != ca] = (coeffs[rank[a1 * b2:]].reshape(-1, b1, b1, c_in, c_out)
+                                  .transpose(0, 2, 3, 1, 4).reshape(-1, b1 * c_in, b1 * c_out))
+        inner_points = point_orbit(expr.inner)
+        if b1 == 1:
+            pooled = _pool(xr)
         else:
-            fiber = _apply_structure(expr.inner, coeffs[rank[:n_inner]], xr)
-        fiber += cross[..., :, None, :]
+            pooled = (np.eye(b1)[inner_points].T @ xr).reshape(*batch, P, b1 * c_in)
+        cross = _apply_structure(expr.outer, outer_coeffs, pooled)
+
+        def inner_map(w: np.ndarray, at) -> np.ndarray:
+            if isinstance(expr.inner, Set) and expr.inner.n > 1:
+                # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
+                part, row = _set_terms(w, xr[..., at, :, :], pooled[..., at, :])
+                cross[..., at, :] += row
+                return part
+            return _apply_structure(expr.inner, w, xr[..., at, :, :])
+
+        if a1 == 1:
+            fiber = inner_map(inner_coeffs[0], slice(None))
+        else:
+            # the inner map runs once per outer point orbit, on that orbit's fibers
+            fiber = np.empty((*batch, P, Q, c_out))
+            outer_points = point_orbit(expr.outer)
+            for s in range(a1):
+                at = np.flatnonzero(outer_points == s)
+                fiber[..., at, :, :] = inner_map(inner_coeffs[s], at)
+        if b1 == 1:
+            fiber += cross[..., :, None, :]
+        else:
+            fiber += cross.reshape(*batch, P, b1, c_out)[..., inner_points, :]
         return fiber.reshape(*batch, -1, c_out)
     raise TypeError(f"not a structure: {expr!r}")
 

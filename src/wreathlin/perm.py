@@ -133,10 +133,6 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-def fixed_point_count(p: Permutation) -> int:
-    return sum(1 for i, img in enumerate(p.images) if i == img)
-
-
 def permute_rows(p: Permutation, x: np.ndarray) -> np.ndarray:
     """Row action of ``perm_to_matrix(p)``: row ``j`` of ``x`` moves to row ``p(j)``."""
     x = np.asarray(x)
@@ -194,53 +190,78 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
 
 
+def orbit_minima(group: PermGroup) -> list[int]:
+    """The least point of each orbit of ``group`` on its points, ascending."""
+    seen = [False] * group.degree
+    minima = []
+    for start in range(group.degree):
+        if seen[start]:
+            continue
+        minima.append(start)
+        seen[start] = True
+        stack = [start]
+        while stack:
+            point = stack.pop()
+            for g in group.generators:
+                image = g.images[point]
+                if not seen[image]:
+                    seen[image] = True
+                    stack.append(image)
+    return minima
+
+
 def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     """Imprimitive wreath action of ``inner`` along fibers permuted by ``outer``.
 
     Acts on ``P * Q`` points arranged as ``P`` fibers of size ``Q``.  The
     generators are the lifted outer generators ``(p, q) -> (h.p, q)`` plus the
-    inner generators acting in fiber 0 only.  When the outer group is
-    transitive these generate the full wreath product, of order
+    inner generators acting in the first fiber of each outer point orbit
+    only.  Conjugating by the outer group carries them to every other fiber,
+    so they generate the full wreath product, of order
     ``|inner| ** P * |outer|``.
     """
     P, Q = outer.degree, inner.degree
     id_P, id_Q = identity(P), identity(Q)
     gens = [wreath_element(h, [id_Q] * P) for h in outer.generators]
-    gens += [wreath_element(id_P, [k] + [id_Q] * (P - 1)) for k in inner.generators]
+    for p in orbit_minima(outer):
+        gens += [wreath_element(id_P, [id_Q] * p + [k] + [id_Q] * (P - 1 - p)) for k in inner.generators]
     label = f"({inner.label} wr {outer.label})"
     return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
 
 
-def enumerate_group(group: PermGroup, limit: int | None = None) -> list[Permutation]:
-    """All elements of the generated group, by breadth-first closure.
+def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
+    """All elements of the generated group, as the rows of an ``(m, N)`` array.
 
-    Raises :class:`EnumerationLimitError` as soon as the closure exceeds
-    ``limit`` (default :func:`max_order_limit`).
+    Each row holds the images of one element in word form, the identity
+    first.  One breadth-first closure applies every generator to the whole
+    frontier by fancy indexing and drops rows already seen, compared as whole
+    rows through a void view.  The dtype is the smallest unsigned integer
+    that holds ``N - 1``.  Raises :class:`EnumerationLimitError` after the
+    first level that takes the closure past ``limit`` (default
+    :func:`max_order_limit`).
     """
     if limit is None:
         limit = max_order_limit()
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    start = identity(group.degree)
-    seen = {start.images}
-    elements = [start]
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for e in frontier:
-            for g in group.generators:
-                f = compose(g, e)
-                if f.images not in seen:
-                    if len(seen) >= limit:
-                        raise EnumerationLimitError(
-                            f"group {group.label or group.generators} exceeds "
-                            f"enumeration limit {limit}"
-                        )
-                    seen.add(f.images)
-                    elements.append(f)
-                    next_frontier.append(f)
-        frontier = next_frontier
-    return elements
+    n = group.degree
+    dtype = np.min_scalar_type(n - 1)
+    gens = np.array([g.images for g in group.generators], dtype=dtype)
+    row = np.dtype((np.void, n * dtype.itemsize))
+    seen = frontier = np.arange(n, dtype=dtype).view(row)
+    while len(frontier):
+        # compose(g, e) = g[e] for every generator g and frontier element e
+        images = gens[:, frontier.view(dtype).reshape(-1, n)]
+        # asking for the first indices keeps np.unique on its sort path, which
+        # is the faster one on void rows and does not import numpy.ma
+        new, _ = np.unique(np.ascontiguousarray(images).view(row).ravel(), return_index=True)
+        frontier = new[~np.isin(new, seen, assume_unique=True)]
+        seen = np.concatenate([seen, frontier])
+        if len(seen) > limit:
+            raise EnumerationLimitError(
+                f"group {group.label or group.generators} exceeds enumeration limit {limit}"
+            )
+    return seen.view(dtype).reshape(-1, n)
 
 
 def perm_to_matrix(p: Permutation) -> np.ndarray:

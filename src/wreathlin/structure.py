@@ -14,6 +14,7 @@ Expressions nest arbitrarily and are whitespace insensitive.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -193,23 +194,54 @@ def group_of(expr: Structure) -> PermGroup:
     raise TypeError(f"not a structure: {expr!r}")
 
 
-def param_count(expr: Structure) -> int:
-    """Closed-form free-parameter count of an equivariant map.
+def orbit_counts(expr: Structure) -> tuple[int, int]:
+    """``(m1, m2)``: the numbers of point orbits and of pair orbits."""
+    if isinstance(expr, Set):
+        return 1, min(expr.n, 2)
+    if isinstance(expr, Cycle):
+        return 1, expr.n
+    if isinstance(expr, Trivial):
+        return expr.n, expr.n * expr.n
+    if isinstance(expr, Prod):
+        (a1, a2), (b1, b2) = orbit_counts(expr.outer), orbit_counts(expr.inner)
+        return a1 * b1, a2 * b2
+    if isinstance(expr, Wreath):
+        (a1, a2), (b1, b2) = orbit_counts(expr.outer), orbit_counts(expr.inner)
+        return a1 * b1, a1 * b2 + (a2 - a1) * b1 * b1
+    raise TypeError(f"not a structure: {expr!r}")
 
-    Products multiply; hierarchies add and share one parameter:
-    ``wr(B, A)`` costs ``count(B) + count(A) - 1``.  The counts agree with the
-    number of weight-sharing orbits whenever every factor is transitive.
+
+def param_count(expr: Structure) -> int:
+    """Closed-form free-parameter count of an equivariant map: its pair orbits.
+
+    It is the second of two counts, ``m1`` point orbits and ``m2`` pair
+    orbits.  Leaves: ``S(n)`` is ``(1, min(n, 2))``, ``C(n)`` is ``(1, n)``
+    and ``trivial(n)`` is ``(n, n**2)``.  A ``prod`` multiplies both.
+    ``wr(B, A)`` has ``m1 = m1(A) * m1(B)`` point orbits, and
+    ``m2 = m1(A) * m2(B) + (m2(A) - m1(A)) * m1(B)**2`` pair orbits: ``B``'s
+    pair orbits inside the fibers of each outer point orbit, and one per
+    pair of ``B``'s point orbits for each pair orbit of ``A`` off the
+    diagonal.  With transitive factors this is ``count(B) + count(A) - 1``.
+    """
+    return orbit_counts(expr)[1]
+
+
+def group_order(expr: Structure) -> int:
+    """Order of the structure's group, in closed form.
+
+    ``|S(n)| = n!``, ``|C(n)| = n`` and ``|trivial(n)| = 1``; a ``prod``
+    multiplies the orders, and ``|wr(B, A)| = |B| ** degree(A) * |A|``.
     """
     if isinstance(expr, Set):
-        return 1 if expr.n == 1 else 2
+        return math.factorial(expr.n)
     if isinstance(expr, Cycle):
         return expr.n
     if isinstance(expr, Trivial):
-        return expr.n * expr.n
+        return 1
     if isinstance(expr, Prod):
-        return param_count(expr.outer) * param_count(expr.inner)
+        return group_order(expr.outer) * group_order(expr.inner)
     if isinstance(expr, Wreath):
-        return param_count(expr.inner) + param_count(expr.outer) - 1
+        return group_order(expr.inner) ** degree(expr.outer) * group_order(expr.outer)
     raise TypeError(f"not a structure: {expr!r}")
 
 

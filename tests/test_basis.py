@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathlin.basis import (
@@ -22,17 +22,31 @@ from wreathlin.basis import (
     pattern_of_structure,
     pattern_pgm,
     pattern_summary,
+    point_orbit,
     structure_orbit_count,
 )
 from wreathlin.perm import (
     EnumerationLimitError,
     cyclic_group,
+    enumerate_group,
+    orbit_minima,
     symmetric_group,
     trivial_group,
     wreath_product_group,
 )
 from wreathlin.layer import apply, apply_dense, random_layer
-from wreathlin.structure import Cycle, Prod, Set, Trivial, Wreath, degree, group_of, parse_structure
+from wreathlin.structure import (
+    Cycle,
+    Prod,
+    Set,
+    Trivial,
+    Wreath,
+    degree,
+    group_of,
+    group_order,
+    param_count,
+    parse_structure,
+)
 
 
 def P(text):
@@ -267,28 +281,57 @@ def test_structure_orbit_count_agrees_with_pattern(expr, seed):
     np.testing.assert_allclose(apply(layer, x), apply_dense(layer, x), rtol=0, atol=1e-10)
 
 
-def _intransitive_below_wreath(expr, under_wreath=False):
-    if isinstance(expr, (Prod, Wreath)):
-        under = under_wreath or isinstance(expr, Wreath)
-        return _intransitive_below_wreath(expr.outer, under) or _intransitive_below_wreath(expr.inner, under)
-    return under_wreath and isinstance(expr, Trivial) and expr.n > 1
-
-
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(expr=structures(max_degree=36))
+@given(expr=structures(max_degree=40))
 def test_closed_form_pattern_matches_generator_orbits(expr):
     """The closed form against union-find over the generators, on random
-    trees.  Trees with an intransitive factor under a ``wr`` are skipped: the
-    closed form undercounts them (see the xfail below)."""
-    assume(not _intransitive_below_wreath(expr))
-    assert pattern_of_structure(expr) == orbit_pattern(group_of(expr))
+    trees with intransitive factors anywhere; against Burnside where the
+    group has at most 200,000 elements, and against the rational oracle's
+    dimension at degree 24 or less.  ``apply`` still matches ``apply_dense``."""
+    pattern = pattern_of_structure(expr)
+    group = group_of(expr)
+    assert pattern == orbit_pattern(group)
+    assert param_count(expr) == pattern.num_orbits
+    if group_order(expr) <= 200_000:
+        assert burnside_count(group, limit=200_000) == pattern.num_orbits
+    if degree(expr) <= 24:
+        assert commutant_basis(group).size == pattern.num_orbits
+    layer = random_layer(expr, 2, 2, np.random.default_rng(0), bias=True)
+    x = np.random.default_rng(1).standard_normal((layer.degree, 2))
+    np.testing.assert_allclose(apply(layer, x), apply_dense(layer, x), rtol=0, atol=1e-10)
 
 
-@pytest.mark.xfail(strict=True, reason="closed form misses orbits of intransitive factors under wr")
-@pytest.mark.parametrize("text", ["wr(trivial(2),C(3))", "wr(S(3),trivial(2))"])
-def test_closed_form_pattern_with_intransitive_factor_under_wreath(text):
+@pytest.mark.parametrize("text, count", [("wr(trivial(2),C(3))", 12), ("wr(S(3),trivial(2))", 6)])
+def test_closed_form_pattern_with_intransitive_factor_under_wreath(text, count):
     expr = parse_structure(text)
     assert pattern_of_structure(expr) == orbit_pattern(group_of(expr))
+    assert pattern_of_structure(expr).num_orbits == param_count(expr) == count
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expr=structures(max_degree=40))
+def test_enumeration_matches_closed_form_group_order(expr):
+    limit = 5_000
+    order = group_order(expr)
+    if order <= limit:
+        elements = enumerate_group(group_of(expr), limit)
+        assert len(elements) == order
+        assert len({tuple(r) for r in elements}) == order
+    else:
+        with pytest.raises(EnumerationLimitError):
+            enumerate_group(group_of(expr), limit)
+
+
+def test_point_orbit_matches_generator_orbits():
+    for text in ["S(3)", "trivial(3)", "wr(S(3),trivial(2))", "wr(trivial(2),C(3))",
+                 "prod(trivial(2),wr(C(2),trivial(2)))", "wr(prod(trivial(2),S(2)),prod(trivial(2),C(2)))"]:
+        expr = parse_structure(text)
+        ids = point_orbit(expr)
+        # numbered by least point, and constant exactly on the generators' orbits
+        assert np.array_equal(np.unique(ids, return_index=True)[1], orbit_minima(group_of(expr))), text
+        for g in group_of(expr).generators:
+            assert np.array_equal(ids[list(g.images)], ids), text
+        assert ids.max() + 1 == len(orbit_minima(group_of(expr))), text
 
 
 def test_apply_builds_no_pattern():

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line entry points, driven through main()."""
 
+import math
+
 import pytest
 
+import wreathlin.cli
 from wreathlin.cli import main
 from wreathlin.structure import MAX_NESTING
 
@@ -115,11 +118,68 @@ def test_verify_reports_reassociation(capsys):
     assert "pattern unchanged under wr(S(2),wr(C(2),C(2)))" in out
 
 
-def test_verify_burnside_skips_above_cap(capsys):
+def test_verify_burnside_skips_above_cap(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a group over the cap was enumerated")
+
+    monkeypatch.setattr(wreathlin.cli, "enumerate_group", no_enumeration)
     code, out, _ = run_cli(capsys, ["verify", "--structure", "S(5)", "--max-order", "100"])
     assert code == 0
-    assert "burnside          skip warning: group order exceeds limit 100" in out
+    assert "burnside          skip warning: group order exceeds limit 100: order 120\n" in out
+    assert "group-order" not in out
     assert out.rstrip().endswith("result: pass")
+
+
+SUITE_ORDERS = {
+    "S(5)": 120,
+    "C(7)": 7,
+    "prod(S(3),C(4))": 24,
+    "wr(C(3),S(2))": 18,
+    "prod(C(6),C(8))": 48,
+    "wr(S(4),S(3))": 82_944,
+    "wr(trivial(2),C(3))": 3,
+    "wr(S(3),trivial(2))": 36,
+}
+
+
+@pytest.mark.parametrize("text", SUITE_ORDERS)
+def test_verify_group_order_leg_passes(capsys, text):
+    code, out, _ = run_cli(capsys, ["verify", "--structure", text])
+    order = SUITE_ORDERS[text]
+    assert f"  group-order       pass {order} elements enumerated, closed-form order {order}\n" in out
+    assert "  burnside          pass " in out
+    assert code == 0 and "FAIL" not in out and "skip" not in out
+
+
+@pytest.mark.parametrize("claimed, detail", [
+    (60, "generators give more than the closed-form order 60"),
+    (240, "120 elements enumerated, closed-form order 240"),
+])
+def test_verify_group_order_leg_fails_on_a_wrong_order(capsys, monkeypatch, claimed, detail):
+    monkeypatch.setattr(wreathlin.cli, "group_order", lambda expr: claimed)
+    code, out, _ = run_cli(capsys, ["verify", "--structure", "S(5)"])
+    assert code == 1
+    assert f"  group-order       FAIL {detail}\n" in out
+    assert out.rstrip().endswith("result: FAIL")
+
+
+def test_verify_skip_names_the_digit_count_of_a_long_order(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--structure", "wr(S(2),S(40))"])
+    digits = len(str(2 ** 40 * math.factorial(40)))
+    assert digits > 15
+    assert f"skip warning: group order exceeds limit 200000: order has {digits} digits\n" in out
+    assert code == 0
+
+
+@pytest.mark.parametrize("order, text", [
+    (10 ** 15 - 1, "order 999999999999999"),
+    (10 ** 15, "order has 16 digits"),
+    (10 ** 41, "order has 42 digits"),
+    (math.factorial(8) ** 9, "order has 42 digits"),
+    (10 ** 5000 - 1, "order has 5000 digits"),  # beyond int-to-str conversion's default limit
+], ids=["15-digits", "16-digits", "42-digits", "wr-S8-S8", "5000-digits"])
+def test_order_text(order, text):
+    assert wreathlin.cli._order_text(order) == text
 
 
 def test_verify_cap_from_environment(monkeypatch, capsys):

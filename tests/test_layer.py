@@ -98,6 +98,8 @@ BRANCHES = {
     "prod": "prod(S(3),C(4))",
     "wr": "wr(C(3),S(2))",
     "wr-over-set": "wr(S(3),C(2))",
+    "wr-intransitive-outer": "wr(C(3),prod(trivial(2),S(2)))",
+    "wr-intransitive-inner": "wr(prod(trivial(2),S(2)),C(3))",
 }
 
 
@@ -126,6 +128,22 @@ def test_output_is_a_fresh_array_and_bias_is_added_in_place(text):
 ])
 def test_set_inner_factor_folded_into_cross_fiber_term_matches_dense(text):
     rng = np.random.default_rng(9)
+    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, 2))
+    assert relative_error(layer, x) <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "wr(S(2),trivial(8))",  # one inner set per outer point: each fiber its own weights
+    "wr(S(3),prod(trivial(3),S(2)))",
+    "wr(trivial(2),C(3))",  # inner point orbits pooled apart
+    "wr(prod(S(2),trivial(3)),S(4))",
+    "wr(wr(trivial(2),S(2)),trivial(2))",
+    "prod(C(3),wr(S(2),trivial(3)))",  # under batch axes
+    "prod(wr(trivial(2),S(3)),S(2))",
+])
+def test_wreath_with_intransitive_factors_matches_dense(text):
+    rng = np.random.default_rng(11)
     layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
     x = rng.normal(size=(layer.degree, 2))
     assert relative_error(layer, x) <= 1e-12

@@ -8,15 +8,16 @@ from wreathlin.perm import (
     DegreeMismatchError,
     EnumerationLimitError,
     InvalidDegreeError,
+    PermGroup,
     Permutation,
     compose,
     cyclic_group,
     direct_product_group,
     enumerate_group,
-    fixed_point_count,
     identity,
     inverse,
     max_order_limit,
+    orbit_minima,
     perm_to_matrix,
     symmetric_group,
     trivial_group,
@@ -82,7 +83,9 @@ def test_symmetric_group_orders():
 
 
 def test_trivial_group_enumeration():
-    assert enumerate_group(trivial_group(5), limit=10) == [identity(5)]
+    elems = enumerate_group(trivial_group(5), limit=10)
+    assert elems.shape == (1, 5)
+    assert {tuple(r) for r in elems} == {identity(5).images}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -107,7 +110,7 @@ def test_direct_product_with_trivial_factor_acts_within_fibers():
     for e in elems:
         for p in range(2):
             for q in range(3):
-                img = e.images[p * 3 + q]
+                img = e[p * 3 + q]
                 assert img // 3 == p  # fiber never changes
 
 
@@ -125,8 +128,8 @@ def test_wreath_with_trivial_inner_is_block_permutation():
     for e in elems:
         # whole fibers move rigidly
         for p in range(2):
-            base = e.images[p * 3]
-            assert all(e.images[p * 3 + q] == base + q for q in range(3))
+            base = e[p * 3]
+            assert all(e[p * 3 + q] == base + q for q in range(3))
 
 
 @pytest.mark.parametrize(
@@ -144,6 +147,53 @@ def test_wreath_order_formula(inner_n, outer_n):
 def test_enumeration_limit_error():
     with pytest.raises(EnumerationLimitError):
         enumerate_group(cyclic_group(7), limit=5)
+
+
+@pytest.mark.parametrize("group, order", [
+    (symmetric_group(5), 120),
+    (cyclic_group(7), 7),
+    (trivial_group(3), 1),
+    (wreath_product_group(symmetric_group(3), trivial_group(2)), 36),
+])
+def test_enumeration_at_the_limit(group, order):
+    """A group of order exactly ``limit`` enumerates; one element less raises."""
+    elements = enumerate_group(group, limit=order)
+    assert elements.shape == (order, group.degree)
+    assert len({tuple(r) for r in elements}) == order
+    assert tuple(elements[0]) == identity(group.degree).images
+    if order > 1:
+        with pytest.raises(EnumerationLimitError):
+            enumerate_group(group, limit=order - 1)
+
+
+def test_enumeration_rows_hold_images_beyond_one_byte():
+    """The row dtype grows with the degree, so large images are not wrapped."""
+    for n in (255, 256, 70_000):
+        elements = enumerate_group(trivial_group(n), limit=1)
+        assert elements.shape == (1, n)
+        assert np.array_equal(elements[0], np.arange(n))
+    rot = enumerate_group(cyclic_group(300), limit=300)
+    assert {tuple(r) for r in rot} == {tuple(np.roll(np.arange(300), -k)) for k in range(300)}
+
+
+def test_orbit_minima():
+    assert orbit_minima(symmetric_group(4)) == [0]
+    assert orbit_minima(trivial_group(3)) == [0, 1, 2]
+    assert orbit_minima(direct_product_group(trivial_group(2), cyclic_group(3))) == [0, 3]
+    assert orbit_minima(PermGroup(5, (Permutation((2, 1, 0, 4, 3)),))) == [0, 1, 3]
+
+
+def test_wreath_over_intransitive_outer_spans_every_fiber():
+    """The inner generators act in the first fiber of each outer point orbit,
+    so every fiber carries its own copy of the inner group."""
+    group = wreath_product_group(symmetric_group(3), trivial_group(2))
+    elements = enumerate_group(group, limit=100)
+    assert len(elements) == 6 ** 2
+    s3 = [Permutation(tuple(r)) for r in enumerate_group(symmetric_group(3), limit=10)]
+    expected = {wreath_element(identity(2), [k0, k1]).images for k0 in s3 for k1 in s3}
+    assert {tuple(r) for r in elements} == expected
+    # trivial inner factor over C(3): only the rotations of whole fibers
+    assert len(enumerate_group(wreath_product_group(trivial_group(2), cyclic_group(3)), limit=100)) == 3
 
 
 def test_max_order_limit_env_override(monkeypatch):
@@ -204,10 +254,10 @@ def test_wreath_action_law_and_decomposition():
     (p, q) -> (h(p), k_{h(p)}(q)) over every outer permutation h and every
     choice of one inner permutation k per fiber."""
     inner, outer = symmetric_group(2), symmetric_group(3)
-    group = set(enumerate_group(wreath_product_group(inner, outer), limit=100))
-    inner_elems = enumerate_group(inner, limit=100)
+    group = {tuple(r) for r in enumerate_group(wreath_product_group(inner, outer), limit=100)}
+    inner_elems = [Permutation(tuple(r)) for r in enumerate_group(inner, limit=100)]
     expected = {
-        wreath_element(h, ks)
+        wreath_element(Permutation(tuple(h)), ks).images
         for h in enumerate_group(outer, limit=100)
         for ks in itertools.product(inner_elems, repeat=3)
     }
@@ -217,12 +267,8 @@ def test_wreath_action_law_and_decomposition():
 
 def test_direct_product_is_subgroup_of_wreath():
     inner, outer = symmetric_group(2), cyclic_group(3)
-    direct = set(enumerate_group(direct_product_group(outer, inner), limit=1000))
-    wreath = set(enumerate_group(wreath_product_group(inner, outer), limit=1000))
+    direct = {tuple(r) for r in enumerate_group(direct_product_group(outer, inner), limit=1000)}
+    wreath = {tuple(r) for r in enumerate_group(wreath_product_group(inner, outer), limit=1000)}
     assert direct <= wreath
     assert len(direct) == 6 and len(wreath) == 24
 
-
-def test_fixed_point_count():
-    assert fixed_point_count(identity(4)) == 4
-    assert fixed_point_count(Permutation(images=(1, 0, 2, 3))) == 2

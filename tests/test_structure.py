@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wreathlin.basis import structure_orbit_count
@@ -13,6 +15,8 @@ from wreathlin.structure import (
     degree,
     format_structure,
     group_of,
+    group_order,
+    orbit_counts,
     param_count,
     parse_structure,
     reassociate_wreaths,
@@ -89,6 +93,29 @@ def test_param_count_closed_forms():
     assert param_count(Prod(outer=Set(3), inner=Set(4))) == 4
     assert param_count(Wreath(inner=Wreath(inner=Set(2), outer=Cycle(2)), outer=Cycle(2))) == 4
     assert param_count(parse_structure("wr(prod(C(2),C(2)),prod(S(2),S(2)))")) == 7
+
+
+def test_param_count_with_intransitive_factors():
+    # (m1, m2) recursion: wr(B, A) has m1(A) * m2(B) + (m2(A) - m1(A)) * m1(B)**2 pair orbits
+    assert orbit_counts(Trivial(3)) == (3, 9)
+    assert orbit_counts(parse_structure("prod(trivial(2),S(3))")) == (2, 8)
+    assert param_count(parse_structure("wr(trivial(2),C(3))")) == 1 * 4 + (3 - 1) * 4
+    assert param_count(parse_structure("wr(S(3),trivial(2))")) == 2 * 2 + (4 - 2) * 1
+    assert orbit_counts(parse_structure("wr(S(3),trivial(2))")) == (2, 6)
+    assert param_count(parse_structure("wr(trivial(3),trivial(2))")) == 36
+    assert param_count(parse_structure("wr(wr(trivial(2),S(2)),trivial(2))")) == 24
+
+
+def test_group_order_closed_forms():
+    assert group_order(Set(4)) == 24
+    assert group_order(Set(1)) == 1
+    assert group_order(Cycle(5)) == 5
+    assert group_order(Trivial(3)) == 1
+    assert group_order(parse_structure("prod(S(3),C(4))")) == 24
+    assert group_order(parse_structure("wr(S(4),S(3))")) == 24 ** 3 * 6
+    assert group_order(parse_structure("wr(S(3),trivial(2))")) == 36
+    assert group_order(parse_structure("wr(trivial(2),C(3))")) == 3
+    assert group_order(parse_structure("wr(S(8),S(8))")) == math.factorial(8) ** 9
 
 
 def test_group_of_primitives_and_composites():
