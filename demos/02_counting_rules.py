@@ -17,6 +17,7 @@ exact rational commutation system.
 """
 
 from wreathlin.basis import burnside_count, commutant_basis, orbit_pattern, pattern_of_structure
+from wreathlin.perm import enumerate_group
 from wreathlin.structure import group_of, param_count, parse_structure
 
 STRUCTURES = [
@@ -37,7 +38,7 @@ for text in STRUCTURES:
     group = group_of(expr)
     closed = param_count(expr)
     orbits = orbit_pattern(group).num_orbits
-    fixed = burnside_count(group, limit=200_000)
+    fixed = burnside_count(enumerate_group(group, limit=200_000))
     null_dim = commutant_basis(group).size
     tick = "ok" if closed == orbits == fixed == null_dim else "MISMATCH"
     print(f"{text:40s} {closed:6d} {orbits:6d} {fixed:7d} {null_dim:8d}  {tick}")

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rational
-from .perm import PermGroup, Permutation, enumerate_group
+from .perm import PermGroup, Permutation
 from .structure import Cycle, Leaf, Prod, Set, Structure, Trivial, Wreath, degree, orbit_counts
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
@@ -137,16 +137,13 @@ def orbit_pattern(group: PermGroup) -> SharingPattern:
     return canonical_pattern(labels.reshape(n, n))
 
 
-def burnside_count(group: PermGroup, limit: int | None = None, elements: np.ndarray | None = None) -> int:
+def burnside_count(elements: np.ndarray) -> int:
     """Number of pair orbits: ``(1/|G|) * sum_g fix(g)**2`` over all elements.
 
-    ``elements`` is the group's enumeration (:func:`enumerate_group`) when
-    the caller already holds it; otherwise the group is enumerated here, up
-    to ``limit`` elements.
+    ``elements`` is the whole group as :func:`~wreathlin.perm.enumerate_group`
+    returns it, one element's images per row.
     """
-    if elements is None:
-        elements = enumerate_group(group, limit)
-    fixed = (elements == np.arange(group.degree)).sum(axis=1, dtype=np.int64)
+    fixed = (elements == np.arange(elements.shape[1])).sum(axis=1, dtype=np.int64)
     total = int(fixed @ fixed)
     if total % len(elements) != 0:
         raise ArithmeticError("fixed-point sum not divisible by group order")

@@ -174,11 +174,9 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         outer_coeffs = np.zeros((len(ra), b1 * c_in, b1 * c_out))
         outer_coeffs[ra != ca] = (coeffs[rank[a1 * b2:]].reshape(-1, b1, b1, c_in, c_out)
                                   .transpose(0, 2, 3, 1, 4).reshape(-1, b1 * c_in, b1 * c_out))
+        # pool each fiber per inner point orbit; one orbit makes it np.ones(Q) @ xr
         inner_points = point_orbit(expr.inner)
-        if b1 == 1:
-            pooled = _pool(xr)
-        else:
-            pooled = (np.eye(b1)[inner_points].T @ xr).reshape(*batch, P, b1 * c_in)
+        pooled = (np.eye(b1)[inner_points].T @ xr).reshape(*batch, P, b1 * c_in)
         cross = _apply_structure(expr.outer, outer_coeffs, pooled)
 
         def inner_map(w: np.ndarray, at) -> np.ndarray:

@@ -233,12 +233,14 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     """All elements of the generated group, as the rows of an ``(m, N)`` array.
 
     Each row holds the images of one element in word form, the identity
-    first.  One breadth-first closure applies every generator to the whole
-    frontier by fancy indexing and drops rows already seen, compared as whole
-    rows through a void view.  The dtype is the smallest unsigned integer
-    that holds ``N - 1``.  Raises :class:`EnumerationLimitError` after the
-    first level that takes the closure past ``limit`` (default
-    :func:`max_order_limit`).
+    first, then breadth-first order.  The closure applies one generator at a
+    time to the whole frontier by fancy indexing and keeps the rows whose
+    bytes it has not seen, so each element costs one hashed lookup however
+    deep the group is.  The dtype is the smallest unsigned integer that
+    holds ``N - 1``.  Raises :class:`EnumerationLimitError` as soon as one
+    generator's images take the closure past ``limit`` (default
+    :func:`max_order_limit`), so the work done before raising stays within
+    about twice ``limit`` rows.
     """
     if limit is None:
         limit = max_order_limit()
@@ -248,20 +250,21 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     dtype = np.min_scalar_type(n - 1)
     gens = np.array([g.images for g in group.generators], dtype=dtype)
     row = np.dtype((np.void, n * dtype.itemsize))
-    seen = frontier = np.arange(n, dtype=dtype).view(row)
-    while len(frontier):
-        # compose(g, e) = g[e] for every generator g and frontier element e
-        images = gens[:, frontier.view(dtype).reshape(-1, n)]
-        # asking for the first indices keeps np.unique on its sort path, which
-        # is the faster one on void rows and does not import numpy.ma
-        new, _ = np.unique(np.ascontiguousarray(images).view(row).ravel(), return_index=True)
-        frontier = new[~np.isin(new, seen, assume_unique=True)]
-        seen = np.concatenate([seen, frontier])
-        if len(seen) > limit:
-            raise EnumerationLimitError(
-                f"group {group.label or group.generators} exceeds enumeration limit {limit}"
-            )
-    return seen.view(dtype).reshape(-1, n)
+    seen = dict.fromkeys([np.arange(n, dtype=dtype).tobytes()])  # insertion-ordered set of rows
+    frontier = list(seen)
+    while frontier:
+        rows = np.frombuffer(b"".join(frontier), dtype=dtype).reshape(-1, n)
+        frontier = []
+        for g in gens:
+            # compose(g, e) = g[e]; distinct rows e give distinct images
+            new = [key for key in g[rows].view(row).ravel().tolist() if key not in seen]
+            seen.update(dict.fromkeys(new))
+            frontier += new
+            if len(seen) > limit:
+                raise EnumerationLimitError(
+                    f"group {group.label or group.generators} exceeds enumeration limit {limit}"
+                )
+    return np.frombuffer(bytearray(b"".join(seen)), dtype=dtype).reshape(-1, n)
 
 
 def perm_to_matrix(p: Permutation) -> np.ndarray:

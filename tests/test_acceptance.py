@@ -32,6 +32,7 @@ from wreathlin.pointcloud import (
     voxelize,
     within_voxel_permutation,
 )
+from wreathlin.perm import enumerate_group
 from wreathlin.structure import group_of, param_count, parse_structure
 from wreathlin.train import (
     SegBlock,
@@ -102,7 +103,7 @@ def test_count_routes_agree_across_structures():
         routes = (
             pattern_of_structure(expr).num_orbits,
             orbit_pattern(group).num_orbits,
-            burnside_count(group, limit=200_000),
+            burnside_count(enumerate_group(group, limit=200_000)),
             _oracle(text).size,
         )
         assert all(r == closed for r in routes), f"{text}: closed={closed} routes={routes}"

@@ -133,14 +133,14 @@ def test_orbit_pattern_hierarchy_of_sets():
 
 
 def test_burnside_counts():
-    assert burnside_count(wreath_product_group(symmetric_group(2), symmetric_group(3))) == 3
-    assert burnside_count(trivial_group(3)) == 9
-    assert burnside_count(cyclic_group(2)) == 2
+    assert burnside_count(enumerate_group(wreath_product_group(symmetric_group(2), symmetric_group(3)))) == 3
+    assert burnside_count(enumerate_group(trivial_group(3))) == 9
+    assert burnside_count(enumerate_group(cyclic_group(2))) == 2
 
 
 def test_burnside_respects_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
-        burnside_count(symmetric_group(4), limit=10)
+        burnside_count(enumerate_group(symmetric_group(4), limit=10))
 
 
 def test_kron_pattern_counts():
@@ -293,7 +293,7 @@ def test_closed_form_pattern_matches_generator_orbits(expr):
     assert pattern == orbit_pattern(group)
     assert param_count(expr) == pattern.num_orbits
     if group_order(expr) <= 200_000:
-        assert burnside_count(group, limit=200_000) == pattern.num_orbits
+        assert burnside_count(enumerate_group(group, limit=200_000)) == pattern.num_orbits
     if degree(expr) <= 24:
         assert commutant_basis(group).size == pattern.num_orbits
     layer = random_layer(expr, 2, 2, np.random.default_rng(0), bias=True)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +176,36 @@ def test_enumeration_rows_hold_images_beyond_one_byte():
         assert np.array_equal(elements[0], np.arange(n))
     rot = enumerate_group(cyclic_group(300), limit=300)
     assert {tuple(r) for r in rot} == {tuple(np.roll(np.arange(300), -k)) for k in range(300)}
+
+
+def test_deep_closure_costs_one_lookup_per_element():
+    """``C(n)`` is n breadth-first levels deep; each row is compared by hash,
+    not against every row seen so far.  On a 2-core machine ``C(2000)``
+    takes about 0.04 s; a closure that re-scans and copies every row seen at
+    each level took 8.4 s, and a closure over ``Permutation`` objects 1.4 s."""
+    n = 2000
+    start = time.perf_counter()
+    rot = enumerate_group(cyclic_group(n), limit=n)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(rot, (np.arange(n)[:, None] + np.arange(n)) % n)  # row k is the k-th power
+    assert elapsed < 2.0
+
+
+def test_capped_enumeration_stops_near_the_limit():
+    """An over-cap group raises within about one generator's images of the
+    limit: the closure never builds a whole level of every generator first.
+    ``wr(S(2),trivial(64))`` has 65 generators and order 2**64."""
+    group = wreath_product_group(symmetric_group(2), trivial_group(64))
+    limit = 5000
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError):
+            enumerate_group(group, limit=limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 2.8x here, bytes keys included; a whole level of images is 117x
+    assert peak < 8 * limit * group.degree
 
 
 def test_orbit_minima():
