@@ -5,11 +5,11 @@ when ``W[g(i), g(j)] == W[i, j]`` for all generators ``g``, i.e. when ``W`` is
 constant on the orbits of the pair action.  This module computes those orbit
 patterns three independent ways:
 
-* :func:`orbit_pattern` -- union-find closure over index pairs, generators only;
+* :func:`orbit_pattern` -- union-find over the generators' pair images;
 * :func:`burnside_count` -- dimension count ``(1/|G|) * sum_g trace(P_g)**2``
   over the enumerated group;
-* :func:`commutant_basis` -- exact rational nullspace of the stacked
-  commutation constraints, one block per generator.
+* :func:`commutant_basis` -- exact rational nullspace of the commutation
+  constraints, one per pair a generator moves, from the same pair images.
 
 The closed form never touches the group itself.  :func:`orbit_index` is the
 one place that decides canonical orbit order: leaves are arithmetic, and
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rational
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, orbit_labels
 from .structure import Cycle, Leaf, Prod, Set, Structure, Trivial, Wreath, degree, orbit_counts
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
@@ -91,50 +91,23 @@ class CommutantBasis:
         return len(self.bases)
 
 
-def canonical_pattern(raw: np.ndarray) -> SharingPattern:
-    """Relabel an arbitrary id matrix into canonical first-occurrence order."""
-    raw = np.asarray(raw)
-    flat = raw.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    ids = rank[np.searchsorted(uniq, flat)].reshape(raw.shape)
-    return SharingPattern(orbit_id=ids, num_orbits=len(uniq))
-
-
-class _UnionFind:
-    """Union-find with path halving over ``0 .. size-1``."""
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _pair_images(group: PermGroup):
+    """Each generator's images on the pairs ``(i, j) = i * N + j``, one row at a time."""
+    n = group.degree
+    for g in group.images.astype(np.min_scalar_type(n * n - 1)):
+        yield (g[:, None] * n + g).ravel()
 
 
 def orbit_pattern(group: PermGroup) -> SharingPattern:
-    """Orbits of the pair action, from the generators alone."""
+    """Orbits of the pair action, from the generators alone.
+
+    :func:`~wreathlin.perm.orbit_labels` gives each pair its orbit's least
+    pair, the orbit's first row-major appearance, so numbering is canonical.
+    """
     n = group.degree
-    uf = _UnionFind(n * n)
-    for g in group.generators:
-        img = g.images
-        for i in range(n):
-            base = i * n
-            gbase = img[i] * n
-            for j in range(n):
-                uf.union(base + j, gbase + img[j])
-    labels = np.fromiter((uf.find(x) for x in range(n * n)), dtype=np.int64, count=n * n)
-    return canonical_pattern(labels.reshape(n, n))
+    labels = orbit_labels(_pair_images(group))
+    least = labels == np.arange(n * n)
+    return SharingPattern((np.cumsum(least) - 1)[labels].reshape(n, n), int(least.sum()))
 
 
 def burnside_count(elements: np.ndarray) -> int:
@@ -163,32 +136,18 @@ def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGRE
             f"degree {n} exceeds the oracle bound {max_degree}; "
             "raise max_degree explicitly to override"
         )
+    b = np.stack(list(_pair_images(group)))
+    a = np.broadcast_to(np.arange(n * n), b.shape)
+    a, b = a[a != b], b[a != b]
+    # one row x_a - x_b per unordered pair {a, b}, at its first occurrence in
+    # generator-major, row-major order: the row order sets the solve's work
+    first = np.sort(np.unique(np.minimum(a, b) * (n * n) + np.maximum(a, b), return_index=True)[1])
     one = Fraction(1)
-    rows: list[dict[int, Fraction]] = []
-    seen: set[tuple[int, int]] = set()
-    for g in group.generators:
-        img = g.images
-        for i in range(n):
-            for j in range(n):
-                a = i * n + j
-                b = img[i] * n + img[j]
-                if a == b:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows.append({a: one, b: -one})
-    vectors = rational.nullspace(rows, n * n)
-    bases = []
-    for vec in vectors:
-        mat = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = vec[i * n + j]
+    rows = [{i: one, j: -one} for i, j in zip(a[first].tolist(), b[first].tolist())]
+    bases = tuple(np.array(vec, dtype=object).reshape(n, n) for vec in rational.nullspace(rows, n * n))
+    for mat in bases:
         mat.setflags(write=False)
-        bases.append(mat)
-    return CommutantBasis(n=n, bases=tuple(bases))
+    return CommutantBasis(n=n, bases=bases)
 
 
 def materialize(pattern: SharingPattern, weights: np.ndarray) -> np.ndarray:
@@ -329,23 +288,16 @@ def structure_orbit_count(expr: Structure) -> int:
 def constant_on_orbits(matrix: np.ndarray, pattern: SharingPattern) -> bool:
     """Exact check that ``matrix`` lies in the span of the pattern's orbits.
 
-    Works entrywise, so it is exact for Fraction-valued matrices; the residual
-    of projecting onto the pattern span is zero iff this holds.
+    Compares every entry with its orbit's first entry, so it is exact for
+    Fraction-valued matrices; the residual of projecting onto the pattern
+    span is zero iff this holds.
     """
     if matrix.shape != (pattern.n, pattern.n):
         raise ValueError("matrix and pattern shapes differ")
-    values: dict[int, object] = {}
-    ids = pattern.orbit_id
-    for i in range(pattern.n):
-        for j in range(pattern.n):
-            o = int(ids[i, j])
-            v = matrix[i, j]
-            if o in values:
-                if values[o] != v:
-                    return False
-            else:
-                values[o] = v
-    return True
+    ids = pattern.orbit_id.ravel()
+    first = np.unique(ids, return_index=True)[1]  # orbit o first appears at first[o]
+    flat = np.asarray(matrix).ravel()
+    return bool(np.all(flat == flat[first][ids]))
 
 
 def pattern_csv(pattern: SharingPattern) -> str:

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,11 +80,16 @@ class Permutation:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by degree and a nonempty generator tuple."""
+    """A permutation group given by degree and a nonempty generator tuple.
+
+    ``images`` is the read-only ``(k, N)`` array of the generators' images,
+    of the least unsigned dtype that holds ``N - 1``.
+    """
 
     degree: int
     generators: tuple[Permutation, ...]
     label: str = ""
+    images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -94,9 +99,10 @@ class PermGroup:
             raise ValueError("a group needs at least one generator")
         for g in self.generators:
             if g.degree != self.degree:
-                raise DegreeMismatchError(
-                    f"generator degree {g.degree} != group degree {self.degree}"
-                )
+                raise DegreeMismatchError(f"generator degree {g.degree} != group degree {self.degree}")
+        images = np.array([g.images for g in self.generators], dtype=np.min_scalar_type(self.degree - 1))
+        images.setflags(write=False)
+        object.__setattr__(self, "images", images)
 
 
 def identity(n: int) -> Permutation:
@@ -127,10 +133,7 @@ def inverse(p: Permutation) -> Permutation:
     >>> inverse(Permutation((1, 2, 0))).images
     (2, 0, 1)
     """
-    inv = [0] * p.degree
-    for i, img in enumerate(p.images):
-        inv[img] = i
-    return Permutation(tuple(inv))
+    return Permutation(tuple(np.argsort(p.images).tolist()))
 
 
 def permute_rows(p: Permutation, x: np.ndarray) -> np.ndarray:
@@ -190,24 +193,40 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
 
 
+_UNION_CHUNK = 1 << 14  # points that become Python ints at a time
+
+
+def orbit_labels(images) -> np.ndarray:
+    """Least point of each point's orbit under the rows of ``images``.
+
+    ``images`` is a ``(k, m)`` array or an iterable of rows, each a
+    permutation of ``0 .. m-1`` in word form; an iterable keeps one row in
+    memory at a time.  Union-find joins each moved point to its image and
+    roots each class at its least point.
+
+    >>> orbit_labels(np.array([[1, 0, 2, 4, 3], [0, 1, 3, 2, 4]]))
+    array([0, 0, 2, 2, 2])
+    """
+    parent: list[int] = []
+    for row in images:
+        parent = parent or list(range(len(row)))
+        for start in range(0, len(row), _UNION_CHUNK):
+            chunk = np.asarray(row[start:start + _UNION_CHUNK])
+            moved = np.flatnonzero(chunk != np.arange(start, start + len(chunk)))
+            for a, b in zip((moved + start).tolist(), chunk[moved].tolist()):
+                while parent[a] != a:  # path halving
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                parent[max(a, b)] = min(a, b)
+    for x, p in enumerate(parent):  # p <= x, so parent[p] is already p's root
+        parent[x] = parent[p]
+    return np.array(parent, dtype=np.intp)
+
+
 def orbit_minima(group: PermGroup) -> list[int]:
     """The least point of each orbit of ``group`` on its points, ascending."""
-    seen = [False] * group.degree
-    minima = []
-    for start in range(group.degree):
-        if seen[start]:
-            continue
-        minima.append(start)
-        seen[start] = True
-        stack = [start]
-        while stack:
-            point = stack.pop()
-            for g in group.generators:
-                image = g.images[point]
-                if not seen[image]:
-                    seen[image] = True
-                    stack.append(image)
-    return minima
+    return np.flatnonzero(orbit_labels(group.images) == np.arange(group.degree)).tolist()
 
 
 def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
@@ -236,26 +255,24 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     first, then breadth-first order.  The closure applies one generator at a
     time to the whole frontier by fancy indexing and keeps the rows whose
     bytes it has not seen, so each element costs one hashed lookup however
-    deep the group is.  The dtype is the smallest unsigned integer that
-    holds ``N - 1``.  Raises :class:`EnumerationLimitError` as soon as one
-    generator's images take the closure past ``limit`` (default
-    :func:`max_order_limit`), so the work done before raising stays within
-    about twice ``limit`` rows.
+    deep the group is.  The dtype is that of :attr:`PermGroup.images`.
+    Raises :class:`EnumerationLimitError` as soon as one generator's images
+    take the closure past ``limit`` (default :func:`max_order_limit`), so
+    the work done before raising stays within about twice ``limit`` rows.
     """
     if limit is None:
         limit = max_order_limit()
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     n = group.degree
-    dtype = np.min_scalar_type(n - 1)
-    gens = np.array([g.images for g in group.generators], dtype=dtype)
+    dtype = group.images.dtype
     row = np.dtype((np.void, n * dtype.itemsize))
     seen = dict.fromkeys([np.arange(n, dtype=dtype).tobytes()])  # insertion-ordered set of rows
     frontier = list(seen)
     while frontier:
         rows = np.frombuffer(b"".join(frontier), dtype=dtype).reshape(-1, n)
         frontier = []
-        for g in gens:
+        for g in group.images:
             # compose(g, e) = g[e]; distinct rows e give distinct images
             new = [key for key in g[rows].view(row).ravel().tolist() if key not in seen]
             seen.update(dict.fromkeys(new))
@@ -287,16 +304,11 @@ def wreath_element(h: Permutation, ks: list[Permutation] | tuple[Permutation, ..
     if len(ks) != P:
         raise DegreeMismatchError(f"need {P} fiber permutations, got {len(ks)}")
     Q = ks[0].degree
-    for k in ks:
-        if k.degree != Q:
-            raise DegreeMismatchError("fiber permutations must share a degree")
-    images = [0] * (P * Q)
-    for p in range(P):
-        dest = h(p)
-        k = ks[dest]
-        for q in range(Q):
-            images[p * Q + q] = dest * Q + k(q)
-    return Permutation(tuple(images))
+    if any(k.degree != Q for k in ks):
+        raise DegreeMismatchError("fiber permutations must share a degree")
+    dest = np.asarray(h.images)
+    fibers = np.array([k.images for k in ks])
+    return Permutation(tuple((dest[:, None] * Q + fibers[dest]).ravel().tolist()))
 
 
 def wreath_block_matrix(h: Permutation, ks: list[Permutation] | tuple[Permutation, ...]) -> np.ndarray:

@@ -287,10 +287,6 @@ class AttnPCLayer:
     def c_out(self) -> int:
         return self.w_interact.shape[3]
 
-    @property
-    def n_latent(self) -> int:
-        return self.w_assign.shape[1]
-
     def forward(self, vox: VoxelizedCloud | None, x: np.ndarray) -> tuple[np.ndarray, dict]:
         soft = self.w_assign.T @ x.T  # (L, n) logits, softmax over latents in place
         soft -= soft.max(axis=0)

@@ -107,20 +107,18 @@ def format_structure(expr: Structure) -> str:
     raise TypeError(f"not a structure: {expr!r}")
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([(),]))")
+# a token, or else the one character that starts none
+_TOKEN = re.compile(r"\s*(?:(\d+|[A-Za-z_]+|[(),])|(\S))")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos:].isspace():
-            break
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise StructureParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
+    # matches abut up to the last non-space character, so one pass is linear
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        if m.group(2) is not None:
+            pos = m.start()
+            raise StructureParseError(f"unexpected character at position {pos}: {text[pos:pos + 20]!r}")
+        tokens.append(m.group(1))
     return tokens
 
 
@@ -138,7 +136,8 @@ def parse_structure(text: str) -> Structure:
         raise StructureParseError(f"structure nests deeper than {MAX_NESTING} prod/wr levels")
     expr, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
-        raise StructureParseError(f"trailing input after expression: {tokens[pos:]}")
+        more = f" and {len(tokens) - pos - 5} more" if len(tokens) - pos > 5 else ""
+        raise StructureParseError(f"trailing input after expression: {tokens[pos:pos + 5]}{more}")
     return expr
 
 

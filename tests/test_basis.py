@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathlin import rational
 from wreathlin.basis import (
     CommutantBasis,
     DegreeTooLargeError,
     SharingPattern,
     burnside_count,
-    canonical_pattern,
     commutant_basis,
     commutes_exactly,
     constant_on_orbits,
@@ -51,13 +51,6 @@ from wreathlin.structure import (
 
 def P(text):
     return pattern_of_structure(parse_structure(text))
-
-
-def test_canonical_pattern_relabels_first_occurrence_order():
-    raw = np.array([[7, 3], [3, 7]])
-    pat = canonical_pattern(raw)
-    assert np.array_equal(pat.orbit_id, [[0, 1], [1, 0]])
-    assert pat.num_orbits == 2
 
 
 def test_sharing_pattern_validates_canonical_form():
@@ -353,6 +346,50 @@ def test_hierarchy_commutant_within_componentwise_commutant():
         outer_grp = group_of(parse_structure(outer_text))
         for mat in commutant_basis(wreath_product_group(inner_grp, outer_grp)).bases:
             assert constant_on_orbits(mat, direct)
+
+
+def _reference_commutant_rows(group):
+    """The commutation rows as a per-entry walk lists them: one ``x_a - x_b``
+    per unordered pair ``{a, b}``, at its first occurrence, generator major."""
+    n = group.degree
+    one = Fraction(1)
+    rows, seen = [], set()
+    for g in group.generators:
+        img = g.images
+        for i in range(n):
+            for j in range(n):
+                a, b = i * n + j, img[i] * n + img[j]
+                key = (min(a, b), max(a, b))
+                if a != b and key not in seen:
+                    seen.add(key)
+                    rows.append({a: one, b: -one})
+    return rows
+
+
+# the structures of the benchmark's verify workload
+VERIFY_SUITE = ["wr(S(4),S(3))", "wr(S(3),S(5))", "wr(S(8),S(8))", "prod(C(6),C(8))", "S(5)", "C(7)",
+                "prod(S(3),C(4))", "wr(C(3),S(2))", "wr(trivial(2),C(3))", "wr(S(3),trivial(2))"]
+
+
+@pytest.mark.parametrize("text", VERIFY_SUITE)
+def test_commutant_rows_keep_the_per_entry_order(monkeypatch, text):
+    """The rational solve's work depends on its row order, so the vectorised
+    row builder must hand ``nullspace`` the very list the per-entry walk did."""
+    group = group_of(parse_structure(text))
+    seen = []
+    monkeypatch.setattr(rational, "nullspace", lambda rows, n_cols: seen.append(rows) or [])
+    commutant_basis(group)
+    expected = _reference_commutant_rows(group)
+    assert [list(r.items()) for r in seen[0]] == [list(r.items()) for r in expected]
+
+
+def test_constant_on_orbits_is_exact_for_fractions():
+    s2 = orbit_pattern(symmetric_group(2))
+    third = Fraction(1, 3)
+    good = np.array([[third, Fraction(2)], [Fraction(2), Fraction(1, 3)]], dtype=object)
+    bad = np.array([[third, Fraction(2)], [Fraction(2), Fraction(1, 3) + Fraction(1, 10**30)]], dtype=object)
+    assert constant_on_orbits(good, s2)
+    assert not constant_on_orbits(bad, s2)
 
 
 def test_constant_on_orbits_detects_violation():

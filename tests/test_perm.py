@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathlin.perm import (
     DegreeMismatchError,
@@ -19,6 +21,7 @@ from wreathlin.perm import (
     identity,
     inverse,
     max_order_limit,
+    orbit_labels,
     orbit_minima,
     perm_to_matrix,
     symmetric_group,
@@ -213,6 +216,62 @@ def test_orbit_minima():
     assert orbit_minima(trivial_group(3)) == [0, 1, 2]
     assert orbit_minima(direct_product_group(trivial_group(2), cyclic_group(3))) == [0, 3]
     assert orbit_minima(PermGroup(5, (Permutation((2, 1, 0, 4, 3)),))) == [0, 1, 3]
+
+
+def _orbit_closure_minima(rows, m):
+    """Least point of each point's orbit, by closing each point's orbit."""
+    labels = []
+    for start in range(m):
+        orbit, frontier = {start}, [start]
+        while frontier:
+            frontier = {row[p] for row in rows for p in frontier} - orbit
+            orbit.update(frontier)
+        labels.append(min(orbit))
+    return labels
+
+
+def _long_cycle(order):
+    """One cycle through all points, visiting them in ``order``."""
+    images = [0] * len(order)
+    for a, b in zip(order, order[1:] + order[:1]):
+        images[a] = b
+    return images
+
+
+@st.composite
+def generator_rows(draw):
+    m = draw(st.integers(1, 30))
+    rows = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.append(_long_cycle(draw(st.permutations(range(m)))))
+    return [list(r) for r in rows], m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows_m=generator_rows())
+def test_orbit_labels_match_orbit_closure(rows_m):
+    rows, m = rows_m
+    expected = _orbit_closure_minima(rows, m)
+    assert orbit_labels(np.array(rows)).tolist() == expected
+    # rows may also arrive one at a time
+    assert orbit_labels(np.array(r) for r in rows).tolist() == expected
+
+
+def test_orbit_labels_across_chunks_of_a_long_row():
+    """Two cycles of 20,000 points each: union-find follows each cycle across
+    every chunk boundary of the row."""
+    m = 40_000
+    rows = np.array([(np.arange(m) + 2) % m])
+    assert np.array_equal(orbit_labels(rows), np.arange(m) % 2)
+
+
+def test_group_images_are_one_read_only_array():
+    group = symmetric_group(300)
+    assert group.images.shape == (2, 300) and group.images.dtype == np.uint16
+    assert group.images is group.images
+    assert [tuple(r) for r in group.images.tolist()] == [g.images for g in group.generators]
+    with pytest.raises(ValueError):
+        group.images[0, 0] = 1
 
 
 def test_wreath_over_intransitive_outer_spans_every_fiber():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -53,6 +54,15 @@ def test_parse_rejects_malformed_input(text):
 def test_parse_rejects_deep_nesting(depth):
     with pytest.raises(StructureParseError, match="nests deeper"):
         parse_structure("prod(" * depth + "C(2)" + ",S(1))" * depth)
+
+
+def test_long_trailing_input_fails_fast_with_a_short_message():
+    text = "S(1)" + ")" * (1_000_000 - 4)
+    start = time.perf_counter()
+    with pytest.raises(StructureParseError, match="trailing input") as info:
+        parse_structure(text)
+    assert len(str(info.value)) < 200
+    assert time.perf_counter() - start < 10
 
 
 def test_sizes_must_be_positive():
