@@ -296,8 +296,9 @@ def constant_on_orbits(matrix: np.ndarray, pattern: SharingPattern) -> bool:
         raise ValueError("matrix and pattern shapes differ")
     ids = pattern.orbit_id.ravel()
     first = np.unique(ids, return_index=True)[1]  # orbit o first appears at first[o]
+    others = np.delete(np.arange(ids.size), first)
     flat = np.asarray(matrix).ravel()
-    return bool(np.all(flat == flat[first][ids]))
+    return bool(np.all(flat[others] == flat[first[ids[others]]]))
 
 
 def pattern_csv(pattern: SharingPattern) -> str:
