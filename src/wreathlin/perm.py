@@ -154,8 +154,6 @@ def cyclic_group(n: int) -> PermGroup:
     """
     if n < 1:
         raise InvalidDegreeError(f"degree must be at least 1, got {n}")
-    if n == 1:
-        return PermGroup(1, (identity(1),), label="C1")
     rot = Permutation(tuple((i + 1) % n for i in range(n)))
     return PermGroup(n, (rot,), label=f"C{n}")
 

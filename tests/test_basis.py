@@ -383,6 +383,27 @@ def test_commutant_rows_keep_the_per_entry_order(monkeypatch, text):
     assert [list(r.items()) for r in seen[0]] == [list(r.items()) for r in expected]
 
 
+def _reference_constant_on_orbits(matrix, pattern):
+    """The per-entry walk: each orbit's first value, then every later entry."""
+    values = {}
+    for o, v in zip(pattern.orbit_id.ravel().tolist(), matrix.ravel().tolist()):
+        if values.setdefault(o, v) != v:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text", ["S(4)", "C(5)", "trivial(3)", "wr(S(2),C(3))", "wr(S(3),trivial(2))"])
+def test_constant_on_orbits_matches_the_per_entry_walk(text):
+    pattern = P(text)
+    rng = np.random.default_rng(3)
+    tied = materialize(pattern, rng.integers(0, 3, pattern.num_orbits).astype(float))
+    assert constant_on_orbits(tied, pattern) and _reference_constant_on_orbits(tied, pattern)
+    for _ in range(20):
+        changed = tied.copy()
+        changed[tuple(rng.integers(0, pattern.n, 2))] += rng.integers(0, 2)
+        assert constant_on_orbits(changed, pattern) == _reference_constant_on_orbits(changed, pattern)
+
+
 def test_constant_on_orbits_is_exact_for_fractions():
     s2 = orbit_pattern(symmetric_group(2))
     third = Fraction(1, 3)
