@@ -191,7 +191,7 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
 
 
-_UNION_CHUNK = 1 << 14  # points that become Python ints at a time
+_UNION_CHUNK = 1 << 14  # bounds the points of a row held as Python ints at once
 
 
 def orbit_labels(images) -> np.ndarray:

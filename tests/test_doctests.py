@@ -19,4 +19,4 @@ def test_docstring_examples(name):
 
 def test_docstring_examples_exist():
     counts = {name: doctest.testmod(importlib.import_module(name)).attempted for name in MODULES}
-    assert counts["wreathlin.perm"] >= 6 and counts["wreathlin.structure"] >= 2
+    assert counts["wreathlin.perm"] >= 7 and counts["wreathlin.structure"] >= 2
