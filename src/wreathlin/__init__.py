@@ -11,13 +11,9 @@ from .basis import (
 )
 from .perm import (
     PermGroup,
-    Permutation,
-    compose,
     cyclic_group,
     direct_product_group,
     enumerate_group,
-    identity,
-    inverse,
     perm_to_matrix,
     symmetric_group,
     trivial_group,
@@ -42,7 +38,6 @@ __all__ = [
     "CommutantBasis",
     "Cycle",
     "PermGroup",
-    "Permutation",
     "Prod",
     "Set",
     "SharingPattern",
@@ -51,14 +46,11 @@ __all__ = [
     "Wreath",
     "burnside_count",
     "commutant_basis",
-    "compose",
     "cyclic_group",
     "direct_product_group",
     "enumerate_group",
     "format_structure",
     "group_of",
-    "identity",
-    "inverse",
     "materialize",
     "orbit_pattern",
     "param_count",

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rational
-from .perm import PermGroup, Permutation, orbit_labels
+from .perm import PermGroup, orbit_labels
 from .structure import Cycle, Leaf, Prod, Set, Structure, Trivial, Wreath, degree, orbit_counts
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
@@ -94,7 +94,7 @@ class CommutantBasis:
 def _pair_images(group: PermGroup):
     """Each generator's images on the pairs ``(i, j) = i * N + j``, one row at a time."""
     n = group.degree
-    for g in group.images.astype(np.min_scalar_type(n * n - 1)):
+    for g in group.generators.astype(np.min_scalar_type(n * n - 1)):
         yield (g[:, None] * n + g).ravel()
 
 
@@ -144,10 +144,13 @@ def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGRE
     first = np.sort(np.unique(np.minimum(a, b) * (n * n) + np.maximum(a, b), return_index=True)[1])
     one = Fraction(1)
     rows = [{i: one, j: -one} for i, j in zip(a[first].tolist(), b[first].tolist())]
-    bases = tuple(np.array(vec, dtype=object).reshape(n, n) for vec in rational.nullspace(rows, n * n))
-    for mat in bases:
+    bases = []
+    for vec in rational.nullspace(rows, n * n):
+        mat = np.full((n, n), Fraction(0), dtype=object)
+        mat.flat[list(vec)] = list(vec.values())
         mat.setflags(write=False)
-    return CommutantBasis(n=n, bases=bases)
+        bases.append(mat)
+    return CommutantBasis(n=n, bases=tuple(bases))
 
 
 def materialize(pattern: SharingPattern, weights: np.ndarray) -> np.ndarray:
@@ -158,14 +161,13 @@ def materialize(pattern: SharingPattern, weights: np.ndarray) -> np.ndarray:
     return w[pattern.orbit_id]
 
 
-def commutes_exactly(matrix: np.ndarray, g: Permutation) -> bool:
-    """Whether ``matrix`` commutes with the permutation, checked by reindexing.
+def commutes_exactly(matrix: np.ndarray, g: np.ndarray) -> bool:
+    """Whether ``matrix`` commutes with the permutation row ``g``, checked by reindexing.
 
-    ``P_g W == W P_g`` is equivalent to ``W[g(i), g(j)] == W[i, j]``, which
+    ``P_g W == W P_g`` is equivalent to ``W[g[i], g[j]] == W[i, j]``, which
     involves no arithmetic at all.
     """
-    img = np.asarray(g.images)
-    return np.array_equal(matrix, matrix[np.ix_(img, img)])
+    return np.array_equal(matrix, matrix[np.ix_(g, g)])
 
 
 @lru_cache(maxsize=256)

@@ -29,7 +29,8 @@ from .basis import (
 )
 from .layer import equivariance_check, random_layer
 from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
-from .pointcloud import format_predictions, make_blob_scene
+from .pointcloud import (format_predictions, make_blob_scene, permute_points, shift_assignment,
+                         within_voxel_permutation)
 from .structure import (
     Structure,
     degree,
@@ -256,8 +257,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     vox, x, labels = test[0]
     logits, _ = net_forward(trained, vox, x)
     (out_dir / "predictions.txt").write_text(format_predictions(logits.argmax(axis=1)))
-
-    from .pointcloud import permute_points, shift_assignment, within_voxel_permutation
 
     check_rng = np.random.default_rng(args.seed + 7)
     y = logits

@@ -2,22 +2,27 @@
 
 Conventions used throughout the package:
 
-* A permutation of degree ``n`` acts on the points ``0 .. n-1`` and is stored
-  in word form: ``images[i]`` is where point ``i`` is sent.
-* ``compose(p, q)`` applies ``q`` first, then ``p``, so
-  ``compose(p, q)(i) == p(q(i))``.
+* A permutation of degree ``n`` acts on the points ``0 .. n-1`` and is an
+  integer array in word form: ``p[i]`` is where point ``i`` is sent.  A
+  group's generators are the rows of one ``(k, n)`` array.
+* Composition is indexing: ``p[q]`` applies ``q`` first, then ``p``.
+
+  >>> p, q = np.array([1, 2, 0]), np.array([1, 0, 2])
+  >>> p[q]
+  array([2, 1, 0])
+
 * Product constructions act on ``{0 .. P*Q-1}`` with the outer index major:
   the pair ``(p, q)`` of an outer point ``p`` and an inner point ``q`` is the
   point ``p * Q + q``.
-* ``perm_to_matrix(p)`` sends basis vector ``e_j`` to ``e_{p(j)}``.  This
+* ``perm_to_matrix(p)`` sends basis vector ``e_j`` to ``e_{p[j]}``.  This
   orientation makes the map a homomorphism:
-  ``perm_to_matrix(compose(p, q)) == perm_to_matrix(p) @ perm_to_matrix(q)``.
+  ``perm_to_matrix(p[q]) == perm_to_matrix(p) @ perm_to_matrix(q)``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +36,10 @@ class InvalidDegreeError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Permutations or generators of different degrees were mixed."""
+
+
+class InvalidGeneratorError(ValueError):
+    """Generator rows were missing or not permutations of ``0 .. n-1``."""
 
 
 class EnumerationLimitError(RuntimeError):
@@ -51,130 +60,85 @@ def max_order_limit() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of ``{0 .. n-1}`` in word form.
-
-    >>> p = Permutation((1, 2, 0))
-    >>> p(0), p(1), p(2)
-    (1, 2, 0)
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
-        object.__setattr__(self, "images", images)
-        if not images:
-            raise InvalidDegreeError("permutation degree must be at least 1")
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection on 0..{len(images) - 1}: {images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group given by degree and a nonempty generator tuple.
+    """A permutation group given by its degree and the rows of its generators.
 
-    ``images`` is the read-only ``(k, N)`` array of the generators' images,
-    of the least unsigned dtype that holds ``N - 1``.
+    ``generators`` is stored as a read-only ``(k, N)`` array, one permutation
+    of ``0 .. N-1`` per row in word form, of the least unsigned dtype that
+    holds ``N - 1``.  Each distinct row is kept at its first occurrence.
+
+    >>> PermGroup(3, [[1, 2, 0], [1, 0, 2], [1, 2, 0]]).generators
+    array([[1, 2, 0],
+           [1, 0, 2]], dtype=uint8)
     """
 
     degree: int
-    generators: tuple[Permutation, ...]
+    generators: np.ndarray
     label: str = ""
-    images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InvalidDegreeError("group degree must be at least 1")
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
-            raise ValueError("a group needs at least one generator")
-        for g in self.generators:
-            if g.degree != self.degree:
-                raise DegreeMismatchError(f"generator degree {g.degree} != group degree {self.degree}")
-        images = np.array([g.images for g in self.generators], dtype=np.min_scalar_type(self.degree - 1))
-        images.setflags(write=False)
-        object.__setattr__(self, "images", images)
+        n = self.degree
+        if n < 1:
+            raise InvalidDegreeError(f"group degree must be at least 1, got {n}")
+        rows = np.asarray(self.generators)
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise DegreeMismatchError(f"generators need shape (k, {n}), got {rows.shape}")
+        if not len(rows):
+            raise InvalidGeneratorError("a group needs at least one generator")
+        # a row is a permutation exactly when it sorts to 0..n-1; checked
+        # before the cast to unsigned, which would wrap -1 to 255
+        if rows.dtype.kind not in "iu" or (np.sort(rows, axis=1) != np.arange(n)).any():
+            raise InvalidGeneratorError(f"each generator must be a permutation of 0..{n - 1}")
+        rows = rows.astype(np.min_scalar_type(n - 1))
+        unique = dict.fromkeys(map(bytes, rows))  # first occurrences, in order
+        object.__setattr__(self, "generators", np.frombuffer(b"".join(unique), rows.dtype).reshape(-1, n))
 
 
-def identity(n: int) -> Permutation:
-    """The identity permutation on ``n`` points.
+def permute_rows(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row action of ``perm_to_matrix(p)``: row ``j`` of ``x`` moves to row ``p[j]``.
 
-    >>> identity(3).images
-    (0, 1, 2)
+    >>> permute_rows(np.array([1, 2, 0]), np.array([10, 20, 30]))
+    array([30, 10, 20])
     """
-    if n < 1:
-        raise InvalidDegreeError(f"degree must be at least 1, got {n}")
-    return Permutation(tuple(range(n)))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply ``q`` first, then ``p``.
-
-    >>> compose(Permutation((1, 2, 0)), Permutation((1, 2, 0))).images
-    (2, 0, 1)
-    """
-    if p.degree != q.degree:
-        raise DegreeMismatchError(f"cannot compose degrees {p.degree} and {q.degree}")
-    return Permutation(tuple(p.images[q.images[i]] for i in range(p.degree)))
-
-
-def inverse(p: Permutation) -> Permutation:
-    """The inverse permutation.
-
-    >>> inverse(Permutation((1, 2, 0))).images
-    (2, 0, 1)
-    """
-    return Permutation(tuple(np.argsort(p.images).tolist()))
-
-
-def permute_rows(p: Permutation, x: np.ndarray) -> np.ndarray:
-    """Row action of ``perm_to_matrix(p)``: row ``j`` of ``x`` moves to row ``p(j)``."""
     x = np.asarray(x)
-    if x.shape[0] != p.degree:
-        raise DegreeMismatchError(f"array has {x.shape[0]} rows, permutation degree {p.degree}")
+    if x.shape[0] != len(p):
+        raise DegreeMismatchError(f"array has {x.shape[0]} rows, permutation degree {len(p)}")
     out = np.empty_like(x)
-    out[np.asarray(p.images)] = x
+    out[p] = x
     return out
 
 
 def cyclic_group(n: int) -> PermGroup:
     """The cyclic group generated by ``i -> (i + 1) mod n``.
 
-    >>> cyclic_group(4).generators[0].images
-    (1, 2, 3, 0)
+    >>> cyclic_group(4).generators
+    array([[1, 2, 3, 0]], dtype=uint8)
     """
-    if n < 1:
-        raise InvalidDegreeError(f"degree must be at least 1, got {n}")
-    rot = Permutation(tuple((i + 1) % n for i in range(n)))
-    return PermGroup(n, (rot,), label=f"C{n}")
+    return PermGroup(n, [np.arange(1, n + 1) % n], label=f"C{n}")
 
 
 def symmetric_group(n: int) -> PermGroup:
-    """The full symmetric group, generated by a transposition and an n-cycle."""
-    if n < 1:
-        raise InvalidDegreeError(f"degree must be at least 1, got {n}")
-    if n == 1:
-        return PermGroup(1, (identity(1),), label="S1")
-    swap = Permutation((1, 0) + tuple(range(2, n)))
-    rot = Permutation(tuple((i + 1) % n for i in range(n)))
-    gens = (swap,) if swap == rot else (swap, rot)
-    return PermGroup(n, gens, label=f"S{n}")
+    """The full symmetric group, generated by a transposition and an n-cycle.
+
+    >>> symmetric_group(3).generators
+    array([[1, 0, 2],
+           [1, 2, 0]], dtype=uint8)
+    >>> symmetric_group(2).generators  # the swap is the 2-cycle
+    array([[1, 0]], dtype=uint8)
+    """
+    swap = np.arange(n)
+    swap[:2] = swap[:2][::-1]  # the identity when n == 1
+    return PermGroup(n, [swap, np.arange(1, n + 1) % n], label=f"S{n}")
 
 
 def trivial_group(n: int) -> PermGroup:
-    """The trivial group acting on ``n`` points."""
-    if n < 1:
-        raise InvalidDegreeError(f"degree must be at least 1, got {n}")
-    return PermGroup(n, (identity(n),), label=f"trivial{n}")
+    """The trivial group acting on ``n`` points.
+
+    >>> trivial_group(3).generators
+    array([[0, 1, 2]], dtype=uint8)
+    """
+    return PermGroup(n, [np.arange(n)], label=f"trivial{n}")
 
 
 def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
@@ -184,11 +148,10 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     index major.
     """
     P, Q = outer.degree, inner.degree
-    id_P, id_Q = identity(P), identity(Q)
-    gens = [wreath_element(h, [id_Q] * P) for h in outer.generators]
-    gens += [wreath_element(id_P, [k] * P) for k in inner.generators]
-    label = f"({outer.label} x {inner.label})"
-    return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
+    id_P, id_Q = np.arange(P), np.broadcast_to(np.arange(Q), (P, Q))
+    gens = [wreath_element(h, id_Q) for h in outer.generators]
+    gens += [wreath_element(id_P, np.broadcast_to(k, (P, Q))) for k in inner.generators]
+    return PermGroup(P * Q, np.stack(gens), label=f"({outer.label} x {inner.label})")
 
 
 _UNION_CHUNK = 1 << 14  # bounds the points of a row held as Python ints at once
@@ -224,7 +187,7 @@ def orbit_labels(images) -> np.ndarray:
 
 def orbit_minima(group: PermGroup) -> list[int]:
     """The least point of each orbit of ``group`` on its points, ascending."""
-    return np.flatnonzero(orbit_labels(group.images) == np.arange(group.degree)).tolist()
+    return np.flatnonzero(orbit_labels(group.generators) == np.arange(group.degree)).tolist()
 
 
 def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
@@ -238,12 +201,11 @@ def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     ``|inner| ** P * |outer|``.
     """
     P, Q = outer.degree, inner.degree
-    id_P, id_Q = identity(P), identity(Q)
-    gens = [wreath_element(h, [id_Q] * P) for h in outer.generators]
-    for p in orbit_minima(outer):
-        gens += [wreath_element(id_P, [id_Q] * p + [k] + [id_Q] * (P - 1 - p)) for k in inner.generators]
-    label = f"({inner.label} wr {outer.label})"
-    return PermGroup(P * Q, tuple(dict.fromkeys(gens)), label=label)
+    id_P, id_Q = np.arange(P), np.broadcast_to(np.arange(Q), (P, Q))
+    gens = [wreath_element(h, id_Q) for h in outer.generators]
+    for p in orbit_minima(outer):  # k in fiber p, the identity in every other fiber
+        gens += [wreath_element(id_P, np.where(id_P[:, None] == p, k, id_Q)) for k in inner.generators]
+    return PermGroup(P * Q, np.stack(gens), label=f"({inner.label} wr {outer.label})")
 
 
 def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
@@ -253,7 +215,7 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     first, then breadth-first order.  The closure applies one generator at a
     time to the whole frontier by fancy indexing and keeps the rows whose
     bytes it has not seen, so each element costs one hashed lookup however
-    deep the group is.  The dtype is that of :attr:`PermGroup.images`.
+    deep the group is.  The dtype is that of :attr:`PermGroup.generators`.
     Raises :class:`EnumerationLimitError` as soon as one generator's images
     take the closure past ``limit`` (default :func:`max_order_limit`), so
     the work done before raising stays within about twice ``limit`` rows.
@@ -263,63 +225,61 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     n = group.degree
-    dtype = group.images.dtype
+    dtype = group.generators.dtype
     row = np.dtype((np.void, n * dtype.itemsize))
     seen = dict.fromkeys([np.arange(n, dtype=dtype).tobytes()])  # insertion-ordered set of rows
     frontier = list(seen)
     while frontier:
         rows = np.frombuffer(b"".join(frontier), dtype=dtype).reshape(-1, n)
         frontier = []
-        for g in group.images:
-            # compose(g, e) = g[e]; distinct rows e give distinct images
+        for g in group.generators:
+            # g after e is g[e]; distinct rows e give distinct images
             new = [key for key in g[rows].view(row).ravel().tolist() if key not in seen]
             seen.update(dict.fromkeys(new))
             frontier += new
             if len(seen) > limit:
                 raise EnumerationLimitError(
-                    f"group {group.label or group.generators} exceeds enumeration limit {limit}"
+                    f"group {group.label or f'of degree {n}'} exceeds enumeration limit {limit}"
                 )
     return np.frombuffer(bytearray(b"".join(seen)), dtype=dtype).reshape(-1, n)
 
 
-def perm_to_matrix(p: Permutation) -> np.ndarray:
-    """The 0/1 matrix sending basis vector ``e_j`` to ``e_{p(j)}``.
+def perm_to_matrix(p: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix sending basis vector ``e_j`` to ``e_{p[j]}``.
 
-    Exactly one 1 per row and per column: ``M[p(j), j] == 1``.
+    Exactly one 1 per row and per column: ``M[p[j], j] == 1``.
     """
-    n = p.degree
+    n = len(p)
     m = np.zeros((n, n), dtype=np.int64)
-    m[np.asarray(p.images), np.arange(n)] = 1
+    m[p, np.arange(n)] = 1
     return m
 
 
-def wreath_element(h: Permutation, ks: list[Permutation] | tuple[Permutation, ...]) -> Permutation:
-    """The permutation ``(p, q) -> (h.p, ks[h.p].q)`` on ``P * Q`` points.
+def wreath_element(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The permutation ``(p, q) -> (h[p], ks[h[p]][q])`` on ``P * Q`` points.
 
-    ``ks[p]`` is the inner permutation applied to points landing in fiber ``p``.
+    ``h`` has ``P`` entries and ``ks`` is ``(P, Q)``: row ``ks[p]`` is the
+    inner permutation applied to points landing in fiber ``p``.
+
+    >>> wreath_element(np.array([1, 0]), np.array([[0, 1, 2], [1, 2, 0]]))
+    array([4, 5, 3, 0, 1, 2])
     """
-    P = h.degree
-    if len(ks) != P:
-        raise DegreeMismatchError(f"need {P} fiber permutations, got {len(ks)}")
-    Q = ks[0].degree
-    if any(k.degree != Q for k in ks):
-        raise DegreeMismatchError("fiber permutations must share a degree")
-    dest = np.asarray(h.images)
-    fibers = np.array([k.images for k in ks])
-    return Permutation(tuple((dest[:, None] * Q + fibers[dest]).ravel().tolist()))
+    h, ks = np.asarray(h, dtype=np.intp), np.asarray(ks)
+    if ks.ndim != 2 or len(ks) != len(h):
+        raise DegreeMismatchError(f"need {len(h)} fiber permutations, got shape {ks.shape}")
+    return (h[:, None] * ks.shape[1] + ks[h]).ravel()
 
 
-def wreath_block_matrix(h: Permutation, ks: list[Permutation] | tuple[Permutation, ...]) -> np.ndarray:
+def wreath_block_matrix(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Dense matrix of a wreath element assembled block by block.
 
-    Block row ``h(p)``, block column ``p`` holds ``perm_to_matrix(ks[h(p)])``;
+    Block row ``h[p]``, block column ``p`` holds ``perm_to_matrix(ks[h[p]])``;
     every other block is zero.  Built independently of :func:`wreath_element`
     so the two constructions can be checked against each other.
     """
-    P = h.degree
-    Q = ks[0].degree
+    P, Q = len(h), len(ks[0])
     m = np.zeros((P * Q, P * Q), dtype=np.int64)
     for p in range(P):
-        dest = h(p)
+        dest = h[p]
         m[dest * Q:(dest + 1) * Q, p * Q:(p + 1) * Q] = perm_to_matrix(ks[dest])
     return m

@@ -59,22 +59,12 @@ def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
     return pivots
 
 
-def nullspace(rows: list[SparseRow], n_cols: int) -> list[list[Fraction]]:
+def nullspace(rows: list[SparseRow], n_cols: int) -> list[SparseRow]:
     """A basis of ``{x : A x = 0}`` for the matrix with the given rows.
 
-    One basis vector per free column, in ascending column order; the vector
-    for free column ``f`` has a 1 in position ``f``.
+    One sparse basis vector per free column, in ascending column order; the
+    vector for free column ``f`` has a 1 in position ``f``.
     """
     pivots = rref(rows)
-    basis = []
-    for f in range(n_cols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for p, prow in pivots.items():
-            coef = prow.get(f)
-            if coef is not None:
-                vec[p] = -coef
-        basis.append(vec)
-    return basis
+    return [{f: Fraction(1)} | {p: -prow[f] for p, prow in pivots.items() if f in prow}
+            for f in range(n_cols) if f not in pivots]

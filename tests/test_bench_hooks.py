@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import wreathlin.pointcloud
+from wreathlin.structure import group_of, parse_structure
 from wreathlin.train import init_attn_layer, init_set_layer, init_wreath_layer
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -41,6 +42,16 @@ def test_every_span_target_resolves():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert missing == []
+
+
+def test_orbit_pattern_work_count_reads_the_group_fields():
+    """The ``orbit_pattern`` span counts its work as ``degree ** 2`` times the
+    number of generators, read as ``a[0].degree`` and ``len(a[0].generators)``."""
+    count = next(c for mod, attr, _, c in load_spans().TARGETS if attr == "orbit_pattern")
+    group = group_of(parse_structure("wr(S(3),trivial(2))"))
+    assert group.degree == 6
+    assert len(group.generators) == group.generators.shape[0] == 5
+    assert count((group,), None) == 6 ** 2 * 5
 
 
 def test_layer_kinds_name_the_point_cloud_layer_classes():

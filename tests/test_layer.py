@@ -220,7 +220,7 @@ def test_equivariance_check_map_convention():
     assert not equivariance_check_map(lambda x: m @ x, group, c_in=1).passed
     g = group.generators[0]
     x = np.arange(3, dtype=np.float64).reshape(3, 1)
-    assert np.array_equal(permute_rows(g, x)[g.images[0]], x[0])
+    assert np.array_equal(permute_rows(g, x)[g[0]], x[0])
 
 
 def test_serialization_round_trip_is_bit_exact(tmp_path):

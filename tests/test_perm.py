@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -12,14 +13,11 @@ from wreathlin.perm import (
     DegreeMismatchError,
     EnumerationLimitError,
     InvalidDegreeError,
+    InvalidGeneratorError,
     PermGroup,
-    Permutation,
-    compose,
     cyclic_group,
     direct_product_group,
     enumerate_group,
-    identity,
-    inverse,
     max_order_limit,
     orbit_labels,
     orbit_minima,
@@ -30,53 +28,89 @@ from wreathlin.perm import (
     wreath_element,
     wreath_product_group,
 )
+from wreathlin.structure import group_of, parse_structure
 
 
 def test_identity_images():
-    assert identity(3).images == (0, 1, 2)
-    assert identity(1).images == (0,)
+    """The identity is ``arange(n)``, the trivial group's one generator row."""
+    assert trivial_group(3).generators.tolist() == [[0, 1, 2]]
+    assert trivial_group(1).generators.tolist() == [[0]]
 
 
 def test_identity_rejects_zero_degree():
-    with pytest.raises(InvalidDegreeError):
-        identity(0)
+    for n in (0, -1):
+        with pytest.raises(InvalidDegreeError):
+            trivial_group(n)
 
 
 def test_permutation_must_be_bijection():
-    with pytest.raises(ValueError):
-        Permutation(images=(0, 0, 1))
+    with pytest.raises(InvalidGeneratorError):
+        PermGroup(3, [[0, 1, 2], [0, 0, 1]])  # a repeated image
 
 
-def test_compose_applies_right_argument_first():
-    swap = Permutation(images=(1, 0, 2))
-    assert compose(swap, swap).images == (0, 1, 2)
-    three_cycle = Permutation(images=(1, 2, 0))
-    assert compose(three_cycle, three_cycle).images == (2, 0, 1)
+@pytest.mark.parametrize("make", [cyclic_group, symmetric_group])
+@pytest.mark.parametrize("n", [0, -1])
+def test_constructors_reject_degrees_below_one(make, n):
+    with pytest.raises(InvalidDegreeError):
+        make(n)
 
 
-def test_compose_with_identity_and_inverse():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        p = Permutation(images=tuple(rng.permutation(5).tolist()))
-        assert compose(identity(5), p) == p
-        assert compose(p, inverse(p)) == identity(5)
+@pytest.mark.parametrize("n, rows, error", [
+    (3, [0, 1, 2], DegreeMismatchError),  # one row, not a (k, N) array
+    (3, [[0, 1]], DegreeMismatchError),  # rows of the wrong length
+    (3, np.empty((0, 3), dtype=np.int64), InvalidGeneratorError),  # no generator at all
+    (3, [[-1, 0, 1]], InvalidGeneratorError),
+    (256, [[-1, *range(255)]], InvalidGeneratorError),  # as uint8, -1 is the missing image 255
+    (3, [[0, 1, 3]], InvalidGeneratorError),  # an image beyond N - 1
+    (3, [[0.0, 1.0, 2.0]], InvalidGeneratorError),  # not integers
+])
+def test_bad_generators_raise_one_line_value_errors(n, rows, error):
+    with pytest.raises(error) as info:
+        PermGroup(n, rows)
+    assert isinstance(info.value, ValueError)
+    assert "\n" not in str(info.value)
 
 
-def test_compose_degree_mismatch():
-    with pytest.raises(DegreeMismatchError):
-        compose(identity(3), identity(4))
+def test_repeated_generator_rows_keep_their_first_occurrence():
+    group = PermGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0]])
+    assert group.generators.tolist() == [[1, 0, 2, 3], [1, 2, 3, 0], [0, 1, 2, 3]]
 
 
-def test_inverse_examples():
-    assert inverse(Permutation(images=(0, 1, 2))).images == (0, 1, 2)
-    assert inverse(Permutation(images=(1, 2, 0))).images == (2, 0, 1)
-    p = Permutation(images=(3, 1, 0, 2))
-    assert inverse(inverse(p)) == p
+@pytest.mark.parametrize("text, rows", [
+    ("S(1)", [[0]]),
+    ("S(2)", [[1, 0]]),
+    ("S(3)", [[1, 0, 2], [1, 2, 0]]),
+    ("C(4)", [[1, 2, 3, 0]]),
+    ("trivial(2)", [[0, 1]]),
+    ("prod(S(2),C(3))", [[3, 4, 5, 0, 1, 2], [1, 2, 0, 4, 5, 3]]),
+    ("wr(S(2),C(3))", [[2, 3, 4, 5, 0, 1], [1, 0, 2, 3, 4, 5]]),
+    ("wr(S(2),trivial(2))", [[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2]]),
+])
+def test_generator_rows_are_pinned(text, rows):
+    """Generator order sets the rational solve's row order and the
+    equivariance check's random draws, so the rows are fixed exactly."""
+    generators = group_of(parse_structure(text)).generators
+    assert generators.dtype == np.uint8
+    assert generators.tolist() == rows
+
+
+def test_wreath_rows_from_one_byte_inputs_do_not_wrap():
+    """``P * Q > 256`` points from uint8 fiber and outer rows: the point
+    numbers ``h[p] * Q + k[q]`` must not be computed in uint8."""
+    outer, inner = cyclic_group(20), symmetric_group(15)
+    assert outer.generators.dtype == inner.generators.dtype == np.uint8
+    row = wreath_element(outer.generators[0], np.broadcast_to(inner.generators[1], (20, 15)))
+    p, q = np.divmod(np.arange(300), 15)
+    assert row.tolist() == (((p + 1) % 20) * 15 + (q + 1) % 15).tolist()
+    group = wreath_product_group(symmetric_group(2), cyclic_group(130))
+    rot = [((i // 2 + 1) % 130) * 2 + i % 2 for i in range(260)]
+    assert group.generators.dtype == np.uint16
+    assert group.generators.tolist() == [rot, [1, 0] + list(range(2, 260))]
 
 
 def test_cyclic_group_generator_and_order():
     g = cyclic_group(4)
-    assert g.generators[0].images == (1, 2, 3, 0)
+    assert g.generators.tolist() == [[1, 2, 3, 0]]
     assert len(enumerate_group(g, limit=100)) == 4
     assert len(enumerate_group(cyclic_group(1), limit=10)) == 1
 
@@ -90,7 +124,7 @@ def test_symmetric_group_orders():
 def test_trivial_group_enumeration():
     elems = enumerate_group(trivial_group(5), limit=10)
     assert elems.shape == (1, 5)
-    assert {tuple(r) for r in elems} == {identity(5).images}
+    assert elems.tolist() == [list(range(5))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -165,7 +199,7 @@ def test_enumeration_at_the_limit(group, order):
     elements = enumerate_group(group, limit=order)
     assert elements.shape == (order, group.degree)
     assert len({tuple(r) for r in elements}) == order
-    assert tuple(elements[0]) == identity(group.degree).images
+    assert elements[0].tolist() == list(range(group.degree))
     if order > 1:
         with pytest.raises(EnumerationLimitError):
             enumerate_group(group, limit=order - 1)
@@ -185,7 +219,7 @@ def test_deep_closure_costs_one_lookup_per_element():
     """``C(n)`` is n breadth-first levels deep; each row is compared by hash,
     not against every row seen so far.  On a 2-core machine ``C(2000)``
     takes about 0.04 s; a closure that re-scans and copies every row seen at
-    each level took 8.4 s, and a closure over ``Permutation`` objects 1.4 s."""
+    each level took 8.4 s, and a closure over tuple-based permutation objects 1.4 s."""
     n = 2000
     start = time.perf_counter()
     rot = enumerate_group(cyclic_group(n), limit=n)
@@ -215,7 +249,7 @@ def test_orbit_minima():
     assert orbit_minima(symmetric_group(4)) == [0]
     assert orbit_minima(trivial_group(3)) == [0, 1, 2]
     assert orbit_minima(direct_product_group(trivial_group(2), cyclic_group(3))) == [0, 3]
-    assert orbit_minima(PermGroup(5, (Permutation((2, 1, 0, 4, 3)),))) == [0, 1, 3]
+    assert orbit_minima(PermGroup(5, [[2, 1, 0, 4, 3]])) == [0, 1, 3]
 
 
 def _orbit_closure_minima(rows, m):
@@ -267,11 +301,11 @@ def test_orbit_labels_across_chunks_of_a_long_row():
 
 def test_group_images_are_one_read_only_array():
     group = symmetric_group(300)
-    assert group.images.shape == (2, 300) and group.images.dtype == np.uint16
-    assert group.images is group.images
-    assert [tuple(r) for r in group.images.tolist()] == [g.images for g in group.generators]
+    assert group.generators.shape == (2, 300) and group.generators.dtype == np.uint16
+    assert group.generators is group.generators
     with pytest.raises(ValueError):
-        group.images[0, 0] = 1
+        group.generators[0, 0] = 1
+    assert [f.name for f in dataclasses.fields(PermGroup)] == ["degree", "generators", "label"]
 
 
 def test_wreath_over_intransitive_outer_spans_every_fiber():
@@ -280,8 +314,8 @@ def test_wreath_over_intransitive_outer_spans_every_fiber():
     group = wreath_product_group(symmetric_group(3), trivial_group(2))
     elements = enumerate_group(group, limit=100)
     assert len(elements) == 6 ** 2
-    s3 = [Permutation(tuple(r)) for r in enumerate_group(symmetric_group(3), limit=10)]
-    expected = {wreath_element(identity(2), [k0, k1]).images for k0 in s3 for k1 in s3}
+    s3 = enumerate_group(symmetric_group(3), limit=10)
+    expected = {tuple(wreath_element(np.arange(2), np.stack([k0, k1]))) for k0 in s3 for k1 in s3}
     assert {tuple(r) for r in elements} == expected
     # trivial inner factor over C(3): only the rotations of whole fibers
     assert len(enumerate_group(wreath_product_group(trivial_group(2), cyclic_group(3)), limit=100)) == 3
@@ -294,36 +328,31 @@ def test_max_order_limit_env_override(monkeypatch):
 
 
 def test_perm_to_matrix_identity():
-    assert np.array_equal(perm_to_matrix(identity(2)), np.eye(2))
+    assert np.array_equal(perm_to_matrix(np.arange(2)), np.eye(2))
 
 
 def test_perm_to_matrix_is_homomorphism():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        p = Permutation(images=tuple(rng.permutation(6).tolist()))
-        q = Permutation(images=tuple(rng.permutation(6).tolist()))
-        assert np.array_equal(
-            perm_to_matrix(p) @ perm_to_matrix(q), perm_to_matrix(compose(p, q))
-        )
+        p, q = rng.permutation(6), rng.permutation(6)
+        assert np.array_equal(perm_to_matrix(p) @ perm_to_matrix(q), perm_to_matrix(p[q]))
 
 
 def test_perm_to_matrix_moves_coordinates():
-    p = Permutation(images=(1, 2, 0))
+    p = np.array([1, 2, 0])
     x = np.array([10.0, 20.0, 30.0])
     y = perm_to_matrix(p) @ x
     for i in range(3):
-        assert y[p.images[i]] == x[i]
+        assert y[p[i]] == x[i]
 
 
 def test_wreath_element_block_matrix_agreement():
     """The permutation built from (h, k_1..k_P) must match the block matrix
     assembled independently from the same data."""
-    swap = Permutation(images=(1, 0))
-    e = identity(2)
-    h = swap
-    ks = (e, swap)
+    h = np.array([1, 0])
+    ks = np.array([[0, 1], [1, 0]])
     g = wreath_element(h, ks)
-    assert g.images == (3, 2, 0, 1)
+    assert g.tolist() == [3, 2, 0, 1]
     assert np.array_equal(perm_to_matrix(g), wreath_block_matrix(h, ks))
 
 
@@ -331,10 +360,8 @@ def test_wreath_block_matrix_random_agreement():
     rng = np.random.default_rng(2)
     for _ in range(20):
         P, Q = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        h = Permutation(images=tuple(rng.permutation(P).tolist()))
-        ks = tuple(
-            Permutation(images=tuple(rng.permutation(Q).tolist())) for _ in range(P)
-        )
+        h = rng.permutation(P)
+        ks = np.stack([rng.permutation(Q) for _ in range(P)])
         assert np.array_equal(
             perm_to_matrix(wreath_element(h, ks)), wreath_block_matrix(h, ks)
         )
@@ -346,9 +373,9 @@ def test_wreath_action_law_and_decomposition():
     choice of one inner permutation k per fiber."""
     inner, outer = symmetric_group(2), symmetric_group(3)
     group = {tuple(r) for r in enumerate_group(wreath_product_group(inner, outer), limit=100)}
-    inner_elems = [Permutation(tuple(r)) for r in enumerate_group(inner, limit=100)]
+    inner_elems = enumerate_group(inner, limit=100)
     expected = {
-        wreath_element(Permutation(tuple(h)), ks).images
+        tuple(wreath_element(h, np.stack(ks)))
         for h in enumerate_group(outer, limit=100)
         for ks in itertools.product(inner_elems, repeat=3)
     }
