@@ -1,7 +1,6 @@
 """Equivariant linear maps for hierarchical and product permutation symmetries."""
 
 from .basis import (
-    CommutantBasis,
     SharingPattern,
     burnside_count,
     commutant_basis,
@@ -35,7 +34,6 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommutantBasis",
     "Cycle",
     "PermGroup",
     "Prod",

@@ -8,7 +8,7 @@ patterns three independent ways:
 * :func:`orbit_pattern` -- union-find over the generators' pair images;
 * :func:`burnside_count` -- dimension count ``(1/|G|) * sum_g trace(P_g)**2``
   over the enumerated group;
-* :func:`commutant_basis` -- exact rational nullspace of the commutation
+* :func:`commutant_basis` -- exact integer nullspace of the commutation
   constraints, one per pair a generator moves, from the same pair images.
 
 The closed form never touches the group itself.  :func:`orbit_index` is the
@@ -24,7 +24,6 @@ rendering and these oracles only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -79,18 +78,6 @@ class SharingPattern:
         return self.n == other.n and np.array_equal(self.orbit_id, other.orbit_id)
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
-    """An exact rational basis of the commutant algebra of a group action."""
-
-    n: int
-    bases: tuple[np.ndarray, ...]  # object arrays of Fraction, each n x n
-
-    @property
-    def size(self) -> int:
-        return len(self.bases)
-
-
 def _pair_images(group: PermGroup):
     """Each generator's images on the pairs ``(i, j) = i * N + j``, one row at a time."""
     n = group.degree
@@ -123,12 +110,14 @@ def burnside_count(elements: np.ndarray) -> int:
     return total // len(elements)
 
 
-def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGREE) -> CommutantBasis:
-    """Exact rational basis of all matrices commuting with the group action.
+def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGREE) -> np.ndarray:
+    """Exact basis of all matrices commuting with the group action.
 
     Solves the stacked system ``P_g W - W P_g = 0`` (one block per generator)
-    by Gauss-Jordan elimination over the rationals.  Guarded by ``max_degree``
-    because the solve works on ``degree**2`` unknowns.
+    by Gauss-Jordan elimination in integers, and returns the basis as one
+    read-only ``(k, N, N)`` integer array, one matrix per free unknown.
+    Guarded by ``max_degree`` because the solve works on ``degree**2``
+    unknowns.
     """
     n = group.degree
     if n > max_degree:
@@ -142,15 +131,14 @@ def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGRE
     # one row x_a - x_b per unordered pair {a, b}, at its first occurrence in
     # generator-major, row-major order: the row order sets the solve's work
     first = np.sort(np.unique(np.minimum(a, b) * (n * n) + np.maximum(a, b), return_index=True)[1])
-    one = Fraction(1)
-    rows = [{i: one, j: -one} for i, j in zip(a[first].tolist(), b[first].tolist())]
-    bases = []
-    for vec in rational.nullspace(rows, n * n):
-        mat = np.full((n, n), Fraction(0), dtype=object)
-        mat.flat[list(vec)] = list(vec.values())
-        mat.setflags(write=False)
-        bases.append(mat)
-    return CommutantBasis(n=n, bases=tuple(bases))
+    rows = [{i: 1, j: -1} for i, j in zip(a[first].tolist(), b[first].tolist())]
+    vecs = rational.nullspace(rows, n * n)
+    basis = np.zeros((len(vecs), n * n), dtype=np.int64)
+    for flat, vec in zip(basis, vecs):
+        flat[list(vec)] = list(vec.values())
+    basis = basis.reshape(len(vecs), n, n)
+    basis.setflags(write=False)
+    return basis
 
 
 def materialize(pattern: SharingPattern, weights: np.ndarray) -> np.ndarray:
@@ -291,8 +279,8 @@ def constant_on_orbits(matrix: np.ndarray, pattern: SharingPattern) -> bool:
     """Exact check that ``matrix`` lies in the span of the pattern's orbits.
 
     Compares every entry with its orbit's first entry, so it is exact for
-    Fraction-valued matrices; the residual of projecting onto the pattern
-    span is zero iff this holds.
+    integer matrices such as :func:`commutant_basis` returns; the residual
+    of projecting onto the pattern span is zero iff this holds.
     """
     if matrix.shape != (pattern.n, pattern.n):
         raise ValueError("matrix and pattern shapes differ")

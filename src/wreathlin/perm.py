@@ -141,17 +141,28 @@ def trivial_group(n: int) -> PermGroup:
     return PermGroup(n, [np.arange(n)], label=f"trivial{n}")
 
 
+def _fiber_rows(outer: PermGroup, inner: PermGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Each outer generator ``h`` lifted to ``(p, q) -> (h[p], q)``, and each
+    inner generator ``k`` as ``(p, q) -> (p, k[q])`` in every fiber.
+
+    Both are ``(k, P, Q)`` arrays of the least unsigned dtype that holds
+    ``P * Q``, so the point numbers ``p * Q + q`` cannot wrap.
+    """
+    P, Q = outer.degree, inner.degree
+    dtype = np.min_scalar_type(P * Q)
+    lifted = outer.generators.astype(dtype)[:, :, None] * Q + np.arange(Q, dtype=dtype)
+    return lifted, np.arange(P, dtype=dtype)[:, None] * Q + inner.generators[:, None, :]
+
+
 def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     """Direct product acting on pairs: ``(h, k) . (p, q) = (h.p, k.q)``.
 
     The result acts on ``outer.degree * inner.degree`` points with the outer
     index major.
     """
-    P, Q = outer.degree, inner.degree
-    id_P, id_Q = np.arange(P), np.broadcast_to(np.arange(Q), (P, Q))
-    gens = [wreath_element(h, id_Q) for h in outer.generators]
-    gens += [wreath_element(id_P, np.broadcast_to(k, (P, Q))) for k in inner.generators]
-    return PermGroup(P * Q, np.stack(gens), label=f"({outer.label} x {inner.label})")
+    n = outer.degree * inner.degree
+    return PermGroup(n, np.concatenate(_fiber_rows(outer, inner)).reshape(-1, n),
+                     label=f"({outer.label} x {inner.label})")
 
 
 _UNION_CHUNK = 1 << 14  # bounds the points of a row held as Python ints at once
@@ -201,11 +212,13 @@ def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     ``|inner| ** P * |outer|``.
     """
     P, Q = outer.degree, inner.degree
-    id_P, id_Q = np.arange(P), np.broadcast_to(np.arange(Q), (P, Q))
-    gens = [wreath_element(h, id_Q) for h in outer.generators]
-    for p in orbit_minima(outer):  # k in fiber p, the identity in every other fiber
-        gens += [wreath_element(id_P, np.where(id_P[:, None] == p, k, id_Q)) for k in inner.generators]
-    return PermGroup(P * Q, np.stack(gens), label=f"({inner.label} wr {outer.label})")
+    lifted, spread = _fiber_rows(outer, inner)
+    minima = np.array(orbit_minima(outer))
+    # k in fiber p, the identity in every other fiber: (orbit, generator, P, Q)
+    local = np.tile(np.arange(P * Q, dtype=spread.dtype).reshape(P, Q), (len(minima), len(spread), 1, 1))
+    local[np.arange(len(minima)), :, minima] = spread[:, minima].swapaxes(0, 1)
+    rows = np.concatenate([lifted.reshape(-1, P * Q), local.reshape(-1, P * Q)])
+    return PermGroup(P * Q, rows, label=f"({inner.label} wr {outer.label})")
 
 
 def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
@@ -252,34 +265,4 @@ def perm_to_matrix(p: np.ndarray) -> np.ndarray:
     n = len(p)
     m = np.zeros((n, n), dtype=np.int64)
     m[p, np.arange(n)] = 1
-    return m
-
-
-def wreath_element(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """The permutation ``(p, q) -> (h[p], ks[h[p]][q])`` on ``P * Q`` points.
-
-    ``h`` has ``P`` entries and ``ks`` is ``(P, Q)``: row ``ks[p]`` is the
-    inner permutation applied to points landing in fiber ``p``.
-
-    >>> wreath_element(np.array([1, 0]), np.array([[0, 1, 2], [1, 2, 0]]))
-    array([4, 5, 3, 0, 1, 2])
-    """
-    h, ks = np.asarray(h, dtype=np.intp), np.asarray(ks)
-    if ks.ndim != 2 or len(ks) != len(h):
-        raise DegreeMismatchError(f"need {len(h)} fiber permutations, got shape {ks.shape}")
-    return (h[:, None] * ks.shape[1] + ks[h]).ravel()
-
-
-def wreath_block_matrix(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Dense matrix of a wreath element assembled block by block.
-
-    Block row ``h[p]``, block column ``p`` holds ``perm_to_matrix(ks[h[p]])``;
-    every other block is zero.  Built independently of :func:`wreath_element`
-    so the two constructions can be checked against each other.
-    """
-    P, Q = len(h), len(ks[0])
-    m = np.zeros((P * Q, P * Q), dtype=np.int64)
-    for p in range(P):
-        dest = h[p]
-        m[dest * Q:(dest + 1) * Q, p * Q:(p + 1) * Q] = perm_to_matrix(ks[dest])
     return m

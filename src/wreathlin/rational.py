@@ -1,16 +1,22 @@
-"""Exact rational Gauss-Jordan elimination and nullspace extraction.
+"""Exact Gauss-Jordan elimination and nullspace extraction in integers.
 
-Rows are sparse mappings ``column -> Fraction``.  The reduction keeps every
-pivot row normalized (leading coefficient 1) and fully reduced against the
-other pivots, so nullspace vectors read off directly from the free columns.
-Arithmetic is exact; no floating point is involved.
+Rows are sparse mappings ``column -> int``.  The reduction keeps every pivot
+row normalized (leading coefficient 1) and fully reduced against the other
+pivots, so nullspace vectors read off directly from the free columns.
+
+Only unit pivots are taken: a pivot of -1 is normalized by flipping the
+row's sign, and any other pivot raises ``ArithmeticError``.  That covers the
+commutation systems :func:`~wreathlin.basis.commutant_basis` builds, whose
+rows are all differences ``x_a - x_b``: eliminating one such row against
+another gives another or zero, so every pivot is 1 or -1.
+
+>>> nullspace([{0: 1, 1: -1}, {2: -1, 1: 1}], 4)
+[{2: 1, 0: 1, 1: 1}, {3: 1}]
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int]
 
 
 def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
@@ -20,7 +26,7 @@ def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
     for d, v in pivot.items():
         if d == col:
             continue
-        nv = row.get(d, Fraction(0)) - coef * v
+        nv = row.get(d, 0) - coef * v
         if nv == 0:
             row.pop(d, None)
         else:
@@ -29,7 +35,7 @@ def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
 
 def _reduce_against(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
     """Eliminate every pivot column from ``row``; returns a new sparse row."""
-    r = {c: Fraction(v) for c, v in row.items() if v != 0}
+    r = {c: v for c, v in row.items() if v != 0}
     while True:
         hit = next((c for c in r if c in pivots), None)
         if hit is None:
@@ -42,7 +48,8 @@ def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
 
     Returns a mapping ``pivot column -> normalized row`` where each row
     contains its own pivot column with coefficient 1 and no other pivot
-    columns.
+    columns.  Raises ``ArithmeticError`` at the first pivot that is not 1
+    or -1.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
@@ -50,8 +57,10 @@ def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
         if not r:
             continue
         p = min(r)
-        inv = Fraction(1) / r[p]
-        r = {c: v * inv for c, v in r.items()}
+        if r[p] == -1:
+            r = {c: -v for c, v in r.items()}
+        elif r[p] != 1:
+            raise ArithmeticError(f"pivot {r[p]} in column {p} is not 1 or -1")
         for prow in pivots.values():
             if p in prow:
                 _eliminate(prow, p, r)
@@ -66,5 +75,5 @@ def nullspace(rows: list[SparseRow], n_cols: int) -> list[SparseRow]:
     vector for free column ``f`` has a 1 in position ``f``.
     """
     pivots = rref(rows)
-    return [{f: Fraction(1)} | {p: -prow[f] for p, prow in pivots.items() if f in prow}
+    return [{f: 1} | {p: -prow[f] for p, prow in pivots.items() if f in prow}
             for f in range(n_cols) if f not in pivots]

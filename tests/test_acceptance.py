@@ -2,7 +2,7 @@
 
 Each test exercises one advertised guarantee end to end and prints a single
 verdict line; run with ``pytest tests/test_acceptance.py -s`` to see them.
-Frozen integer fixtures were confirmed against the exact rational commutant
+Frozen integer fixtures were confirmed against the exact integer commutant
 oracle before being pinned here.
 """
 
@@ -104,7 +104,7 @@ def test_count_routes_agree_across_structures():
             pattern_of_structure(expr).num_orbits,
             orbit_pattern(group).num_orbits,
             burnside_count(enumerate_group(group, limit=200_000)),
-            _oracle(text).size,
+            len(_oracle(text)),
         )
         assert all(r == closed for r in routes), f"{text}: closed={closed} routes={routes}"
         agreements += 1
@@ -126,13 +126,13 @@ def test_tied_maps_commute_and_bases_respect_pattern():
         tied = materialize(pattern, np.arange(1, pattern.num_orbits + 1, dtype=np.float64))
         assert all(commutes_exactly(tied, g) for g in group.generators), text
         commuting += 1
-        for b in _oracle(text).bases:
+        for b in _oracle(text):
             assert constant_on_orbits(b, pattern), text
             basis_elements += 1
     _verdict(
         True,
         "tied maps span the commutant",
-        f"exact commutation on {commuting} structures; {basis_elements} rational basis "
+        f"exact commutation on {commuting} structures; {basis_elements} exact basis "
         f"elements constant on the closed-form pattern",
     )
 
@@ -244,10 +244,10 @@ def _primitive_texts(max_deg):
 
 def test_nested_composition_counts_and_reassociation():
     nested = pattern_of_structure(parse_structure("wr(wr(S(2),C(2)),C(2))"))
-    nested_ok = nested.num_orbits == 4 == _oracle("wr(wr(S(2),C(2)),C(2))").size
+    nested_ok = nested.num_orbits == 4 == len(_oracle("wr(wr(S(2),C(2)),C(2))"))
 
     mixed = pattern_of_structure(parse_structure("wr(prod(C(2),C(2)),prod(S(2),S(2)))"))
-    mixed_ok = mixed.num_orbits == 7 == _oracle("wr(prod(C(2),C(2)),prod(S(2),S(2)))").size
+    mixed_ok = mixed.num_orbits == 7 == len(_oracle("wr(prod(C(2),C(2)),prod(S(2),S(2)))"))
 
     triples = 0
     for ta, da in _primitive_texts(16):

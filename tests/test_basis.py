@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wreathlin import rational
 from wreathlin.basis import (
-    CommutantBasis,
     DegreeTooLargeError,
     SharingPattern,
     burnside_count,
@@ -168,35 +167,33 @@ def test_wreath_pattern_block_layout():
 
 
 def test_commutant_basis_sizes():
-    assert commutant_basis(symmetric_group(4)).size == 2
-    assert commutant_basis(trivial_group(2)).size == 4
-    assert commutant_basis(wreath_product_group(symmetric_group(2), cyclic_group(2))).size == 3
-    assert commutant_basis(wreath_product_group(symmetric_group(2), symmetric_group(3))).size == 3
+    assert len(commutant_basis(symmetric_group(4))) == 2
+    assert len(commutant_basis(trivial_group(2))) == 4
+    assert len(commutant_basis(wreath_product_group(symmetric_group(2), cyclic_group(2)))) == 3
+    assert len(commutant_basis(wreath_product_group(symmetric_group(2), symmetric_group(3)))) == 3
 
 
 def test_commutant_basis_elements_commute_exactly():
     group = wreath_product_group(symmetric_group(2), cyclic_group(3))
     basis = commutant_basis(group)
-    assert isinstance(basis, CommutantBasis)
-    elems = list(basis.bases)
-    assert len(elems) == 4
-    for mat in elems:
+    assert basis.shape == (4, 6, 6) and basis.dtype == np.int64
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2
+    for mat in basis:
         for g in group.generators:
             assert commutes_exactly(mat, g)
-        assert mat.dtype == object
-        assert isinstance(mat[0, 0], Fraction)
 
 
 def test_commutant_basis_degree_guard():
     with pytest.raises(DegreeTooLargeError):
         commutant_basis(trivial_group(65))
     # explicit override allowed
-    assert commutant_basis(trivial_group(3), max_degree=100).size == 9
+    assert len(commutant_basis(trivial_group(3), max_degree=100)) == 9
 
 
 def test_commutant_basis_holds_each_vector_once():
-    """Sparse nullspace vectors are written straight into the basis arrays,
-    so the peak is near the arrays' own size; dense vector lists held beside
+    """Sparse nullspace vectors are written straight into the basis array,
+    so the peak is near the array's own size; dense vector lists held beside
     the arrays made it 2.2 times that."""
     tracemalloc.start()
     try:
@@ -204,8 +201,8 @@ def test_commutant_basis_holds_each_vector_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert basis.size == 256
-    assert peak < 1.5 * sum(mat.nbytes for mat in basis.bases)
+    assert len(basis) == 256
+    assert peak < 1.5 * basis.nbytes
 
 
 def test_materialize_identity_and_zero():
@@ -294,8 +291,9 @@ def test_structure_orbit_count_agrees_with_pattern(expr, seed):
 def test_closed_form_pattern_matches_generator_orbits(expr):
     """The closed form against union-find over the generators, on random
     trees with intransitive factors anywhere; against Burnside where the
-    group has at most 200,000 elements, and against the rational oracle's
-    dimension at degree 24 or less.  ``apply`` still matches ``apply_dense``."""
+    group has at most 200,000 elements, and against the commutant oracle at
+    degree 24 or less: its dimension, and every basis matrix constant on the
+    closed-form orbits.  ``apply`` still matches ``apply_dense``."""
     pattern = pattern_of_structure(expr)
     group = group_of(expr)
     assert pattern == orbit_pattern(group)
@@ -303,7 +301,8 @@ def test_closed_form_pattern_matches_generator_orbits(expr):
     if group_order(expr) <= 200_000:
         assert burnside_count(enumerate_group(group, limit=200_000)) == pattern.num_orbits
     if degree(expr) <= 24:
-        assert commutant_basis(group).size == pattern.num_orbits
+        basis = commutant_basis(group)
+        assert len(basis) == pattern.num_orbits and all(constant_on_orbits(b, pattern) for b in basis)
     layer = random_layer(expr, 2, 2, np.random.default_rng(0), bias=True)
     x = np.random.default_rng(1).standard_normal((layer.degree, 2))
     np.testing.assert_allclose(apply(layer, x), apply_dense(layer, x), rtol=0, atol=1e-10)
@@ -359,7 +358,7 @@ def test_hierarchy_commutant_within_componentwise_commutant():
         direct = P(f"prod({outer_text},{inner_text})")
         inner_grp = group_of(parse_structure(inner_text))
         outer_grp = group_of(parse_structure(outer_text))
-        for mat in commutant_basis(wreath_product_group(inner_grp, outer_grp)).bases:
+        for mat in commutant_basis(wreath_product_group(inner_grp, outer_grp)):
             assert constant_on_orbits(mat, direct)
 
 
@@ -367,7 +366,6 @@ def _reference_commutant_rows(group):
     """The commutation rows as a per-entry walk lists them: one ``x_a - x_b``
     per unordered pair ``{a, b}``, at its first occurrence, generator major."""
     n = group.degree
-    one = Fraction(1)
     rows, seen = [], set()
     for g in group.generators:
         img = g.tolist()
@@ -377,7 +375,7 @@ def _reference_commutant_rows(group):
                 key = (min(a, b), max(a, b))
                 if a != b and key not in seen:
                     seen.add(key)
-                    rows.append({a: one, b: -one})
+                    rows.append({a: 1, b: -1})
     return rows
 
 
@@ -388,7 +386,7 @@ VERIFY_SUITE = ["wr(S(4),S(3))", "wr(S(3),S(5))", "wr(S(8),S(8))", "prod(C(6),C(
 
 @pytest.mark.parametrize("text", VERIFY_SUITE)
 def test_commutant_rows_keep_the_per_entry_order(monkeypatch, text):
-    """The rational solve's work depends on its row order, so the vectorised
+    """The integer solve's work depends on its row order, so the vectorised
     row builder must hand ``nullspace`` the very list the per-entry walk did."""
     group = group_of(parse_structure(text))
     seen = []

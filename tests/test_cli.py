@@ -163,6 +163,25 @@ def test_verify_group_order_leg_fails_on_a_wrong_order(capsys, monkeypatch, clai
     assert out.rstrip().endswith("result: FAIL")
 
 
+def _off_pattern(basis):
+    bad = basis.copy()
+    bad[0, 0, 1] += 1  # one off-diagonal entry now differs from the others
+    return bad
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (_off_pattern, "nullspace dim = 2, basis constant on orbits: False"),
+    (lambda basis: basis[1:], "nullspace dim = 1, basis constant on orbits: True"),
+], ids=["matrix-off-pattern", "vector-missing"])
+def test_verify_oracle_leg_fails_on_a_wrong_basis(capsys, monkeypatch, corrupt, detail):
+    real = wreathlin.cli.commutant_basis
+    monkeypatch.setattr(wreathlin.cli, "commutant_basis", lambda group: corrupt(real(group)))
+    code, out, _ = run_cli(capsys, ["verify", "--structure", "S(3)"])
+    assert code == 1
+    assert f"  oracle            FAIL {detail}\n" in out
+    assert out.count("FAIL") == 2 and out.rstrip().endswith("result: FAIL")
+
+
 def test_verify_skip_names_the_digit_count_of_a_long_order(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--structure", "wr(S(2),S(40))"])
     digits = len(str(2 ** 40 * math.factorial(40)))

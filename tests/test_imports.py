@@ -1,6 +1,10 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the
+library loads no rational arithmetic."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,13 @@ def test_unused_import_detection():
         "def f():\n    from e import g\n    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["os", "d", "g"]
+
+
+def test_cli_import_leaves_rational_arithmetic_out():
+    """The commutant oracle solves in integers, so loading the command line
+    (and every library module it imports) loads no ``fractions``."""
+    src = str(Path(wreathlin.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, wreathlin.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -24,11 +24,36 @@ from wreathlin.perm import (
     perm_to_matrix,
     symmetric_group,
     trivial_group,
-    wreath_block_matrix,
-    wreath_element,
     wreath_product_group,
 )
-from wreathlin.structure import group_of, parse_structure
+from wreathlin.structure import Cycle, Leaf, Prod, Set, Trivial, Wreath, degree, group_of, parse_structure
+
+
+def wreath_element(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The permutation ``(p, q) -> (h[p], ks[h[p]][q])`` on ``P * Q`` points,
+    one row at a time: the reference the broadcast generator rows are
+    checked against.
+
+    ``h`` has ``P`` entries and ``ks`` is ``(P, Q)``: row ``ks[p]`` is the
+    inner permutation applied to points landing in fiber ``p``.
+    """
+    h, ks = np.asarray(h, dtype=np.intp), np.asarray(ks)
+    return (h[:, None] * ks.shape[1] + ks[h]).ravel()
+
+
+def wreath_block_matrix(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Dense matrix of a wreath element assembled block by block.
+
+    Block row ``h[p]``, block column ``p`` holds ``perm_to_matrix(ks[h[p]])``;
+    every other block is zero.  Built independently of :func:`wreath_element`
+    so the two constructions can be checked against each other.
+    """
+    P, Q = len(h), len(ks[0])
+    m = np.zeros((P * Q, P * Q), dtype=np.int64)
+    for p in range(P):
+        dest = h[p]
+        m[dest * Q:(dest + 1) * Q, p * Q:(p + 1) * Q] = perm_to_matrix(ks[dest])
+    return m
 
 
 def test_identity_images():
@@ -87,7 +112,7 @@ def test_repeated_generator_rows_keep_their_first_occurrence():
     ("wr(S(2),trivial(2))", [[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2]]),
 ])
 def test_generator_rows_are_pinned(text, rows):
-    """Generator order sets the rational solve's row order and the
+    """Generator order sets the commutant solve's row order and the
     equivariance check's random draws, so the rows are fixed exactly."""
     generators = group_of(parse_structure(text)).generators
     assert generators.dtype == np.uint8
@@ -390,3 +415,43 @@ def test_direct_product_is_subgroup_of_wreath():
     assert direct <= wreath
     assert len(direct) == 6 and len(wreath) == 24
 
+
+def _reference_group(expr) -> PermGroup:
+    """``group_of(expr)`` with each product and wreath generator row built by
+    one :func:`wreath_element` call."""
+    if isinstance(expr, Leaf):
+        return group_of(expr)
+    outer, inner = _reference_group(expr.outer), _reference_group(expr.inner)
+    P, Q = outer.degree, inner.degree
+    id_P, id_Q = np.arange(P), np.broadcast_to(np.arange(Q), (P, Q))
+    rows = [wreath_element(h, id_Q) for h in outer.generators]
+    if isinstance(expr, Prod):
+        rows += [wreath_element(id_P, np.broadcast_to(k, (P, Q))) for k in inner.generators]
+        return PermGroup(P * Q, np.stack(rows), label=f"({outer.label} x {inner.label})")
+    for p in orbit_minima(outer):  # k in fiber p, the identity in every other fiber
+        rows += [wreath_element(id_P, np.where(id_P[:, None] == p, k, id_Q)) for k in inner.generators]
+    return PermGroup(P * Q, np.stack(rows), label=f"({inner.label} wr {outer.label})")
+
+
+@st.composite
+def trees(draw, depth=3, max_degree=600):
+    """Random trees over S/C/trivial leaves of degree 1-5, one-point factors
+    and intransitive factors included."""
+    if depth == 0 or max_degree < 2 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from([Set, Cycle, Trivial]))(draw(st.integers(1, min(5, max_degree))))
+    first = draw(trees(depth - 1, max_degree // 2))
+    second = draw(trees(depth - 1, max_degree // degree(first)))
+    a, b = (first, second) if draw(st.booleans()) else (second, first)
+    return draw(st.sampled_from([Prod, Wreath]))(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=trees())
+def test_broadcast_generator_rows_match_the_per_row_reference(expr):
+    """Row order is pinned, since it sets the commutant solve's work, so the
+    broadcast rows must equal the per-row reference exactly, with the same
+    dtype and label."""
+    got, ref = group_of(expr), _reference_group(expr)
+    assert got.generators.dtype == ref.generators.dtype
+    assert np.array_equal(got.generators, ref.generators)
+    assert got.label == ref.label

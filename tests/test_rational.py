@@ -1,12 +1,12 @@
-from fractions import Fraction
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathlin.rational import nullspace, rref
 
-F = Fraction
-
 
 def _row(*pairs):
-    return {i: F(v) for i, v in pairs}
+    return dict(pairs)
 
 
 def test_rank_of_independent_rows():
@@ -15,19 +15,25 @@ def test_rank_of_independent_rows():
 
 
 def test_rank_detects_dependence():
-    rows = [_row((0, 1), (1, 2)), _row((0, 2), (1, 4)), _row((0, 1))]
+    rows = [_row((0, 1), (1, -1)), _row((0, -2), (1, 2)), _row((1, 1), (2, -1)), _row((0, 1), (2, -1))]
     assert len(rref(rows)) == 2
 
 
 def test_rref_normalizes_pivots():
-    reduced = rref([_row((0, 2), (1, 4))])
+    reduced = rref([_row((0, -1), (1, 4))])
     assert set(reduced) == {0}
-    assert reduced[0] == {0: F(1), 1: F(2)}
+    assert reduced[0] == {0: 1, 1: -4}
+
+
+def test_rref_rejects_a_non_unit_pivot():
+    # the second row reduces to {1: -2}, whose pivot 2 has no integer inverse
+    with pytest.raises(ArithmeticError):
+        rref([_row((0, 1), (1, 2)), _row((0, 1))])
 
 
 def test_nullspace_of_empty_system_is_full_space():
     vecs = nullspace([], 3)
-    assert vecs == [{0: F(1)}, {1: F(1)}, {2: F(1)}]
+    assert vecs == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_nullspace_vectors_satisfy_system():
@@ -36,22 +42,56 @@ def test_nullspace_vectors_satisfy_system():
     vecs = nullspace(rows, 4)
     assert len(vecs) == 2
     for v in vecs:
-        x = [v.get(c, F(0)) for c in range(4)]
+        x = [v.get(c, 0) for c in range(4)]
         assert x[0] - x[1] == 0
         assert x[2] - 3 * x[3] == 0
 
 
 def test_nullspace_exactness_avoids_float_pitfalls():
-    # scaled tying constraints that would accumulate error in floating point
-    rows = [
-        _row((0, F(1, 3)), (1, F(-1, 3))),
-        _row((1, F(1, 7)), (2, F(-1, 7))),
-    ]
+    # x0 = k x1 and x1 = k x2 with k = 10**20: the vector's x0 is k**2 = 10**40,
+    # which a float holds only to 16 digits
+    k = 10**20
+    rows = [_row((0, 1), (1, -k)), _row((1, 1), (2, -k))]
     vecs = nullspace(rows, 3)
-    assert vecs == [{0: F(1), 1: F(1), 2: F(1)}]
+    assert vecs == [{2: 1, 0: k * k, 1: k}]
+    assert all(isinstance(v, int) for v in vecs[0].values())
 
 
 def test_nullspace_rank_nullity():
     rows = [_row((i, 1), (i + 1, -1)) for i in range(5)]
     assert len(rref(rows)) == 5
     assert len(nullspace(rows, 6)) == 1
+
+
+def _components(edges, n):
+    """Connected components of the graph on ``0..n-1`` with the given edges,
+    by repeated relabelling to the least neighbour label."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return {frozenset(c for c in range(n) if label[c] == root) for root in set(label)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()), max_size=3 * n))))
+def test_difference_rows_reduce_to_unit_coefficients_and_component_indicators(system):
+    """Rows ``x_a - x_b`` (either sign, any order): every reduced coefficient
+    is -1, 0 or 1, every nullspace vector is 0/1, and the vectors' supports
+    are the connected components of the graph whose edges are the rows."""
+    n, draws = system
+    edges = [(a, b) for a, b, _ in draws if a != b]
+    rows = [{a: 1, b: -1} if flip else {a: -1, b: 1} for a, b, flip in draws if a != b]
+    for prow in rref(rows).values():
+        assert set(prow.values()) <= {-1, 1}
+    vecs = nullspace(rows, n)
+    assert all(set(v.values()) == {1} for v in vecs)
+    supports = [frozenset(v) for v in vecs]
+    assert sum(map(len, supports)) == n
+    assert set(supports) == _components(edges, n)
