@@ -191,7 +191,7 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
 
     The arrays the demo holds at once are summed against physical memory
     before anything is allocated, counting 8-byte floats at the demo's hidden
-    width; the size that takes the sum past it is named.
+    width and 8-byte voxel counts; the size that takes the sum past it is named.
     """
     least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0,
              "seed": 0}
@@ -206,7 +206,9 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
     n_points = args.blobs * args.points_per_blob
     taps, clouds, width = kernel_width(args.res) ** 3, TRAIN_CLOUDS + HELD_OUT_CLOUDS, HIDDEN_WIDTH
     sizes = [
-        ("res", "its per-voxel grid needs", args.res ** 3 * width),
+        # each cloud's int64 voxel counts; a convolution's tap rows and products
+        ("res", "its voxel counts and kernel-tap rows need",
+         clouds * args.res ** 3 + 2 * taps * min(n_points, args.res ** 3) * width),
         ("points_per_blob", f"{clouds} clouds of {n_points} points need", clouds * n_points * FEATURE_CHANNELS),
         # the backward holds three (L, n) arrays: the soft assignment and two gradients
         ("attention", "its interaction weights and soft assignments need",

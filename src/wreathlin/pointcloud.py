@@ -6,13 +6,15 @@ The basic layer maps point features ``X`` to
 
     ``X @ w_point + gather(conv(w_conv, mean_pool(X)))``
 
-where ``mean_pool`` averages the points of each voxel (empty voxels are zero),
-``conv`` is a circular 3-D convolution over the ``D x D x D`` grid, and
-``gather`` hands each point the value of its voxel.  The global-pool
-ablation is the same layer over a single voxel: every point assigned to the
-one cell of a ``D = 1`` grid, whatever grid the cloud was voxelized into.  An
-attention variant replaces the hard voxel assignment with a learned soft one
-and is equivariant to arbitrary reorderings of the points.
+where ``mean_pool`` averages the points of each voxel, ``conv`` is a
+circular 3-D convolution over the ``D x D x D`` grid, and ``gather`` hands
+each point the value of its voxel.  Only occupied voxels hold a row; every
+other voxel is zero, and since each point reads only its own voxel, cost and
+memory follow the occupied voxels, not ``D**3``.  The global-pool ablation is
+the same layer over a single voxel: every point assigned to the one cell of
+a ``D = 1`` grid, whatever grid the cloud was voxelized into.  An attention
+variant replaces the hard voxel assignment with a learned soft one and is
+equivariant to arbitrary reorderings of the points.
 
 Each layer class owns its ``forward`` and its ``backward``, and with them the
 cache that passes between the two.  Both return fresh arrays that alias
@@ -22,9 +24,9 @@ backward reuses the forward primitives: the adjoint of a broadcast to points
 is ``voxel_sum``, that of a per-voxel mean pool is a gather of the gradient
 over the voxel counts, and that of ``conv3d_periodic`` in its grid is
 ``conv3d_periodic`` with the kernel flipped in space and transposed in
-channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.  The tap
-walker wrap-pads the grid once and reads each tap as a slice of the padded
-grid.  The attention layer works latent-major: its assignment logits are
+channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.  Each is
+one gather through a ``neighbour_table`` and one batched product over the
+taps.  The attention layer works latent-major: its assignment logits are
 ``(L, n)``, so the softmax reduces over the short latent axis as ``L`` whole
 rows rather than ``n`` rows of length ``L``.
 
@@ -35,7 +37,7 @@ toy blob scenes and the one-class-per-line prediction format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,13 +87,17 @@ class VoxelizedCloud:
 
     ``assignment[i]`` is the flat voxel index ``ix * D**2 + iy * D + iz``;
     ``rel_coords`` are positions relative to the assigned voxel center, in
-    voxel units, each component in ``[-0.5, 0.5]``.
+    voxel units, each component in ``[-0.5, 0.5]``.  Derived: ``occupied``,
+    the ascending ids of voxels with a point, which per-voxel ``(n_occ, c)``
+    rows follow, and ``point_row[i]``, the row of point ``i``'s voxel.
     """
 
     resolution: int
     assignment: np.ndarray  # (n,)
     rel_coords: np.ndarray  # (n, 3)
     occupancy: np.ndarray  # (D**3,)
+    occupied: np.ndarray = field(init=False)  # (n_occ,)
+    point_row: np.ndarray = field(init=False)  # (n,)
 
     def __post_init__(self) -> None:
         if self.resolution < 1:
@@ -99,14 +105,14 @@ class VoxelizedCloud:
         _frozen_array(self, "assignment", self.assignment, dtype=np.int64)
         _frozen_array(self, "rel_coords", self.rel_coords)
         _frozen_array(self, "occupancy", self.occupancy, dtype=np.int64)
+        _frozen_array(self, "occupied", np.flatnonzero(self.occupancy), dtype=np.int64)
+        full = len(self.occupied) == len(self.occupancy)  # every row is its voxel's id
+        rows = self.assignment if full else np.searchsorted(self.occupied, self.assignment)
+        _frozen_array(self, "point_row", rows, dtype=np.int64)
 
     @property
     def n_points(self) -> int:
         return self.assignment.shape[0]
-
-    @property
-    def n_voxels(self) -> int:
-        return self.resolution ** 3
 
 
 def voxelize(cloud: PointCloud, resolution: int) -> VoxelizedCloud:
@@ -133,73 +139,67 @@ def voxelize(cloud: PointCloud, resolution: int) -> VoxelizedCloud:
 
 
 def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
-    """Per-voxel sum of point values, the adjoint of ``gather_to_points``:
-    one flat ``bincount`` over (voxel, channel) bins."""
+    """Sum of point values per occupied voxel, ``(n_occ, c)``, the adjoint of
+    ``gather_to_points``: one flat ``bincount`` over (row, channel) bins."""
     x = np.asarray(x, dtype=np.float64)
-    c = x.shape[1]
-    bins = (vox.assignment[:, None] * c + np.arange(c)).ravel()
-    return np.bincount(bins, weights=x.ravel(), minlength=vox.n_voxels * c).reshape(vox.n_voxels, c)
+    n_occ, c = len(vox.occupied), x.shape[1]
+    bins = (vox.point_row[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(bins, weights=x.ravel(), minlength=n_occ * c).reshape(n_occ, c)
 
 
 def mean_pool(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
-    """Per-voxel mean of point values; empty voxels pool to zero."""
-    return voxel_sum(vox, x) / np.maximum(vox.occupancy, 1)[:, None]
+    """Mean of point values per occupied voxel, ``(n_occ, c)``."""
+    return voxel_sum(vox, x) / vox.occupancy[vox.occupied][:, None]
 
 
 def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray) -> np.ndarray:
-    """Hand every point the value of its voxel."""
-    return np.take(per_voxel, vox.assignment, axis=0)
+    """Hand every point the row of its voxel in ``(n_occ, c)`` values."""
+    return np.take(per_voxel, vox.point_row, axis=0)
 
 
-def _shifted_grids(grid: np.ndarray, width: int):
-    """Yield each tap ``t`` of a ``width**3`` kernel with the grid shifted so
-    every voxel holds the value ``t`` reads, at offset ``t - width // 2``,
-    flattened to ``(D**3, c)``; one shifted grid is live at a time.
+def neighbour_table(vox: VoxelizedCloud, width: int) -> np.ndarray:
+    """The ``(width, width, width, n_occ)`` rows that each kernel tap reads.
 
-    The grid is wrap-padded by ``width // 2`` on every side once, and each
-    tap is the ``D**3`` window of the padded grid starting at ``t``.
+    Tap ``t`` of the voxel at ``v`` reads the voxel at ``v + t - width // 2``,
+    wrapped on every axis; an empty one is row ``n_occ``, a zero row.
     """
-    D, c = grid.shape[0], grid.shape[3]
-    half = width // 2
-    padded = np.pad(grid, [(half, half)] * 3 + [(0, 0)], mode="wrap")
-    for tap in np.ndindex(width, width, width):
-        i, j, k = tap
-        yield tap, padded[i:i + D, j:j + D, k:k + D].reshape(-1, c)
+    D = vox.resolution
+    if width % 2 == 0 or width > D:
+        raise KernelError(f"kernel width must be odd and at most the resolution {D}, got {width}")
+    offsets = np.indices((width,) * 3).reshape(3, -1, 1) - width // 2
+    at = np.unravel_index(vox.occupied, (D,) * 3)
+    read = np.ravel_multi_index(tuple(a + o for a, o in zip(at, offsets)), (D,) * 3, mode="wrap")
+    row = np.searchsorted(vox.occupied, read)
+    empty = vox.occupied.take(row, mode="clip") != read
+    row[empty] = len(vox.occupied)
+    return row.reshape((width,) * 3 + (-1,))
 
 
-def conv3d_periodic(kernel: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Circular 3-D convolution of a ``(D, D, D, c)`` grid.
+def _tap_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``(K**3, n_occ, c)``: the rows each tap reads, zero at empty voxels."""
+    return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[table.reshape(-1, table.shape[3])]
 
-    ``kernel`` has shape ``(K, K, K, c_in, c_out)`` with ``K`` odd and
-    ``K <= D``; all three axes wrap around.  A delta kernel (identity mixing
-    at the center tap, zero elsewhere) is the identity map.  The adjoint in
-    the grid is the same convolution with the kernel flipped along its three
-    spatial axes and its channel axes swapped.
+
+def conv3d_periodic(kernel: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Circular 3-D convolution of a grid given by its ``(n_occ, c_in)``
+    occupied rows, all other voxels zero, at those rows.
+
+    ``kernel`` is ``(K, K, K, c_in, c_out)`` and ``table`` the cloud's
+    ``neighbour_table(vox, K)``; the taps are summed in order, and cost
+    follows the ``K**3 * n_occ`` tap rows, not ``D**3``.  A delta kernel is
+    the identity map.  The adjoint in the grid is the same convolution with
+    the kernel flipped along its three spatial axes and its channels swapped.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    grid = np.asarray(grid, dtype=np.float64)
-    if kernel.ndim != 5 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] != kernel.shape[2]:
-        raise KernelError(f"kernel must be (K, K, K, c_in, c_out), got {kernel.shape}")
-    K = kernel.shape[0]
-    D = grid.shape[0]
-    if K % 2 == 0:
-        raise KernelError(f"kernel width must be odd, got {K}")
-    if K > D:
-        raise KernelError(f"kernel width {K} exceeds grid resolution {D}")
-    out = np.zeros((D ** 3, kernel.shape[4]))
-    for tap, shifted in _shifted_grids(grid, K):
-        out += shifted @ kernel[tap]
-    return out.reshape(grid.shape[:3] + (kernel.shape[4],))
+    if kernel.ndim != 5 or kernel.shape[:3] != table.shape[:3]:
+        raise KernelError(f"kernel must be (K, K, K, c_in, c_out) with K = {table.shape[0]}, got {kernel.shape}")
+    return np.matmul(_tap_rows(rows, table), kernel.reshape((-1,) + kernel.shape[3:])).sum(axis=0)
 
 
-def conv3d_kernel_grad(grid: np.ndarray, d_out: np.ndarray, width: int) -> np.ndarray:
-    """Gradient of ``conv3d_periodic`` with respect to a ``width**3`` kernel,
-    given the grid it convolved and the gradient of its output."""
-    d_out = d_out.reshape(-1, d_out.shape[3])
-    d_kernel = np.empty((width,) * 3 + (grid.shape[3], d_out.shape[1]))
-    for tap, shifted in _shifted_grids(grid, width):
-        d_kernel[tap] = shifted.T @ d_out
-    return d_kernel
+def conv3d_kernel_grad(rows: np.ndarray, d_out: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Gradient of ``conv3d_periodic`` with respect to its kernel, given the
+    rows it convolved, the gradient of its output rows and the same table."""
+    d_kernel = np.matmul(_tap_rows(rows, table).transpose(0, 2, 1), d_out)
+    return d_kernel.reshape(table.shape[:3] + d_kernel.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -226,23 +226,20 @@ class WreathPCLayer:
         return self.w_point.shape[1]
 
     def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        D = vox.resolution
+        table = neighbour_table(vox, self.w_conv.shape[0])
         pooled = mean_pool(vox, x)
-        grid = pooled.reshape(D, D, D, self.c_in)
-        conv = conv3d_periodic(self.w_conv, grid)
         y = x @ self.w_point
-        y += gather_to_points(vox, conv.reshape(vox.n_voxels, self.c_out))
-        return y, {"x": x, "grid": grid}
+        y += gather_to_points(vox, conv3d_periodic(self.w_conv, pooled, table))
+        return y, {"x": x, "pooled": pooled, "table": table}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
-        x, grid = cache["x"], cache["grid"]
-        D = vox.resolution
+        x, pooled, table = cache["x"], cache["pooled"], cache["table"]
         d_x = d_y @ self.w_point.T
-        d_conv = voxel_sum(vox, d_y).reshape(D, D, D, self.c_out)
-        d_w_conv = conv3d_kernel_grad(grid, d_conv, self.w_conv.shape[0])
+        d_conv = voxel_sum(vox, d_y)
+        d_w_conv = conv3d_kernel_grad(pooled, d_conv, table)
         flipped = self.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
-        d_pooled = conv3d_periodic(flipped, d_conv).reshape(vox.n_voxels, self.c_in)
-        d_x += gather_to_points(vox, d_pooled / np.maximum(vox.occupancy, 1)[:, None])
+        d_pooled = conv3d_periodic(flipped, d_conv, table)
+        d_x += gather_to_points(vox, d_pooled / vox.occupancy[vox.occupied][:, None])
         return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 

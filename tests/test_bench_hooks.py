@@ -95,3 +95,30 @@ def test_layer_gradients_are_keyed_by_the_layer_fields():
         y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
         grads, _ = pc.layer_backward(layer, vox, cache, np.ones_like(y))
         assert set(grads) == {f.name for f in dataclasses.fields(layer)}, cls.__name__
+
+
+def test_wreath_layer_calls_the_pooled_primitives_through_the_module(monkeypatch):
+    """The per-layer metrics ``pointcloud.mean_pool_ms``, ``.conv3d_periodic_ms``
+    and ``.gather_to_points_ms`` sum the spans of wrappers installed on
+    ``wreathlin.pointcloud``; a layer that inlined one of these, or bound it
+    under another name, would leave its metric reading 0."""
+    pc = wreathlin.pointcloud
+    calls = dict.fromkeys(["mean_pool", "conv3d_periodic", "gather_to_points"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pc, name, counting(name, getattr(pc, name)))
+    rng = np.random.default_rng(1)
+    cloud = pc.PointCloud(coords=rng.uniform(size=(30, 3)), features=rng.normal(size=(30, 4)))
+    vox = pc.voxelize(cloud, 4)
+    layer = init_wreath_layer(4, 3, 3, rng)
+    y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
+    pc.layer_backward(layer, vox, cache, np.ones_like(y))
+    # the forward pools, convolves and gathers once; the backward convolves
+    # with the flipped kernel and gathers again
+    assert calls == {"mean_pool": 1, "conv3d_periodic": 2, "gather_to_points": 2}

@@ -350,13 +350,13 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize("bad, message", [
     (["--attention", "40"],
      "--attention 40 is too large: its interaction weights and soft assignments need 836480 bytes, "
-     "844768 in all"),
+     "845856 in all"),
     (["--points-per-blob", "1000"],
-     "--points-per-blob 1000 is too large: 9 clouds of 3000 points need 1296000 bytes, 1296512 in all"),
+     "--points-per-blob 1000 is too large: 9 clouds of 3000 points need 1296000 bytes, 1297600 in all"),
     (["--blocks", "100"],
-     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 225888 in all"),
+     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 226976 in all"),
     (["--attention", "8", "--blocks", "30"],
-     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 109792 in all"),
+     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 110880 in all"),
 ])
 def test_demo_sizes_beyond_memory_exit_two_before_writing(tmp_path, capsys, monkeypatch, bad, message):
     # a 100 kB machine: each size below is small enough to run, but not there;

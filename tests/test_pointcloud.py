@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from wreathlin.pointcloud import (
     KernelError,
     PointCloud,
     SetPCLayer,
+    VoxelizedCloud,
     WreathPCLayer,
     conv3d_kernel_grad,
     conv3d_periodic,
@@ -13,6 +16,7 @@ from wreathlin.pointcloud import (
     gather_to_points,
     make_blob_scene,
     mean_pool,
+    neighbour_table,
     pc_layer_forward,
     permute_points,
     sample_blob_cloud,
@@ -68,14 +72,24 @@ def test_mean_pool_and_gather():
     coords = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.9, 0.9, 0.9]])
     cloud = PointCloud(coords=coords, features=np.array([[2.0], [4.0], [10.0]]))
     vox = voxelize(cloud, 2)
+    # only the two occupied voxels get a row, in ascending voxel order
+    assert vox.occupied.tolist() == [0, 7]
+    assert vox.point_row.tolist() == [0, 0, 1]
     pooled = mean_pool(vox, cloud.features)
-    assert pooled[vox.assignment[0], 0] == 3.0
-    assert pooled[vox.assignment[2], 0] == 10.0
-    # empty voxels pool to zero
-    empty = [v for v in range(8) if v not in set(vox.assignment.tolist())]
-    assert all(pooled[v, 0] == 0 for v in empty)
+    assert pooled.tolist() == [[3.0], [10.0]]
     back = gather_to_points(vox, pooled)
     assert back[0, 0] == back[1, 0] == 3.0
+
+
+def test_occupied_rows_are_read_only_and_derived():
+    rng = np.random.default_rng(17)
+    vox = voxelize(random_cloud(rng, n=40), 4)
+    assert np.array_equal(vox.occupied, np.flatnonzero(vox.occupancy))
+    assert np.array_equal(vox.occupied[vox.point_row], vox.assignment)
+    assert not vox.occupied.flags.writeable and not vox.point_row.flags.writeable
+    # on a fully occupied grid the rows are the voxel ids themselves
+    full = voxelize(random_cloud(rng, n=40), 1)
+    assert full.point_row is full.assignment
 
 
 def test_mean_pool_is_duplication_invariant():
@@ -90,97 +104,242 @@ def test_mean_pool_is_duplication_invariant():
     assert np.allclose(mean_pool(vox_dup, dup.features), pooled)
 
 
+def dense_voxel_sum(vox, x):
+    """Dense reference: the sum over every one of the ``D**3`` voxels, empty ones zero."""
+    c, n_voxels = x.shape[1], vox.resolution ** 3
+    bins = (vox.assignment[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(bins, weights=x.ravel(), minlength=n_voxels * c).reshape(n_voxels, c)
+
+
 @pytest.mark.parametrize("n", [37, 4000, 100000])
 def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n):
     rng = np.random.default_rng(n)
     cloud = random_cloud(rng, n=n, c=5)
     vox = voxelize(cloud, 8)
-    acc = np.zeros((vox.n_voxels, 5))
+    acc = np.zeros((8 ** 3, 5))
     np.add.at(acc, vox.assignment, cloud.features)
-    assert np.array_equal(voxel_sum(vox, cloud.features), acc)
-    assert np.array_equal(mean_pool(vox, cloud.features), acc / np.maximum(vox.occupancy, 1)[:, None])
+    assert np.array_equal(dense_voxel_sum(vox, cloud.features), acc)
+    assert np.array_equal(voxel_sum(vox, cloud.features), acc[vox.occupied])
+    pooled = acc / np.maximum(vox.occupancy, 1)[:, None]
+    assert np.array_equal(mean_pool(vox, cloud.features), pooled[vox.occupied])
+
+
+def _rolled_grids(grid, K):
+    """The whole grid rolled once per tap, so each voxel holds what the tap reads."""
+    for tap in np.ndindex(K, K, K):
+        shift = [K // 2 - t for t in tap]
+        yield tap, np.roll(grid, shift, axis=(0, 1, 2)).reshape(-1, grid.shape[3])
+
+
+def dense_conv(kernel, grid):
+    """Dense reference convolution of a ``(D, D, D, c)`` grid: one matrix
+    product per tap over all ``D**3`` voxels, the taps summed in order."""
+    D = grid.shape[0]
+    out = np.zeros((D ** 3, kernel.shape[4]))
+    for tap, rolled in _rolled_grids(grid, kernel.shape[0]):
+        out += rolled @ kernel[tap]
+    return out.reshape(D, D, D, -1)
+
+
+def dense_kernel_grad(grid, d_out, K):
+    """Dense reference kernel gradient: one product per tap over the grid."""
+    d_kernel = np.empty((K, K, K, grid.shape[3], d_out.shape[3]))
+    for tap, rolled in _rolled_grids(grid, K):
+        d_kernel[tap] = rolled.T @ d_out.reshape(-1, d_out.shape[3])
+    return d_kernel
+
+
+def cloud_on(D, voxels, rng):
+    """A voxelized cloud with one to three points in each of the given voxels."""
+    ids = np.ravel_multi_index(np.asarray(voxels).T, (D,) * 3)
+    assignment = rng.permutation(np.repeat(ids, rng.integers(1, 4, size=len(ids))))
+    occupancy = np.bincount(assignment, minlength=D ** 3)
+    return VoxelizedCloud(D, assignment, np.zeros((len(assignment), 3)), occupancy)
+
+
+def random_occupied(D, share, rng):
+    """Voxel coordinates of a random subset, about ``share`` of the grid."""
+    chosen = np.flatnonzero(rng.uniform(size=D ** 3) < share)
+    return np.stack(np.unravel_index(chosen, (D,) * 3), axis=1)
+
+
+def assert_matches_dense_reference(D, K, voxels, rng):
+    """The occupied-voxel convolution and kernel gradient equal the dense
+    ones, bit for bit, on the rows of the occupied voxels."""
+    vox = cloud_on(D, voxels, rng)
+    n_occ = len(vox.occupied)
+    assert n_occ == len(voxels)
+    kernel = rng.normal(size=(K, K, K, 2, 3))
+    rows, d_rows = rng.normal(size=(n_occ, 2)), rng.normal(size=(n_occ, 3))
+    grid, d_grid = np.zeros((D ** 3, 2)), np.zeros((D ** 3, 3))
+    grid[vox.occupied], d_grid[vox.occupied] = rows, d_rows
+    grid, d_grid = grid.reshape(D, D, D, 2), d_grid.reshape(D, D, D, 3)
+    table = neighbour_table(vox, K)
+    assert table.shape == (K, K, K, n_occ)
+    out = conv3d_periodic(kernel, rows, table)
+    assert np.array_equal(out, dense_conv(kernel, grid).reshape(-1, 3)[vox.occupied])
+    assert np.array_equal(conv3d_kernel_grad(rows, d_rows, table), dense_kernel_grad(grid, d_grid, K))
+
+
+@pytest.mark.parametrize("D, K", [(1, 1), (2, 1), (3, 3), (4, 3), (5, 5), (8, 3)])
+def test_conv3d_and_kernel_grad_match_a_roll_per_tap_bit_for_bit(D, K):
+    # a fully occupied grid
+    assert_matches_dense_reference(D, K, list(np.ndindex(D, D, D)), np.random.default_rng(100 * D + K))
+
+
+PARTIAL_OCCUPANCIES = {
+    "empty voxels": (5, 3, random_occupied(5, 0.4, np.random.default_rng(0))),
+    "empty voxels, wider kernel": (7, 5, random_occupied(7, 0.2, np.random.default_rng(1))),
+    # each voxel's neighbours lie across the grid's edges
+    "wraps around the edge": (6, 3, [(0, 0, 0), (5, 5, 5), (0, 5, 0), (5, 0, 5), (0, 0, 5)]),
+    # neither voxel is within a tap of the other, so both read only empty ones
+    "neighbours all empty": (5, 3, [(0, 0, 0), (2, 2, 2)]),
+    "D = 1, K = 1": (1, 1, [(0, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", list(PARTIAL_OCCUPANCIES))
+def test_occupied_conv3d_and_kernel_grad_match_the_dense_reference_bit_for_bit(case):
+    D, K, voxels = PARTIAL_OCCUPANCIES[case]
+    assert_matches_dense_reference(D, K, voxels, np.random.default_rng(len(case)))
+
+
+def test_neighbour_table_reads_the_zero_row_for_empty_voxels():
+    vox = cloud_on(5, [(0, 0, 0), (2, 2, 2), (2, 2, 3), (4, 4, 4)], np.random.default_rng(3))
+    table = neighbour_table(vox, 3)
+    # (0, 0, 0) reads (4, 4, 4) across three edges at tap (0, 0, 0)
+    assert table[0, 0, 0, 0] == 3 and table[2, 2, 2, 3] == 0
+    assert table[1, 1, 1].tolist() == [0, 1, 2, 3]  # the centre tap reads each voxel itself
+    assert table[1, 1, 2, 1] == 2 and table[1, 1, 0, 2] == 1
+    assert np.count_nonzero(table < 4) == 4 + 2 + 2
 
 
 @pytest.mark.parametrize("D, K", [(2, 1), (3, 3), (5, 3), (5, 5)])
 def test_conv3d_adjoint_is_flipped_transposed_kernel(D, K):
     rng = np.random.default_rng(10 * D + K)
-    kernel = rng.normal(size=(K, K, K, 2, 3))
-    g = rng.normal(size=(D, D, D, 2))
-    h = rng.normal(size=(D, D, D, 3))
-    flipped = kernel[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
-    lhs = np.vdot(conv3d_periodic(kernel, g), h)
-    rhs = np.vdot(g, conv3d_periodic(flipped, h))
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    for share in (1.0, 0.3):
+        vox = cloud_on(D, random_occupied(D, share, rng), rng)
+        table, n_occ = neighbour_table(vox, K), len(vox.occupied)
+        kernel = rng.normal(size=(K, K, K, 2, 3))
+        g = rng.normal(size=(n_occ, 2))
+        h = rng.normal(size=(n_occ, 3))
+        flipped = kernel[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
+        lhs = np.vdot(conv3d_periodic(kernel, g, table), h)
+        rhs = np.vdot(g, conv3d_periodic(flipped, h, table))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 @pytest.mark.parametrize("D, K", [(3, 3), (5, 3)])
 def test_conv3d_kernel_grad_is_the_kernel_adjoint(D, K):
     # conv3d_periodic is linear in its kernel, so <conv(k, g), h> == <k, grad(g, h)>
     rng = np.random.default_rng(D + K)
-    kernel = rng.normal(size=(K, K, K, 2, 3))
-    g = rng.normal(size=(D, D, D, 2))
-    h = rng.normal(size=(D, D, D, 3))
-    lhs = np.vdot(conv3d_periodic(kernel, g), h)
-    rhs = np.vdot(kernel, conv3d_kernel_grad(g, h, K))
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-def _rolled_grids(grid, K):
-    """The tap walker's reference: the whole grid rolled once per tap."""
-    for tap in np.ndindex(K, K, K):
-        shift = [K // 2 - t for t in tap]
-        yield tap, np.roll(grid, shift, axis=(0, 1, 2)).reshape(-1, grid.shape[3])
-
-
-@pytest.mark.parametrize("D, K", [(1, 1), (2, 1), (3, 3), (4, 3), (5, 5), (8, 3)])
-def test_conv3d_and_kernel_grad_match_a_roll_per_tap_bit_for_bit(D, K):
-    rng = np.random.default_rng(100 * D + K)
-    kernel = rng.normal(size=(K, K, K, 2, 3))
-    g = rng.normal(size=(D, D, D, 2))
-    h = rng.normal(size=(D, D, D, 3))
-    out = np.zeros((D ** 3, 3))
-    d_kernel = np.empty_like(kernel)
-    for tap, rolled in _rolled_grids(g, K):
-        out += rolled @ kernel[tap]
-        d_kernel[tap] = rolled.T @ h.reshape(-1, 3)
-    assert np.array_equal(conv3d_periodic(kernel, g), out.reshape(D, D, D, 3))
-    assert np.array_equal(conv3d_kernel_grad(g, h, K), d_kernel)
+    for share in (1.0, 0.3):
+        vox = cloud_on(D, random_occupied(D, share, rng), rng)
+        table, n_occ = neighbour_table(vox, K), len(vox.occupied)
+        kernel = rng.normal(size=(K, K, K, 2, 3))
+        g = rng.normal(size=(n_occ, 2))
+        h = rng.normal(size=(n_occ, 3))
+        lhs = np.vdot(conv3d_periodic(kernel, g, table), h)
+        rhs = np.vdot(kernel, conv3d_kernel_grad(g, h, table))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_conv3d_delta_kernel_is_identity():
     rng = np.random.default_rng(2)
-    grid = rng.normal(size=(4, 4, 4, 3))
     kernel = np.zeros((3, 3, 3, 3, 3))
     kernel[1, 1, 1] = np.eye(3)
-    assert np.allclose(conv3d_periodic(kernel, grid), grid)
+    for share in (1.0, 0.3):
+        vox = cloud_on(4, random_occupied(4, share, rng), rng)
+        rows = rng.normal(size=(len(vox.occupied), 3))
+        assert np.allclose(conv3d_periodic(kernel, rows, neighbour_table(vox, 3)), rows)
 
 
 def test_conv3d_constant_grid_scales_by_kernel_sum():
     rng = np.random.default_rng(3)
     kernel = rng.normal(size=(3, 3, 3, 2, 5))
-    grid = np.ones((3, 3, 3, 2)) * np.array([2.0, -1.0])
-    out = conv3d_periodic(kernel, grid)
+    vox = cloud_on(3, list(np.ndindex(3, 3, 3)), rng)
+    rows = np.ones((27, 2)) * np.array([2.0, -1.0])
+    out = conv3d_periodic(kernel, rows, neighbour_table(vox, 3))
     expected = np.array([2.0, -1.0]) @ kernel.sum(axis=(0, 1, 2))
     assert np.allclose(out, np.broadcast_to(expected, out.shape))
 
 
 def test_conv3d_commutes_with_grid_shifts():
     rng = np.random.default_rng(4)
-    for D, K in [(2, 1), (3, 3), (4, 3)]:
+    for D, K, share in [(2, 1, 1.0), (3, 3, 1.0), (4, 3, 1.0), (4, 3, 0.4), (5, 3, 0.2)]:
         kernel = rng.normal(size=(K, K, K, 2, 2))
-        grid = rng.normal(size=(D, D, D, 2))
-        out = conv3d_periodic(kernel, grid)
-        shift = tuple(rng.integers(0, D, size=3).tolist())
-        shifted = conv3d_periodic(kernel, np.roll(grid, shift, axis=(0, 1, 2)))
-        assert np.allclose(shifted, np.roll(out, shift, axis=(0, 1, 2)))
+        vox = cloud_on(D, random_occupied(D, share, rng), rng)
+        rows = rng.normal(size=(len(vox.occupied), 2))
+        out = conv3d_periodic(kernel, rows, neighbour_table(vox, K))
+        moved = shift_assignment(vox, tuple(rng.integers(0, D, size=3).tolist()))
+        # each voxel's row travels with its points
+        moved_rows = np.empty_like(rows)
+        moved_rows[moved.point_row] = rows[vox.point_row]
+        moved_out = conv3d_periodic(kernel, moved_rows, neighbour_table(moved, K))
+        assert np.allclose(gather_to_points(moved, moved_out), gather_to_points(vox, out))
 
 
 def test_conv3d_kernel_constraints():
-    grid = np.zeros((2, 2, 2, 1))
+    rng = np.random.default_rng(5)
     with pytest.raises(KernelError):
-        conv3d_periodic(np.zeros((3, 3, 3, 1, 1)), grid)  # K > D
+        neighbour_table(cloud_on(2, list(np.ndindex(2, 2, 2)), rng), 3)  # K > D
     with pytest.raises(KernelError):
-        conv3d_periodic(np.zeros((2, 2, 2, 1, 1)), np.zeros((4, 4, 4, 1)))  # K even
+        neighbour_table(cloud_on(4, list(np.ndindex(4, 4, 4)), rng), 2)  # K even
+    table = neighbour_table(cloud_on(4, list(np.ndindex(4, 4, 4)), rng), 3)
+    with pytest.raises(KernelError):
+        conv3d_periodic(np.zeros((1, 1, 1, 1, 1)), np.zeros((64, 1)), table)  # K not the table's
+    with pytest.raises(KernelError):
+        conv3d_periodic(np.zeros((3, 3, 1, 1, 1)), np.zeros((64, 1)), table)  # not cubic
+
+
+def dense_wreath_layer(layer, vox, x, d_y):
+    """Dense reference ``WreathPCLayer`` forward and backward, over all
+    ``D**3`` voxels with empty ones pooled to zero."""
+    D, K = vox.resolution, layer.w_conv.shape[0]
+    counts = np.maximum(vox.occupancy, 1)[:, None]
+    grid = (dense_voxel_sum(vox, x) / counts).reshape(D, D, D, layer.c_in)
+    y = x @ layer.w_point
+    y += dense_conv(layer.w_conv, grid).reshape(D ** 3, layer.c_out)[vox.assignment]
+    d_x = d_y @ layer.w_point.T
+    d_conv = dense_voxel_sum(vox, d_y).reshape(D, D, D, layer.c_out)
+    d_w_conv = dense_kernel_grad(grid, d_conv, K)
+    flipped = layer.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
+    d_x += (dense_conv(flipped, d_conv).reshape(D ** 3, layer.c_in) / counts)[vox.assignment]
+    return y, {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
+
+
+@pytest.mark.parametrize("D, K", [(4, 3), (6, 3), (7, 5)])
+def test_wreath_layer_matches_the_dense_layer_bit_for_bit(D, K):
+    rng = np.random.default_rng(D * K)
+    cloud = random_cloud(rng, n=60, c=4)
+    vox = voxelize(cloud, D)
+    assert 1 < len(vox.occupied) < D ** 3
+    layer = WreathPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(K, K, K, 4, 3)))
+    d_y = rng.normal(size=(60, 3))
+    y, cache = layer.forward(vox, cloud.features)
+    grads, d_x = layer.backward(vox, cache, d_y)
+    ref_y, ref_grads, ref_d_x = dense_wreath_layer(layer, vox, cloud.features, d_y)
+    assert np.array_equal(y, ref_y) and np.array_equal(d_x, ref_d_x)
+    assert grads.keys() == ref_grads.keys()
+    assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+
+
+def test_wreath_layer_memory_follows_the_occupied_voxels():
+    # 50 points on a 64**3 grid: one dense (D**3, c) float grid is 16.8 MB
+    rng = np.random.default_rng(18)
+    D, c = 64, 8
+    cloud = random_cloud(rng, n=50, c=c)
+    vox = voxelize(cloud, D)
+    layer = WreathPCLayer(w_point=rng.normal(size=(c, c)), w_conv=rng.normal(size=(3, 3, 3, c, c)))
+    d_y = rng.normal(size=(50, c))
+    layer.backward(vox, layer.forward(vox, cloud.features)[1], d_y)
+    tracemalloc.start()
+    try:
+        layer.backward(vox, layer.forward(vox, cloud.features)[1], d_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < D ** 3 * c * 8
 
 
 def test_zero_kernel_identity_mixing_is_identity():
