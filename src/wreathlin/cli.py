@@ -29,8 +29,6 @@ from .basis import (
 )
 from .layer import equivariance_check, random_layer
 from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
-from .pointcloud import (format_predictions, make_blob_scene, permute_points, shift_assignment,
-                         within_voxel_permutation)
 from .structure import (
     Structure,
     degree,
@@ -41,8 +39,6 @@ from .structure import (
     parse_structure,
     reassociate_wreaths,
 )
-from .train import (FEATURE_CHANNELS, HELD_OUT_CLOUDS, HIDDEN_WIDTH, TRAIN_CLOUDS, TrainingDivergedError,
-                    kernel_width, net_forward, seg_setup, sgd_train, trace_csv)
 
 USAGE_ERROR = 2
 
@@ -193,6 +189,9 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
     before anything is allocated, counting 8-byte floats at the demo's hidden
     width and 8-byte voxel counts; the size that takes the sum past it is named.
     """
+    # the demo's modules load here, not with the command line, so `verify` and `pattern` skip them
+    from .train import FEATURE_CHANNELS, HELD_OUT_CLOUDS, HIDDEN_WIDTH, TRAIN_CLOUDS, kernel_width
+
     least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0,
              "seed": 0}
     for name, low in least.items():
@@ -227,6 +226,10 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .pointcloud import (format_predictions, make_blob_scene, permute_points, shift_assignment,
+                             within_voxel_permutation)
+    from .train import TrainingDivergedError, net_forward, seg_setup, sgd_train, trace_csv
+
     error = _demo_size_error(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)

@@ -20,6 +20,8 @@ pooled row into the cross-fiber term, so each fiber is pooled and broadcast
 once.
 Orbit ids map to node-local coefficients through :func:`basis.orbit_index
 <wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
+All of that weight-side work, the kernel spectra included, is done once per
+layer, on its first ``apply``; later calls do only the input-side work.
 :func:`apply_dense` materializes the shared matrix per channel pair and is the
 oracle the fast path is checked against.
 """
@@ -27,7 +29,9 @@ oracle the fast path is checked against.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +63,15 @@ class EquivariantLayer:
     def __post_init__(self) -> None:
         if self.c_in < 1 or self.c_out < 1:
             raise ValueError("channel counts must be at least 1")
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        # copies, so a caller writing into its arrays changes neither the weights nor the compiled map
+        w = np.array(self.weights, dtype=np.float64, order="C")
         expected = (structure_orbit_count(self.structure), self.c_in, self.c_out)
         if w.shape != expected:
             raise ValueError(f"weights shape {w.shape} != {expected}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.bias is not None:
-            b = np.ascontiguousarray(self.bias, dtype=np.float64)
+            b = np.array(self.bias, dtype=np.float64, order="C")
             if b.shape != (self.c_out,):
                 raise ValueError(f"bias shape {b.shape} != ({self.c_out},)")
             b.setflags(write=False)
@@ -75,6 +80,11 @@ class EquivariantLayer:
     @property
     def degree(self) -> int:
         return degree(self.structure)
+
+    @cached_property
+    def compiled(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The bias-free map on ``(..., N, c_in)`` arrays, its weight-side work done on first use."""
+        return _compile_structure(self.structure, self.weights)
 
 
 def random_layer(
@@ -100,57 +110,50 @@ def _cycle_lengths(expr: Structure) -> tuple[int, ...] | None:
     return (expr.n,) if isinstance(expr, Cycle) else None
 
 
-def _pool(x: np.ndarray) -> np.ndarray:
-    """Sum ``(..., n, c)`` over its point axis as one matrix-vector product.
+def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``x -> sum_o coeffs[o] * B_o x`` on ``(..., N, c_in)`` arrays, weight-side work done.
 
-    BLAS runs it several times faster than a numpy sum over that axis, whose
-    inner loop covers only ``c`` entries at a time.
+    ``B_o`` is the 0/1 indicator of orbit ``o`` in canonical order.  Each node
+    runs the kernel the module docstring lists: a node whose orbits are single
+    entries (a product of ``trivial``, or any one-point node such as ``S(1)``)
+    multiplies by ``coeffs`` reshaped to its full map; ``S`` pools; a product
+    of cycles, its orbits in row-major offset order, correlates with the
+    kernel's spectrum; another ``prod`` runs each factor once; ``wr`` pools.
+    Every gather, scatter, reshape and transform of ``coeffs`` is done here.
+    The map returns fresh ``(..., N, c_out)`` arrays that alias neither ``x``
+    nor ``coeffs``, so callers may write into them.
     """
-    return np.ones(x.shape[-2]) @ x
-
-
-def _set_terms(coeffs: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two-orbit set map before its broadcast: ``w0 - w1`` on the points, ``w1`` on the pool.
-
-    ``coeffs`` holds the diagonal and off-diagonal orbits' ``(c_in, c_out)``
-    matrices, ``x`` is ``(..., n, c_in)`` and ``pooled`` its sum over points.
-    Adding the second result to every row of the first gives the set's map.
-    """
-    return x @ (coeffs[0] - coeffs[1]), pooled @ coeffs[1]
-
-
-def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply ``sum_o coeffs[o] * B_o`` along the second-to-last axis of ``x``.
-
-    ``B_o`` is the 0/1 indicator of orbit ``o`` in canonical order; ``x`` has
-    shape ``(..., N, c_in)`` and the result ``(..., N, c_out)``.  Each node
-    runs the kernel the module docstring lists: a node whose orbits are
-    single entries (a product of ``trivial``, or any one-point node such as
-    ``S(1)``) multiplies by ``coeffs`` reshaped in place to its full map;
-    ``S`` pools; a product of cycles, its orbits in row-major offset order, is
-    one FFT correlation; another ``prod`` runs each factor once; ``wr`` pools.
-    The result is a fresh array that aliases neither ``x`` nor ``coeffs``, so
-    callers may write into it.
-    """
-    batch, c_in, c_out = x.shape[:-2], coeffs.shape[-2], coeffs.shape[-1]
+    c_in, c_out = coeffs.shape[-2:]
     n = degree(expr)
     if structure_orbit_count(expr) == n * n:
         # each entry is its own orbit, so canonical order is row-major entry order
-        return np.tensordot(x, coeffs.reshape(n, n, c_in, c_out), axes=([-2, -1], [1, 2]))
+        full = coeffs.reshape(n, n, c_in, c_out)
+        return lambda x: np.tensordot(x, full, axes=([-2, -1], [1, 2]))
     if isinstance(expr, Set):
-        # one output buffer, pooled row added in place: the temporaries of
-        # x @ W0 + (s - x) @ W1 fault in fresh pages on every large call
-        y, row = _set_terms(coeffs, x, _pool(x))
-        y += row[..., None, :]
-        return y
+        diff, off = coeffs[0] - coeffs[1], coeffs[1]
+
+        def run_set(x: np.ndarray) -> np.ndarray:
+            # pool first, by BLAS (a sum over points loops over c entries at a time): its ones row is freed before y exists
+            row = np.ones(x.shape[-2]) @ x @ off
+            # one output buffer, pooled row added in place: the temporaries of
+            # x @ W0 + (s - x) @ W1 fault in fresh pages on every large call
+            y = x @ diff
+            y += row[..., None, :]
+            return y
+
+        return run_set
     lengths = _cycle_lengths(expr)
     if lengths is not None:
         axes = tuple(range(-len(lengths) - 1, -1))
-        xf = np.fft.rfftn(x.reshape(*batch, *lengths, c_in), axes=axes)
-        kf = np.fft.rfftn(coeffs.reshape(*lengths, c_in, c_out), axes=tuple(range(len(lengths))))
-        y = np.fft.irfftn((xf[..., None, :] @ np.conj(kf))[..., 0, :], s=lengths, axes=axes)
-        return y.reshape(*batch, -1, c_out)
-    xr = x.reshape(*batch, degree(expr.outer), degree(expr.inner), c_in)
+        kf = np.conj(np.fft.rfftn(coeffs.reshape(*lengths, c_in, c_out), axes=tuple(range(len(lengths)))))
+
+        def run_cycles(x: np.ndarray) -> np.ndarray:
+            xf = np.fft.rfftn(x.reshape(*x.shape[:-2], *lengths, c_in), axes=axes)
+            y = np.fft.irfftn((xf[..., None, :] @ kf)[..., 0, :], s=lengths, axes=axes)
+            return y.reshape(*x.shape[:-2], -1, c_out)
+
+        return run_cycles
+    P, Q = degree(expr.outer), degree(expr.inner)
     if isinstance(expr, Prod):
         # the side with more orbits runs first, widened to one channel block per orbit of the other
         n_o, n_i = structure_orbit_count(expr.outer), structure_orbit_count(expr.inner)
@@ -158,14 +161,22 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         m = min(n_o, n_i)
         pick = np.eye(m * c_out).reshape(m * c_out, m, c_out).transpose(1, 0, 2)  # orbit a reads block a
         if n_o <= n_i:
-            u = _apply_structure(expr.inner, w.transpose(1, 2, 0, 3).reshape(n_i, c_in, -1), xr)
-            y = _apply_structure(expr.outer, pick, u.swapaxes(-2, -3)).swapaxes(-2, -3)
+            first = _compile_structure(expr.inner, w.transpose(1, 2, 0, 3).reshape(n_i, c_in, -1))
+            then = _compile_structure(expr.outer, pick)
         else:
-            u = _apply_structure(expr.outer, w.transpose(0, 2, 1, 3).reshape(n_o, c_in, -1), xr.swapaxes(-2, -3))
-            y = _apply_structure(expr.inner, pick, u.swapaxes(-2, -3))
-        return y.reshape(*batch, -1, c_out)
+            first = _compile_structure(expr.outer, w.transpose(0, 2, 1, 3).reshape(n_o, c_in, -1))
+            then = _compile_structure(expr.inner, pick)
+
+        def run_prod(x: np.ndarray) -> np.ndarray:
+            xr = x.reshape(*x.shape[:-2], P, Q, c_in)
+            if n_o <= n_i:
+                y = then(first(xr).swapaxes(-2, -3)).swapaxes(-2, -3)
+            else:
+                y = then(first(xr.swapaxes(-2, -3)).swapaxes(-2, -3))
+            return y.reshape(*x.shape[:-2], -1, c_out)
+
+        return run_prod
     if isinstance(expr, Wreath):
-        P, Q = xr.shape[-3:-1]
         rank = orbit_index(expr)[2]
         ra, ca, _ = orbit_index(expr.outer)
         (a1, _), (b1, b2) = orbit_counts(expr.outer), orbit_counts(expr.inner)
@@ -174,33 +185,40 @@ def _apply_structure(expr: Structure, coeffs: np.ndarray, x: np.ndarray) -> np.n
         outer_coeffs = np.zeros((len(ra), b1 * c_in, b1 * c_out))
         outer_coeffs[ra != ca] = (coeffs[rank[a1 * b2:]].reshape(-1, b1, b1, c_in, c_out)
                                   .transpose(0, 2, 3, 1, 4).reshape(-1, b1 * c_in, b1 * c_out))
+        cross_map = _compile_structure(expr.outer, outer_coeffs)
         # pool each fiber per inner point orbit; one orbit makes it np.ones(Q) @ xr
         inner_points = point_orbit(expr.inner)
-        pooled = (np.eye(b1)[inner_points].T @ xr).reshape(*batch, P, b1 * c_in)
-        cross = _apply_structure(expr.outer, outer_coeffs, pooled)
+        indicator = np.eye(b1)[inner_points].T
+        # the inner map runs once per outer point orbit, on that orbit's fibers
+        fibers = [slice(None)] if a1 == 1 else [np.flatnonzero(point_orbit(expr.outer) == s) for s in range(a1)]
+        # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
+        fold = isinstance(expr.inner, Set) and expr.inner.n > 1
+        inner_maps = ([(w[0] - w[1], w[1]) for w in inner_coeffs] if fold
+                      else [_compile_structure(expr.inner, w) for w in inner_coeffs])
 
-        def inner_map(w: np.ndarray, at) -> np.ndarray:
-            if isinstance(expr.inner, Set) and expr.inner.n > 1:
-                # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
-                part, row = _set_terms(w, xr[..., at, :, :], pooled[..., at, :])
-                cross[..., at, :] += row
-                return part
-            return _apply_structure(expr.inner, w, xr[..., at, :, :])
+        def run_wreath(x: np.ndarray) -> np.ndarray:
+            batch = x.shape[:-2]
+            xr = x.reshape(*batch, P, Q, c_in)
+            pooled = (indicator @ xr).reshape(*batch, P, b1 * c_in)
+            cross = cross_map(pooled)
+            fiber = np.empty((*batch, P, Q, c_out)) if a1 > 1 else None
+            for at, inner in zip(fibers, inner_maps):
+                if fold:
+                    part = xr[..., at, :, :] @ inner[0]
+                    cross[..., at, :] += pooled[..., at, :] @ inner[1]
+                else:
+                    part = inner(xr[..., at, :, :])
+                if a1 == 1:
+                    fiber = part
+                else:
+                    fiber[..., at, :, :] = part
+            if b1 == 1:
+                fiber += cross[..., :, None, :]
+            else:
+                fiber += cross.reshape(*batch, P, b1, c_out)[..., inner_points, :]
+            return fiber.reshape(*batch, -1, c_out)
 
-        if a1 == 1:
-            fiber = inner_map(inner_coeffs[0], slice(None))
-        else:
-            # the inner map runs once per outer point orbit, on that orbit's fibers
-            fiber = np.empty((*batch, P, Q, c_out))
-            outer_points = point_orbit(expr.outer)
-            for s in range(a1):
-                at = np.flatnonzero(outer_points == s)
-                fiber[..., at, :, :] = inner_map(inner_coeffs[s], at)
-        if b1 == 1:
-            fiber += cross[..., :, None, :]
-        else:
-            fiber += cross.reshape(*batch, P, b1, c_out)[..., inner_points, :]
-        return fiber.reshape(*batch, -1, c_out)
+        return run_wreath
     raise TypeError(f"not a structure: {expr!r}")
 
 
@@ -214,7 +232,7 @@ def _check_input(layer: EquivariantLayer, x: np.ndarray) -> np.ndarray:
 def apply(layer: EquivariantLayer, x: np.ndarray) -> np.ndarray:
     """Matrix-free application of the layer to an ``(N, c_in)`` array."""
     x = _check_input(layer, x)
-    y = _apply_structure(layer.structure, layer.weights, x)
+    y = layer.compiled(x)
     if layer.bias is not None:
         y += layer.bias
     return y

@@ -19,18 +19,29 @@ from __future__ import annotations
 SparseRow = dict[int, int]
 
 
-def _eliminate(row: SparseRow, col: int, pivot: SparseRow) -> None:
+def _eliminate(row: SparseRow, col: int, pivot: SparseRow,
+               holders: dict[int, set[int]] | None = None, owner: int = -1) -> None:
     """Subtract ``row[col]`` times the normalized ``pivot`` row, in place,
-    which clears column ``col`` from ``row``."""
+    which clears column ``col`` from ``row``.
+
+    When ``row`` is the pivot row of column ``owner``, ``holders`` maps each
+    column to the pivot columns whose rows hold it, and is kept up to date
+    for every column that enters or leaves ``row``.
+    """
     coef = row.pop(col)
     for d, v in pivot.items():
         if d == col:
             continue
-        nv = row.get(d, 0) - coef * v
+        old = row.get(d, 0)
+        nv = old - coef * v
         if nv == 0:
             row.pop(d, None)
+            if holders is not None:
+                holders[d].discard(owner)
         else:
             row[d] = nv
+            if holders is not None and old == 0:
+                holders.setdefault(d, set()).add(owner)
 
 
 def _reduce_against(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
@@ -52,6 +63,7 @@ def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
     or -1.
     """
     pivots: dict[int, SparseRow] = {}
+    holders: dict[int, set[int]] = {}  # column -> pivot columns whose rows hold it
     for row in rows:
         r = _reduce_against(row, pivots)
         if not r:
@@ -61,9 +73,12 @@ def rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
             r = {c: -v for c, v in r.items()}
         elif r[p] != 1:
             raise ArithmeticError(f"pivot {r[p]} in column {p} is not 1 or -1")
-        for prow in pivots.values():
-            if p in prow:
-                _eliminate(prow, p, r)
+        # back-substitute into only the pivot rows that hold column p
+        for q in holders.pop(p, ()):
+            _eliminate(pivots[q], p, r, holders, q)
+        for c in r:
+            if c != p:
+                holders.setdefault(c, set()).add(p)
         pivots[p] = r
     return pivots
 

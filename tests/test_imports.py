@@ -51,11 +51,23 @@ def test_unused_import_detection():
     assert unused_imports(source) == ["os", "d", "g"]
 
 
+def _loaded_by_cli_import(names):
+    """Those of ``names`` that a fresh interpreter has loaded after ``import wreathlin.cli``."""
+    src = str(Path(wreathlin.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, wreathlin.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_cli_import_leaves_rational_arithmetic_out():
     """The commutant oracle solves in integers, so loading the command line
     (and every library module it imports) loads no ``fractions``."""
-    src = str(Path(wreathlin.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, wreathlin.cli; print('fractions' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert _loaded_by_cli_import(["fractions"]) == "[]\n"
+
+
+def test_cli_import_leaves_the_demo_modules_out():
+    """Only ``demo`` needs the point-cloud network, so loading the command
+    line, as every ``verify`` and ``pattern`` process does, loads neither
+    ``pointcloud`` nor ``train``."""
+    assert _loaded_by_cli_import(["wreathlin.pointcloud", "wreathlin.train"]) == "[]\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -90,7 +91,7 @@ def relative_error(layer, x):
     return np.abs(fast - dense).max() / max(1.0, np.abs(dense).max())
 
 
-# one structure per kernel of ``_apply_structure``
+# one structure per kernel of ``_compile_structure``
 BRANCHES = {
     "all-singleton": "prod(trivial(2),trivial(3))",
     "set": "S(5)",
@@ -115,6 +116,41 @@ def test_output_is_a_fresh_array_and_bias_is_added_in_place(text):
     assert np.array_equal(x, x_before)
     assert np.array_equal(layer.weights, w_before)
     assert relative_error(layer, x) <= 1e-12
+
+
+@pytest.mark.parametrize("text", BRANCHES.values(), ids=BRANCHES.keys())
+def test_compiled_map_is_reused_and_never_stale(text):
+    rng = np.random.default_rng(12)
+    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, 2))
+    first = apply(layer, x)
+    assert np.array_equal(apply(layer, x), first)
+    # a replaced layer compiles its own weights, not the ones it was copied from
+    other = dataclasses.replace(layer, weights=rng.normal(size=layer.weights.shape))
+    assert relative_error(other, x) <= 1e-12
+    assert np.array_equal(apply(layer, x), first)
+
+
+@pytest.mark.parametrize("text", BRANCHES.values(), ids=BRANCHES.keys())
+def test_compiled_map_applies_over_batch_axes(text):
+    rng = np.random.default_rng(13)
+    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng)
+    xs = rng.normal(size=(3, layer.degree, 2))
+    # BLAS may split a product over three rows differently from one over a single row
+    batched, single = layer.compiled(xs), np.stack([apply(layer, x) for x in xs])
+    assert np.abs(batched - single).max() <= 1e-12 * np.abs(single).max()
+
+
+def test_layer_owns_its_weights_and_bias():
+    rng = np.random.default_rng(14)
+    base_w, base_b = rng.normal(size=(2, 4, 1, 2)), rng.normal(size=(2, 2))
+    layer = make_layer("C(4)", base_w[0], c_out=2, bias=base_b[1])  # contiguous views of writable arrays
+    x = rng.normal(size=(4, 1))
+    y, w, b = apply(layer, x), layer.weights.copy(), layer.bias.copy()
+    base_w[...] = 0.0
+    base_b[...] = 0.0
+    assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
+    assert np.array_equal(apply(layer, x), y)
 
 
 @pytest.mark.parametrize("text", [

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathlin.rational import nullspace, rref
+from wreathlin.rational import _eliminate, _reduce_against, nullspace, rref
 
 
 def _row(*pairs):
@@ -95,3 +95,40 @@ def test_difference_rows_reduce_to_unit_coefficients_and_component_indicators(sy
     supports = [frozenset(v) for v in vecs]
     assert sum(map(len, supports)) == n
     assert set(supports) == _components(edges, n)
+
+
+def _rref_scanning_every_pivot_row(rows):
+    """Reference: the same Gauss-Jordan, back-substituting each new pivot by
+    scanning every earlier pivot row for its column."""
+    pivots = {}
+    for row in rows:
+        r = _reduce_against(row, pivots)
+        if not r:
+            continue
+        p = min(r)
+        if r[p] == -1:
+            r = {c: -v for c, v in r.items()}
+        elif r[p] != 1:
+            raise ArithmeticError(f"pivot {r[p]} in column {p} is not 1 or -1")
+        for prow in pivots.values():
+            if p in prow:
+                _eliminate(prow, p, r)
+        pivots[p] = r
+    return pivots
+
+
+def _reduced_or_error(rows, solve):
+    try:
+        return [(p, list(r.items())) for p, r in solve(rows).items()]
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1, 1]), min_size=1), max_size=2 * n)))
+def test_back_substitution_by_column_index_matches_scanning_every_row(rows):
+    """The column index changes which rows are visited, not what they hold:
+    on rows of -1 and 1, whose eliminations can cancel entries, pivots and
+    rows agree with the reference, key order included, or both raise."""
+    assert _reduced_or_error(rows, rref) == _reduced_or_error(rows, _rref_scanning_every_pivot_row)
