@@ -86,11 +86,16 @@ class PermGroup:
             raise DegreeMismatchError(f"generators need shape (k, {n}), got {rows.shape}")
         if not len(rows):
             raise InvalidGeneratorError("a group needs at least one generator")
-        # a row is a permutation exactly when it sorts to 0..n-1; checked
-        # before the cast to unsigned, which would wrap -1 to 255
-        if rows.dtype.kind not in "iu" or (np.sort(rows, axis=1) != np.arange(n)).any():
-            raise InvalidGeneratorError(f"each generator must be a permutation of 0..{n - 1}")
+        not_perm = f"each generator must be a permutation of 0..{n - 1}"
+        # the range is checked before the cast to unsigned, which would wrap -1 to 255
+        if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+            raise InvalidGeneratorError(not_perm)
         rows = rows.astype(np.min_scalar_type(n - 1))
+        # a row of images in 0..n-1 is a permutation exactly when it hits every point
+        hit = np.zeros(rows.size, dtype=bool)
+        hit[(rows + np.arange(0, rows.size, n)[:, None]).ravel()] = True
+        if not hit.all():
+            raise InvalidGeneratorError(not_perm)
         unique = dict.fromkeys(map(bytes, rows))  # first occurrences, in order
         object.__setattr__(self, "generators", np.frombuffer(b"".join(unique), rows.dtype).reshape(-1, n))
 

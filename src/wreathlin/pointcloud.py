@@ -26,9 +26,13 @@ over the voxel counts, and that of ``conv3d_periodic`` in its grid is
 ``conv3d_periodic`` with the kernel flipped in space and transposed in
 channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.  Each is
 one gather through a ``neighbour_table`` and one batched product over the
-taps.  The attention layer works latent-major: its assignment logits are
-``(L, n)``, so the softmax reduces over the short latent axis as ``L`` whole
-rows rather than ``n`` rows of length ``L``.
+taps, and the table is built once per cloud and kernel width.  The attention
+layer works latent-major: its assignment logits are ``(L, n)``, so the
+softmax reduces over the short latent axis as ``L`` whole rows rather than
+``n`` rows of length ``L``.  Each ``(n, c) @ (c, c')`` product over the points
+runs through ``arrays.channel_mix``, in row blocks of at most
+``2**19 // (c * c')`` rows: OpenBLAS's tall, skinny products slow two to three
+times per row past about ``2**19`` multiply-adds a call.
 
 Beside the layers the module holds the moves the equivariance checks apply
 (``shift_assignment``, ``permute_points``, ``within_voxel_permutation``), the
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import channel_mix
 from .perm import InvalidDegreeError
 
 
@@ -89,7 +94,9 @@ class VoxelizedCloud:
     ``rel_coords`` are positions relative to the assigned voxel center, in
     voxel units, each component in ``[-0.5, 0.5]``.  Derived: ``occupied``,
     the ascending ids of voxels with a point, which per-voxel ``(n_occ, c)``
-    rows follow, and ``point_row[i]``, the row of point ``i``'s voxel.
+    rows follow, and ``point_row[i]``, the row of point ``i``'s voxel.  Its
+    arrays are read-only, so each ``neighbour_table`` is built once per
+    kernel width and kept with the cloud.
     """
 
     resolution: int
@@ -98,6 +105,8 @@ class VoxelizedCloud:
     occupancy: np.ndarray  # (D**3,)
     occupied: np.ndarray = field(init=False)  # (n_occ,)
     point_row: np.ndarray = field(init=False)  # (n,)
+    # kernel width -> neighbour_table
+    _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.resolution < 1:
@@ -161,8 +170,11 @@ def neighbour_table(vox: VoxelizedCloud, width: int) -> np.ndarray:
     """The ``(width, width, width, n_occ)`` rows that each kernel tap reads.
 
     Tap ``t`` of the voxel at ``v`` reads the voxel at ``v + t - width // 2``,
-    wrapped on every axis; an empty one is row ``n_occ``, a zero row.
+    wrapped on every axis; an empty one is row ``n_occ``, a zero row.  The
+    table is read-only and built once per cloud and width.
     """
+    if width in vox._tables:
+        return vox._tables[width]
     D = vox.resolution
     if width % 2 == 0 or width > D:
         raise KernelError(f"kernel width must be odd and at most the resolution {D}, got {width}")
@@ -172,7 +184,10 @@ def neighbour_table(vox: VoxelizedCloud, width: int) -> np.ndarray:
     row = np.searchsorted(vox.occupied, read)
     empty = vox.occupied.take(row, mode="clip") != read
     row[empty] = len(vox.occupied)
-    return row.reshape((width,) * 3 + (-1,))
+    table = row.reshape((width,) * 3 + (-1,))
+    table.setflags(write=False)
+    vox._tables[width] = table
+    return table
 
 
 def _tap_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -228,13 +243,13 @@ class WreathPCLayer:
     def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
         table = neighbour_table(vox, self.w_conv.shape[0])
         pooled = mean_pool(vox, x)
-        y = x @ self.w_point
+        y = channel_mix(x, self.w_point)
         y += gather_to_points(vox, conv3d_periodic(self.w_conv, pooled, table))
         return y, {"x": x, "pooled": pooled, "table": table}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
         x, pooled, table = cache["x"], cache["pooled"], cache["table"]
-        d_x = d_y @ self.w_point.T
+        d_x = channel_mix(d_y, self.w_point.T)
         d_conv = voxel_sum(vox, d_y)
         d_w_conv = conv3d_kernel_grad(pooled, d_conv, table)
         flipped = self.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
@@ -291,7 +306,7 @@ class AttnPCLayer:
         soft /= soft.sum(axis=0)
         pooled = soft @ x  # (L, c_in)
         mixed = np.einsum("lkcd,kc->ld", self.w_interact, pooled)  # (L, c_out)
-        y = soft.T @ mixed
+        y = channel_mix(soft.T, mixed)
         return y, {"x": x, "soft": soft, "pooled": pooled, "mixed": mixed}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -303,8 +318,8 @@ class AttnPCLayer:
         d_z += d_pooled @ x.T
         d_z -= (d_z * soft).sum(axis=0)
         d_z *= soft
-        d_x = soft.T @ d_pooled
-        d_x += d_z.T @ self.w_assign.T
+        d_x = channel_mix(soft.T, d_pooled)
+        d_x += channel_mix(d_z.T, self.w_assign.T)
         return {"w_assign": (d_z @ x).T, "w_interact": d_w_interact}, d_x
 
 

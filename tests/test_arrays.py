@@ -1,0 +1,161 @@
+"""The row-blocked channel mix and the wide broadcast add return what the
+plain numpy expressions return, bit for bit, and the set and wreath kernels
+built on them still compute the closed-form set map."""
+
+import operator
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, add_for, broadcast_add, channel_mix, mix_for
+from wreathlin.basis import pattern_of_structure
+from wreathlin.layer import apply, apply_dense, random_layer
+from wreathlin.structure import parse_structure
+
+
+def block_rows(c_in, c_out):
+    return BLOCK_MADDS // (c_in * c_out)
+
+
+@pytest.mark.parametrize("shape, c_out", [
+    ((2 * block_rows(8, 8) + 7, 8), 8),  # n % block != 0
+    ((3 * block_rows(3, 5), 3), 5),  # whole blocks only
+    ((block_rows(16, 16) + 1, 16), 16),  # a lone row joins a block: numpy multiplies one row by gemv
+    ((3 * block_rows(8, 8) + 1, 8), 8),
+    ((100, 8), 8),  # n within one block
+    ((block_rows(8, 8), 8), 8),  # n exactly one block
+    ((3, block_rows(8, 8) + 5, 8), 8),  # batch axes
+    ((2, 2, 2000, 16), 16),
+])
+def test_channel_mix_equals_matmul(shape, c_out):
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=shape), rng.normal(size=(shape[-1], c_out))
+    y = channel_mix(x, w)
+    assert y.shape == shape[:-1] + (c_out,)
+    assert np.array_equal(y, x @ w)
+
+
+def test_channel_mix_of_a_weight_beyond_one_block_a_row_is_the_plain_product():
+    rng = np.random.default_rng(1)
+    x, w = rng.normal(size=(5, 1024)), rng.normal(size=(1024, 513))
+    assert w.size > BLOCK_MADDS
+    assert np.array_equal(channel_mix(x, w), x @ w)
+
+
+def test_channel_mix_reads_strided_views():
+    rng = np.random.default_rng(2)
+    n = 2 * block_rows(8, 8) + 3
+    xr = rng.normal(size=(n, 3, 8))
+    w = rng.normal(size=(8, 8))
+    swapped = xr.swapaxes(-2, -3)  # the (Q, P, c) view a product node passes its first factor
+    assert not swapped.flags.c_contiguous
+    assert np.array_equal(channel_mix(swapped, w), swapped @ w)
+    latent_major = rng.normal(size=(4, n))  # the (n, L) transpose the attention layer multiplies
+    mixed = rng.normal(size=(4, 16))
+    assert np.array_equal(channel_mix(latent_major.T, mixed), latent_major.T @ mixed)
+    assert np.array_equal(channel_mix(xr[::2, 1], w), xr[::2, 1] @ w)
+
+
+@pytest.mark.parametrize("n", [100, 2 * block_rows(8, 8) + 7])
+def test_channel_mix_returns_a_fresh_array(n):
+    rng = np.random.default_rng(3)
+    x, w = rng.normal(size=(n, 8)), rng.normal(size=(8, 8))
+    x_before = x.copy()
+    y = channel_mix(x, w)
+    assert not np.shares_memory(y, x) and not np.shares_memory(y, w)
+    y[...] = 7.0
+    assert np.array_equal(x, x_before)
+
+
+def plain_add(y, rows):
+    out = y.copy()
+    out += rows
+    return out
+
+
+@pytest.mark.parametrize("y_shape, rows_shape", [
+    ((20000, 8), (1, 8)),  # k = WIDE_ROW // c = 16 divides n
+    ((20010, 8), (1, 8)),  # 16 does not: k = 15
+    ((20011, 8), (1, 8)),  # a prime n: the plain add
+    ((6000, 5), (1, 5)),  # k = 25
+    ((20000, 16), (1, 16)),  # k = 8
+    ((384, 256, 8), (384, 1, 8)),  # the wreath fold's fiber add
+    ((100, 1000, 8), (100, 1, 8)),  # k = 10 under a batch axis
+    ((3, 1000, 8), (1, 8)),  # one row added under batch axes, as a bias
+    ((2, 3, 700, 8), (2, 3, 1, 8)),  # k = 14
+    ((2, 3, 700, 16), (2, 3, 1, 16)),  # 8 does not divide 700: the plain add
+    ((100, 8), (1, 8)),  # within WIDE_ROW ** 2 elements: the plain add
+    ((5000, 2, 8), (5000, 1, 8)),  # too few rows a row of rows: the plain add
+    ((300, 100), (1, 100)),  # more than WIDE_ROW / 2 channels
+])
+def test_broadcast_add_equals_plain_add(y_shape, rows_shape):
+    rng = np.random.default_rng(4)
+    y, rows = rng.normal(size=y_shape), rng.normal(size=rows_shape)
+    expected = plain_add(y, rows)
+    tracemalloc.start()
+    try:
+        assert broadcast_add(y, rows) is y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(y, expected)
+    # the tiled rows and numpy's 64 KiB iteration buffer at most, never a copy of
+    # y: numpy adds into a strided part of an array through a copy of that part
+    assert peak <= y.nbytes / 16 + 2 ** 17
+
+
+def test_broadcast_add_writes_through_a_non_contiguous_array():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(64, 3000, 8))
+    y = base.swapaxes(0, 1)  # (3000, 64, 8), its last two axes not one block of memory
+    rows = rng.normal(size=(3000, 1, 8))
+    assert y.size > WIDE_ROW ** 2 and not y.flags.c_contiguous
+    expected = plain_add(y, rows)
+    assert broadcast_add(y, rows) is y
+    assert np.array_equal(y, expected)
+    assert np.array_equal(base.swapaxes(0, 1), expected)
+
+
+def test_row_counts_known_in_advance_select_the_plain_operators_where_they_suffice():
+    w = np.ones((8, 8))
+    assert mix_for(100, w) is operator.matmul and mix_for(block_rows(8, 8), w) is operator.matmul
+    assert mix_for(block_rows(8, 8) + 1, w) is channel_mix
+    assert mix_for(10 ** 6, np.ones((1024, 513))) is operator.matmul  # over one block a row
+    assert add_for(64, 8) is operator.iadd and add_for(20011, 8) is operator.iadd
+    assert add_for(256, 8) is broadcast_add and add_for(1000, 8) is broadcast_add
+
+
+def set_formula(x, w0, w1):
+    """``x @ (w0 - w1) + 1 (1^T x @ w1)``, the set layer written out."""
+    return x @ (w0 - w1) + x.sum(axis=0) @ w1
+
+
+def nested_set_formula(x, q, w0, w1, w2):
+    """The same for sets of ``q``-point sets: ``w1`` within a set, ``w2`` across."""
+    fibers = x.reshape(-1, q, x.shape[1])
+    y = fibers @ (w0 - w1) + fibers.sum(axis=1, keepdims=True) @ (w1 - w2) + x.sum(axis=0) @ w2
+    return y.reshape(x.shape[0], -1)
+
+
+def test_apply_on_a_large_set_follows_the_set_formula():
+    rng = np.random.default_rng(6)
+    layer = random_layer(parse_structure("S(20000)"), c_in=8, c_out=8, rng=rng)
+    x = rng.normal(size=(20000, 8))
+    expected = set_formula(x, *layer.weights)
+    assert np.abs(apply(layer, x) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_apply_on_sets_of_large_sets_follows_the_nested_set_formula():
+    rng = np.random.default_rng(7)
+    # canonical orbit order is that of first row-major appearance: the
+    # diagonal, then the rest of the first set, then the other sets
+    small = random_layer(parse_structure("wr(S(3),S(2))"), c_in=2, c_out=2, rng=rng)
+    assert pattern_of_structure(small.structure).orbit_id[0, [0, 1, 3]].tolist() == [0, 1, 2]
+    x_small = rng.normal(size=(6, 2))
+    assert np.allclose(nested_set_formula(x_small, 3, *small.weights), apply_dense(small, x_small),
+                       rtol=0, atol=1e-12)
+    layer = random_layer(parse_structure("wr(S(64),S(384))"), c_in=8, c_out=8, rng=rng)
+    x = rng.normal(size=(64 * 384, 8))
+    expected = nested_set_formula(x, 64, *layer.weights)
+    assert np.abs(apply(layer, x) - expected).max() <= 1e-12 * np.abs(expected).max()

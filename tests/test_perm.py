@@ -88,6 +88,11 @@ def test_constructors_reject_degrees_below_one(make, n):
     (256, [[-1, *range(255)]], InvalidGeneratorError),  # as uint8, -1 is the missing image 255
     (3, [[0, 1, 3]], InvalidGeneratorError),  # an image beyond N - 1
     (3, [[0.0, 1.0, 2.0]], InvalidGeneratorError),  # not integers
+    (3, [[True, False, True]], InvalidGeneratorError),
+    (3, [[0, 1, 2], [0, 2, 2]], InvalidGeneratorError),  # an image repeated, in range
+    (300, [[*range(299), 7]], InvalidGeneratorError),  # the same at a two-byte degree
+    (3, [[0, 1, 2], [1, 2, 3]], InvalidGeneratorError),  # out of range in a later row
+    (3, [[2 ** 63, 0, 1]], InvalidGeneratorError),  # beyond int64: read as uint64
 ])
 def test_bad_generators_raise_one_line_value_errors(n, rows, error):
     with pytest.raises(error) as info:

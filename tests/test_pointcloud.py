@@ -214,6 +214,24 @@ def test_neighbour_table_reads_the_zero_row_for_empty_voxels():
     assert np.count_nonzero(table < 4) == 4 + 2 + 2
 
 
+def test_neighbour_table_is_built_once_per_cloud_and_width():
+    rng = np.random.default_rng(6)
+    vox = cloud_on(5, random_occupied(5, 0.4, rng), rng)
+    table = neighbour_table(vox, 3)
+    assert neighbour_table(vox, 3) is table and neighbour_table(vox, 5) is not table
+    with pytest.raises(ValueError):
+        table[0, 0, 0, 0] = 0  # read-only, so no caller can change what the next one reads
+    fresh = VoxelizedCloud(vox.resolution, vox.assignment, vox.rel_coords, vox.occupancy)
+    assert np.array_equal(neighbour_table(fresh, 3), table)
+    layer = WreathPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(3, 3, 3, 2, 3)))
+    x, d_y = rng.normal(size=(vox.n_points, 2)), rng.normal(size=(vox.n_points, 3))
+    (y, cache), (y_fresh, cache_fresh) = layer.forward(vox, x), layer.forward(fresh, x)
+    assert cache["table"] is table and np.array_equal(y, y_fresh)
+    (grads, d_x), (grads_fresh, d_x_fresh) = layer.backward(vox, cache, d_y), layer.backward(fresh, cache_fresh, d_y)
+    assert np.array_equal(d_x, d_x_fresh)
+    assert all(np.array_equal(grads[k], grads_fresh[k]) for k in grads)
+
+
 @pytest.mark.parametrize("D, K", [(2, 1), (3, 3), (5, 3), (5, 5)])
 def test_conv3d_adjoint_is_flipped_transposed_kernel(D, K):
     rng = np.random.default_rng(10 * D + K)
