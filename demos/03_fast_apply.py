@@ -1,10 +1,13 @@
 """Matrix-free application: pool, mix per orbit, broadcast back.
 
 The shared matrix of a structured action never needs to be built.  Set blocks
-reduce to a residual plus a broadcast sum, products of cycles to one circular
-correlation by FFT, and composite structures apply each factor once.  This
-script checks the fast path against the materialized matrix and times both on
-a doubling ladder of set-of-sets structures, then on a ladder of cyclic grids.
+reduce to a residual plus a broadcast sum; products of cycles to one circular
+correlation by FFT, or, when short, to one product by their full map over all
+fibers; a product with a set factor to the other factor on every fiber plus
+once on the pooled fiber; and other composite structures apply each factor
+once.  This script checks the fast path against the materialized matrix and
+times both on a doubling ladder of set-of-sets structures, then on a ladder of
+cyclic grids, whose first rung takes the full map.
 """
 
 import time

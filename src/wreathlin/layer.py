@@ -5,14 +5,21 @@ A layer for a structure on ``N`` points maps ``(N, c_in)`` arrays to
 its own ``c_in x c_out`` channel-mixing matrix, so the weight tensor has shape
 ``(num_orbits, c_in, c_out)`` in canonical orbit order.
 
-:func:`apply` runs each factor of the structure once and never materializes
-the ``N x N`` map.  Per channel pair, ``S`` pools by one matrix-vector
-product and broadcasts in ``O(N)``; cyclic subtrees correlate by FFT in
-``O(N log N)``; ``trivial`` subtrees, whose orbits are single entries in
-row-major order, multiply by their weights read in place as the full map in
-``O(N^2)``, their weight count; other products run one pass per factor,
-widening the channels of the side with fewer orbits; ``wr`` adds the outer map
-of the pooled fibers to the inner map of each, ``O(N)`` beyond its factors.
+:func:`apply` runs each factor of the structure once, or once more on one
+pooled fiber, and never materializes the ``N x N`` map.  Per channel pair,
+``S`` pools by one matrix-vector product and broadcasts in ``O(N)``; cyclic
+subtrees correlate by FFT in ``O(N log N)``, unless their full map holds at
+most ``FULL_MAP_MADDS`` multiply-adds per fiber; that map, and the map of a
+``trivial`` subtree, whose orbits are single entries (``O(N^2)``, its weight
+count), is gathered once through :func:`basis.orbit_of
+<wreathlin.basis.orbit_of>` and applied to all fibers by one matrix product.  A product with a set factor ``S(n)``,
+``n >= 2``, and a set or cyclic other factor ``B`` pools first, as Hartford et
+al. (2018) build the layer for a product of sets, once it has at least
+``FOLD_MIN_OUTPUTS`` output entries: ``B`` runs on every fiber with the set's
+pointwise weights and once on the pooled fiber with its pooled weights,
+broadcast back.  Other products run one pass per factor, widening the
+channels of the side with fewer orbits; ``wr`` adds the outer map of the
+pooled fibers to the inner map of each, ``O(N)`` beyond its factors.
 Fibers pool per inner point orbit, one indicator product, and the outer map
 runs at channels widened by that orbit count; the inner map runs once per
 outer point orbit, with that orbit's weights.  A set inner factor adds its
@@ -44,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import add_for, broadcast_add, mix_for
-from .basis import materialize, orbit_index, pattern_of_structure, point_orbit, structure_orbit_count
+from .basis import materialize, orbit_index, orbit_of, pattern_of_structure, point_orbit, structure_orbit_count
 from .perm import PermGroup, permute_rows
 from .structure import (
     Cycle,
@@ -58,6 +65,25 @@ from .structure import (
     orbit_counts,
     parse_structure,
 )
+
+# Multiply-adds per fiber, n**2 * c_in * c_out, up to which a product of
+# cycles multiplies by its full map rather than correlating by FFT.  With
+# OpenBLAS 0.3.31 (Haswell kernels, one thread) and pocketfft, the map took
+# 0.2-0.3 of the FFT's time at 2**14 over 64 fibers, 0.5-0.7 at 2**16
+# (C(32) at c = 8, C(16) at c = 16, C(8) at c = 32), and 1.4-1.7 at 2**18 on
+# one cycle (C(64) at c = 8 to C(16) at c = 32).  The map holds its
+# multiply-adds as float64, against (n / 2 + 1) * c_in * c_out complex entries
+# for the spectrum: at 2**16 the two 512 KB maps of prod(S(64),C(32)) raised
+# the apply_grids benchmark's peak RSS by 1.2 MB, so the budget stays at 2**14.
+FULL_MAP_MADDS = 2 ** 14
+# Output entries, N * c_out, from which a product folds its set factor.  The
+# fold calls the other factor twice, so below this it lost to the widened pass
+# where that factor correlates by FFT: at N = 1,024 it took up to 1.24 of the
+# widened time at c = 2, 1.15 at c = 4 and 1.03 at c = 8, on cycle grids beside
+# S(2) to S(8).  At 2**14 entries it took 0.13-1.01 of it at c = 1 to 16, above
+# 0.95 only on two- and three-axis grids beside S(2) to S(8), and 0.79 and 0.52
+# on prod(S(64),C(32)) and prod(S(64),S(64)) at c = 8.
+FOLD_MIN_OUTPUTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -118,27 +144,48 @@ def _cycle_lengths(expr: Structure) -> tuple[int, ...] | None:
     return (expr.n,) if isinstance(expr, Cycle) else None
 
 
+def _set_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A set's ``(diagonal, off-diagonal)`` weights as its pointwise weights
+    ``w[0] - w[1]`` and the weights ``w[1]`` of its pooled row."""
+    return w[0] - w[1], w[1]
+
+
+def _folds(factor: Structure, other: Structure, outputs: int) -> bool:
+    """Whether a ``prod`` of ``outputs`` output entries folds its set ``factor`` into a pooled pass of ``other``."""
+    return (isinstance(factor, Set) and factor.n > 1 and outputs >= FOLD_MIN_OUTPUTS
+            and (isinstance(other, Set) or _cycle_lengths(other) is not None))
+
+
 def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``x -> sum_o coeffs[o] * B_o x`` on ``(..., N, c_in)`` arrays, weight-side work done.
 
     ``B_o`` is the 0/1 indicator of orbit ``o`` in canonical order.  Each node
-    runs the kernel the module docstring lists: a node whose orbits are single
-    entries (a product of ``trivial``, or any one-point node such as ``S(1)``)
-    multiplies by ``coeffs`` reshaped to its full map; ``S`` pools; a product
-    of cycles, its orbits in row-major offset order, correlates with the
-    kernel's spectrum; another ``prod`` runs each factor once; ``wr`` pools.
+    runs the kernel the module docstring lists, chosen from its structure and
+    channel counts: a node whose orbits are single entries (a product of
+    ``trivial``, or any one-point node such as ``S(1)``), and a product of
+    cycles within ``FULL_MAP_MADDS``, multiplies by its full map; ``S`` pools;
+    a larger product of cycles, its orbits in row-major offset order,
+    correlates with the kernel's spectrum; a ``prod`` with a set factor and
+    ``FOLD_MIN_OUTPUTS`` output entries folds the set; another ``prod`` runs
+    each factor once; ``wr`` pools.
     Every gather, scatter, reshape and transform of ``coeffs`` is done here.
     The map returns fresh ``(..., N, c_out)`` arrays that alias neither ``x``
     nor ``coeffs``, so callers may write into them.
     """
     c_in, c_out = coeffs.shape[-2:]
     n = degree(expr)
-    if structure_orbit_count(expr) == n * n:
-        # each entry is its own orbit, so canonical order is row-major entry order
-        full = coeffs.reshape(n, n, c_in, c_out)
-        return lambda x: np.tensordot(x, full, axes=([-2, -1], [1, 2]))
+    lengths = _cycle_lengths(expr)
+    if structure_orbit_count(expr) == n * n or (lengths is not None and n * n * c_in * c_out <= FULL_MAP_MADDS):
+        idx = np.arange(n)
+        # y_i = sum_j x_j @ full[i, j], as one (n c_in, n c_out) matrix
+        full = coeffs[orbit_of(expr, idx[:, None], idx)].transpose(1, 2, 0, 3).reshape(n * c_in, n * c_out)
+
+        def run_full_map(x: np.ndarray) -> np.ndarray:
+            return (x.reshape(*x.shape[:-2], n * c_in) @ full).reshape(*x.shape[:-2], n, c_out)
+
+        return run_full_map
     if isinstance(expr, Set):
-        diff, off = coeffs[0] - coeffs[1], coeffs[1]
+        diff, off = _set_split(coeffs)
         mix, add = mix_for(n, diff), add_for(n, c_out)
 
         def run_set(x: np.ndarray) -> np.ndarray:
@@ -149,7 +196,6 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
             return add(mix(x, diff), row[..., None, :])
 
         return run_set
-    lengths = _cycle_lengths(expr)
     if lengths is not None:
         axes = tuple(range(-len(lengths) - 1, -1))
         kf = np.conj(np.fft.rfftn(coeffs.reshape(*lengths, c_in, c_out), axes=tuple(range(len(lengths)))))
@@ -162,9 +208,27 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
         return run_cycles
     P, Q = degree(expr.outer), degree(expr.inner)
     if isinstance(expr, Prod):
-        # the side with more orbits runs first, widened to one channel block per orbit of the other
         n_o, n_i = structure_orbit_count(expr.outer), structure_orbit_count(expr.inner)
         w = coeffs[orbit_index(expr)[2]].reshape(n_o, n_i, c_in, c_out)
+        set_outer = _folds(expr.outer, expr.inner, n * c_out)
+        if set_outer or _folds(expr.inner, expr.outer, n * c_out):
+            # y = B[w0 - w1](each fiber) + B[w1](pooled fiber), broadcast: B runs once per fiber at c_out
+            other, split = (expr.inner, _set_split(w)) if set_outer else (expr.outer, _set_split(w.swapaxes(0, 1)))
+            each, pooled = (_compile_structure(other, v) for v in split)
+
+            def run_fold(x: np.ndarray) -> np.ndarray:
+                batch = x.shape[:-2]
+                xr = x.reshape(*batch, P, Q, c_in)
+                if set_outer:  # the fibers are the rows xr[..., p, :, :]
+                    y = each(xr)
+                    y += pooled((np.ones(P) @ xr.reshape(*batch, P, Q * c_in)).reshape(*batch, 1, Q, c_in))
+                else:  # the fibers are the columns xr[..., :, a, :]
+                    y = each(xr.swapaxes(-2, -3)).swapaxes(-2, -3)
+                    y += pooled(np.ones(Q) @ xr)[..., :, None, :]
+                return y.reshape(*batch, -1, c_out)
+
+            return run_fold
+        # the side with more orbits runs first, widened to one channel block per orbit of the other
         m = min(n_o, n_i)
         pick = np.eye(m * c_out).reshape(m * c_out, m, c_out).transpose(1, 0, 2)  # orbit a reads block a
         if n_o <= n_i:
@@ -200,7 +264,7 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
         fibers = [slice(None)] if a1 == 1 else [np.flatnonzero(point_orbit(expr.outer) == s) for s in range(a1)]
         # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
         fold = isinstance(expr.inner, Set) and expr.inner.n > 1
-        inner_maps = ([(w[0] - w[1], w[1]) for w in inner_coeffs] if fold
+        inner_maps = ([_set_split(w) for w in inner_coeffs] if fold
                       else [_compile_structure(expr.inner, w) for w in inner_coeffs])
         mix_fiber, mix_pooled, add = mix_for(Q, coeffs[0]), mix_for(P, coeffs[0]), add_for(Q, c_out)
 

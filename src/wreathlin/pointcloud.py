@@ -42,6 +42,7 @@ toy blob scenes and the one-class-per-line prediction format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class VoxelizedCloud:
     the ascending ids of voxels with a point, which per-voxel ``(n_occ, c)``
     rows follow, and ``point_row[i]``, the row of point ``i``'s voxel.  Its
     arrays are read-only, so each ``neighbour_table`` is built once per
-    kernel width and kept with the cloud.
+    kernel width and kept with the cloud, as is ``one_voxel``.
     """
 
     resolution: int
@@ -122,6 +123,12 @@ class VoxelizedCloud:
     @property
     def n_points(self) -> int:
         return self.assignment.shape[0]
+
+    @cached_property
+    def one_voxel(self) -> VoxelizedCloud:
+        """The same points all assigned to the single voxel of a ``D = 1`` grid,
+        built once per cloud, so its ``neighbour_table`` is too."""
+        return VoxelizedCloud(1, np.zeros(self.n_points, dtype=np.int64), self.rel_coords, np.array([self.n_points]))
 
 
 def voxelize(cloud: PointCloud, resolution: int) -> VoxelizedCloud:
@@ -258,21 +265,16 @@ class WreathPCLayer:
         return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 
-def _one_voxel(vox: VoxelizedCloud) -> VoxelizedCloud:
-    """The same points all assigned to the single voxel of a ``D = 1`` grid."""
-    return VoxelizedCloud(1, np.zeros(vox.n_points, dtype=np.int64), vox.rel_coords, np.array([vox.n_points]))
-
-
 @dataclass(frozen=True)
 class SetPCLayer(WreathPCLayer):
     """Pointwise map plus a global mean broadcast, ignoring all structure: the
     wreath layer over a single voxel, so ``w_conv`` is ``(1, 1, 1, c_in, c_out)``."""
 
     def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        return super().forward(_one_voxel(vox), x)
+        return super().forward(vox.one_voxel, x)
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
-        return super().backward(_one_voxel(vox), cache, d_y)
+        return super().backward(vox.one_voxel, cache, d_y)
 
 
 @dataclass(frozen=True)

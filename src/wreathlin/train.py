@@ -44,7 +44,11 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    z = logits - logits.max(axis=1, keepdims=True)
+    # the class-axis max by columns: numpy reduces a short last axis one row at a time
+    top = logits[:, 0].copy()
+    for j in range(1, k):
+        np.maximum(top, logits[:, j], out=top)
+    z = logits - top[:, None]
     e = np.exp(z)
     norm = e.sum(axis=1)
     loss = float(np.mean(np.log(norm) - z[np.arange(n), labels]))

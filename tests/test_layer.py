@@ -91,24 +91,26 @@ def relative_error(layer, x):
     return np.abs(fast - dense).max() / max(1.0, np.abs(dense).max())
 
 
-# one structure per kernel of ``_compile_structure``
+# one structure per kernel of ``_compile_structure``, with its (c_in, c_out)
 BRANCHES = {
-    "all-singleton": "prod(trivial(2),trivial(3))",
-    "set": "S(5)",
-    "cycle-fft": "prod(C(3),C(4))",
-    "prod": "prod(S(3),C(4))",
-    "wr": "wr(C(3),S(2))",
-    "wr-over-set": "wr(S(3),C(2))",
-    "wr-intransitive-outer": "wr(C(3),prod(trivial(2),S(2)))",
-    "wr-intransitive-inner": "wr(prod(trivial(2),S(2)),C(3))",
+    "all-singleton": ("prod(trivial(2),trivial(3))", 2, 3),
+    "set": ("S(5)", 2, 3),
+    "cycle-full-map": ("prod(C(3),C(4))", 2, 3),
+    "cycle-fft": ("C(64)", 2, 3),  # 64**2 * 6 multiply-adds, above FULL_MAP_MADDS
+    "prod": ("prod(S(3),C(4))", 2, 3),
+    "prod-set-fold": ("prod(S(32),C(32))", 2, 16),  # 1,024 * 16 output entries
+    "wr": ("wr(C(3),S(2))", 2, 3),
+    "wr-over-set": ("wr(S(3),C(2))", 2, 3),
+    "wr-intransitive-outer": ("wr(C(3),prod(trivial(2),S(2)))", 2, 3),
+    "wr-intransitive-inner": ("wr(prod(trivial(2),S(2)),C(3))", 2, 3),
 }
 
 
-@pytest.mark.parametrize("text", BRANCHES.values(), ids=BRANCHES.keys())
-def test_output_is_a_fresh_array_and_bias_is_added_in_place(text):
+@pytest.mark.parametrize("text, c_in, c_out", BRANCHES.values(), ids=BRANCHES.keys())
+def test_output_is_a_fresh_array_and_bias_is_added_in_place(text, c_in, c_out):
     rng = np.random.default_rng(8)
-    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
-    x = rng.normal(size=(layer.degree, 2))
+    layer = random_layer(parse_structure(text), c_in=c_in, c_out=c_out, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, c_in))
     x_before, w_before = x.copy(), layer.weights.copy()
     y = apply(layer, x)
     assert not np.shares_memory(y, x) and not np.shares_memory(y, layer.weights)
@@ -118,11 +120,11 @@ def test_output_is_a_fresh_array_and_bias_is_added_in_place(text):
     assert relative_error(layer, x) <= 1e-12
 
 
-@pytest.mark.parametrize("text", BRANCHES.values(), ids=BRANCHES.keys())
-def test_compiled_map_is_reused_and_never_stale(text):
+@pytest.mark.parametrize("text, c_in, c_out", BRANCHES.values(), ids=BRANCHES.keys())
+def test_compiled_map_is_reused_and_never_stale(text, c_in, c_out):
     rng = np.random.default_rng(12)
-    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng, bias=True)
-    x = rng.normal(size=(layer.degree, 2))
+    layer = random_layer(parse_structure(text), c_in=c_in, c_out=c_out, rng=rng, bias=True)
+    x = rng.normal(size=(layer.degree, c_in))
     first = apply(layer, x)
     assert np.array_equal(apply(layer, x), first)
     # a replaced layer compiles its own weights, not the ones it was copied from
@@ -131,13 +133,85 @@ def test_compiled_map_is_reused_and_never_stale(text):
     assert np.array_equal(apply(layer, x), first)
 
 
-@pytest.mark.parametrize("text", BRANCHES.values(), ids=BRANCHES.keys())
-def test_compiled_map_applies_over_batch_axes(text):
+@pytest.mark.parametrize("text, c_in, c_out", BRANCHES.values(), ids=BRANCHES.keys())
+def test_compiled_map_applies_over_batch_axes(text, c_in, c_out):
     rng = np.random.default_rng(13)
-    layer = random_layer(parse_structure(text), c_in=2, c_out=3, rng=rng)
-    xs = rng.normal(size=(3, layer.degree, 2))
+    layer = random_layer(parse_structure(text), c_in=c_in, c_out=c_out, rng=rng)
+    xs = rng.normal(size=(3, layer.degree, c_in))
     # BLAS may split a product over three rows differently from one over a single row
     batched, single = layer.compiled(xs), np.stack([apply(layer, x) for x in xs])
+    assert np.abs(batched - single).max() <= 1e-12 * np.abs(single).max()
+
+
+def kernels(fn):
+    """Sorted names of the kernels a compiled map runs, its own among them."""
+    found = [fn.__name__]
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        for inner in value if isinstance(value, list) else [value]:
+            if callable(inner) and inner.__name__.startswith("run_"):
+                found += kernels(inner)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("C(1024)", ["run_cycles"]),
+    ("prod(C(32),C(32))", ["run_cycles"]),
+    ("prod(C(8),prod(C(8),C(8)))", ["run_cycles"]),
+    ("prod(S(64),C(32))", ["run_cycles", "run_cycles", "run_fold"]),
+    ("prod(S(64),S(64))", ["run_fold", "run_set", "run_set"]),
+    ("wr(C(8),S(64))", ["run_full_map", "run_set", "run_wreath"]),
+])
+def test_benchmark_grid_structures_compile_to_their_cheapest_kernels(text, expected):
+    layer = random_layer(parse_structure(text), c_in=8, c_out=8, rng=np.random.default_rng(15))
+    assert kernels(layer.compiled) == expected
+
+
+@pytest.mark.parametrize("text, c_in, c_out, kernel", [
+    ("prod(S(32),C(32))", 2, 16, "run_fold"),  # 2**14 output entries: the set folds
+    ("prod(S(31),C(33))", 2, 16, "run_prod"),  # 1,023 points, just below
+    ("prod(C(32),S(32))", 2, 16, "run_fold"),  # the set on the inner side
+    ("prod(S(32),S(32))", 2, 16, "run_fold"),  # a set on both sides
+    ("prod(S(2),C(512))", 2, 16, "run_fold"),  # the other factor correlates by FFT
+    ("prod(prod(C(16),C(16)),S(4))", 2, 16, "run_fold"),
+    ("prod(S(1),C(1024))", 2, 16, "run_prod"),  # a one-point set has no pooled row
+    ("prod(trivial(16),S(64))", 2, 16, "run_prod"),  # only sets and cycles fold
+    ("prod(S(32),C(32))", 2, 3, "run_prod"),  # too few output entries
+])
+def test_product_set_fold_matches_dense(text, c_in, c_out, kernel):
+    rng = np.random.default_rng(16)
+    layer = random_layer(parse_structure(text), c_in=c_in, c_out=c_out, rng=rng, bias=True)
+    assert layer.compiled.__name__ == kernel
+    x = rng.normal(size=(layer.degree, c_in))
+    assert relative_error(layer, x) <= 1e-12
+    xs = rng.normal(size=(2, 3, layer.degree, c_in))
+    batched, single = layer.compiled(xs), np.stack([[layer.compiled(x) for x in row] for row in xs])
+    assert np.abs(batched - single).max() <= 1e-12 * np.abs(single).max()
+
+
+def test_product_set_fold_under_a_wreath_matches_dense():
+    # the outer map of the pooled fibers runs at 2 * 16 channels, one block per inner point
+    layer = random_layer(parse_structure("wr(trivial(2),prod(S(16),C(32)))"), 2, 16, np.random.default_rng(17))
+    assert "run_fold" in kernels(layer.compiled)
+    x = np.random.default_rng(18).normal(size=(layer.degree, 2))
+    assert relative_error(layer, x) <= 1e-12
+
+
+@pytest.mark.parametrize("text, kernel", [
+    ("C(64)", "run_full_map"),  # 64**2 * 2 * 2 = FULL_MAP_MADDS
+    ("C(65)", "run_cycles"),
+    ("prod(C(8),C(8))", "run_full_map"),
+    ("prod(C(8),C(9))", "run_cycles"),
+    ("C(1)", "run_full_map"),
+])
+def test_cycles_within_the_budget_multiply_by_their_full_map(text, kernel):
+    rng = np.random.default_rng(19)
+    layer = random_layer(parse_structure(text), c_in=2, c_out=2, rng=rng, bias=True)
+    assert layer.compiled.__name__ == kernel
+    x = rng.normal(size=(layer.degree, 2))
+    assert relative_error(layer, x) <= 1e-12
+    xs = rng.normal(size=(4, layer.degree, 2))
+    batched, single = layer.compiled(xs), np.stack([layer.compiled(x) for x in xs])
     assert np.abs(batched - single).max() <= 1e-12 * np.abs(single).max()
 
 

@@ -428,6 +428,23 @@ def test_set_layer_permutation_equivariance():
     assert np.allclose(y[order], y_perm)
 
 
+def test_set_layer_reuses_its_one_voxel_cloud():
+    rng = np.random.default_rng(9)
+    cloud = random_cloud(rng, n=30)
+    vox = voxelize(cloud, 3)
+    layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(1, 1, 1, 4, 3)))
+    y, cache = layer.forward(vox, cloud.features)
+    one = vox.one_voxel
+    assert one is vox.one_voxel and 1 in one._tables
+    table = one._tables[1]
+    y_again, cache_again = layer.forward(vox, cloud.features)
+    assert vox.one_voxel is one and cache_again["table"] is table
+    assert np.array_equal(y_again, y)
+    d_y = rng.normal(size=y.shape)
+    (grads, d_x), (grads_again, d_x_again) = layer.backward(vox, cache, d_y), layer.backward(vox, cache_again, d_y)
+    assert np.array_equal(d_x_again, d_x) and all(np.array_equal(grads_again[k], g) for k, g in grads.items())
+
+
 def test_set_layer_is_the_global_mean_pool_closed_form():
     rng = np.random.default_rng(10)
     n = 40

@@ -64,6 +64,28 @@ def test_loss_ce_rejects_bad_labels():
         loss_ce(np.zeros((2, 3)), np.array([0, 3]))
 
 
+@pytest.mark.parametrize("classes", [1, 2, 8])
+def test_loss_ce_matches_the_row_max_formula_bit_for_bit(classes):
+    rng = np.random.default_rng(2)
+    logits = rng.normal(size=(400, classes)) * 30
+    logits[::7] = np.round(logits[::7])  # ties within a row
+    logits[1::7, 0] = logits[1::7, -1]
+    logits[2::7] *= 1e300  # huge values
+    if classes > 1:
+        logits[3::7, 0] = -np.inf
+    labels = rng.integers(0, classes, size=400)
+    loss, grad = loss_ce(logits, labels)
+    # the formula the column-wise max replaced
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    norm = e.sum(axis=1)
+    ref_loss = float(np.mean(np.log(norm) - z[np.arange(400), labels]))
+    soft = e / norm[:, None]
+    soft[np.arange(400), labels] -= 1.0
+    assert loss == ref_loss
+    assert np.array_equal(grad, soft / 400)
+
+
 def test_loss_ce_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(6, 4))
