@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rational
 from .perm import PermGroup, orbit_labels
-from .structure import Cycle, Leaf, Prod, Set, Structure, Trivial, Wreath, degree, orbit_counts
+from .structure import LEAF_KINDS, Leaf, Prod, Structure, Wreath, degree, orbit_counts
 
 DEFAULT_ORACLE_MAX_DEGREE = 64
 
@@ -162,12 +162,12 @@ def commutes_exactly(matrix: np.ndarray, g: np.ndarray) -> bool:
 def point_orbit(expr: Structure) -> np.ndarray:
     """Point-orbit id of each of the structure's points, numbered by least point.
 
-    Leaves are arithmetic: ``S`` and ``C`` are transitive, and each point of
-    ``trivial`` is its own orbit.  A ``prod`` or ``wr`` point ``p * Q + a``
-    lies in orbit ``(orbit of p, orbit of a)``, outer major.
-    """
+    A leaf orbit's id is its first row-major entry, so a least point ``p``'s
+    diagonal id is ``p * (n + 1)``, and the others' match their least point's.
+    A ``prod`` or ``wr`` point ``p * Q + a`` lies in orbit ``(orbit of p, orbit of a)``, outer major."""
     if isinstance(expr, Leaf):
-        ids = np.arange(expr.n) if isinstance(expr, Trivial) else np.zeros(expr.n, dtype=np.int64)
+        diagonal = orbit_of(expr, *np.diag_indices(expr.n))
+        ids = np.searchsorted(diagonal[diagonal == np.arange(expr.n) * (expr.n + 1)], diagonal)
     elif isinstance(expr, (Prod, Wreath)):
         outer, inner = point_orbit(expr.outer), point_orbit(expr.inner)
         ids = (outer[:, None] * orbit_counts(expr.inner)[0] + inner).ravel()
@@ -194,9 +194,7 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point orbit's least point is the row of its diagonal orbit.
     """
     if isinstance(expr, Leaf):
-        n = expr.n
-        count = min(n, 2) if isinstance(expr, Set) else n if isinstance(expr, Cycle) else n * n
-        rows, cols = np.divmod(np.arange(count), n)
+        rows, cols = np.divmod(np.arange(orbit_counts(expr)[1]), expr.n)
     elif isinstance(expr, (Prod, Wreath)):
         Q = degree(expr.inner)
         ra, ca, _ = orbit_index(expr.outer)
@@ -242,12 +240,7 @@ def orbit_of(expr: Structure, i, j) -> np.ndarray:
     :func:`orbit_index` does, and maps it through that node's ``rank``.
     """
     if isinstance(expr, Leaf):
-        n = expr.n
-        if isinstance(expr, Set):
-            return np.not_equal(i, j).astype(np.int64)
-        if isinstance(expr, Cycle):
-            return (j - i) % n
-        return i * n + j
+        return LEAF_KINDS[type(expr)].orbit_of(expr.n, i, j)
     rank = orbit_index(expr)[2]
     Q = degree(expr.inner)
     (p, a), (q, b) = np.divmod(i, Q), np.divmod(j, Q)

@@ -30,7 +30,9 @@ from .basis import (
 from .layer import equivariance_check, random_layer
 from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
 from .structure import (
+    Prod,
     Structure,
+    Wreath,
     degree,
     format_structure,
     group_of,
@@ -64,18 +66,48 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# Peak bytes of building a pattern, under tracemalloc at N = 2,000.  Per
+# entry: 25 for S(2000) and C(2000), the int64 ids and their validation.  A
+# node holds its inner factor's ids while it reads its outer factor's, 8 more
+# per entry for a prod and 17 for a wr: six prods nested on the outer side
+# peak at 64 per entry, six wrs at 118, one wr at 33.  Per orbit: each node's
+# cached orbit index keeps 24, and numbering the root's orbits takes 24 more:
+# trivial(2000) peaks at 56 per entry, and wr(S(1),wr(S(1),wr(S(1),trivial(2000))))
+# at 187, 120 of them for four orbit indexes of N**2 orbits each.
+PATTERN_BYTES_PER_ENTRY = 25
+HELD_BYTES_PER_ENTRY = {Prod: 8, Wreath: 17}
+ORBIT_INDEX_BYTES_PER_ORBIT = 24
+
+
+def _pattern_bytes(expr: Structure) -> int:
+    """Bytes that building ``expr``'s pattern peaks at, at most, from the
+    closed-form counts and the constants above."""
+
+    def held(e):  # per entry, on the way down to the deepest outer factor
+        if not isinstance(e, (Prod, Wreath)):
+            return 0
+        return max(held(e.inner), HELD_BYTES_PER_ENTRY[type(e)] + held(e.outer))
+
+    def orbits(e):  # pair orbits, summed over every node's orbit index
+        return param_count(e) + (orbits(e.outer) + orbits(e.inner) if isinstance(e, (Prod, Wreath)) else 0)
+
+    per_entry = PATTERN_BYTES_PER_ENTRY + held(expr)
+    return per_entry * degree(expr) ** 2 + ORBIT_INDEX_BYTES_PER_ORBIT * (orbits(expr) + param_count(expr))
+
+
 def _pattern_structure(text: str) -> Structure:
     """Parse a structure whose ``N x N`` pattern a command will build.
 
-    Raises ``ValueError`` for a malformed expression, and for a degree whose
-    pattern (8 bytes per entry) exceeds physical memory, before allocating.
+    Raises ``ValueError`` for a malformed expression, and for a structure
+    whose pattern, with the temporaries and orbit indexes that building it
+    takes, exceeds physical memory, before allocating.
     """
     expr = parse_structure(text)
-    n = degree(expr)
+    n, need = degree(expr), _pattern_bytes(expr)
     ram = _physical_memory()
-    if 8 * n * n > ram:
+    if need > ram:
         raise ValueError(
-            f"degree {n} is too large: its {n} x {n} pattern needs {8 * n * n} bytes, "
+            f"degree {n} is too large: building its {n} x {n} pattern needs {need} bytes, "
             f"more than the {ram} bytes of physical memory"
         )
     return expr

@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Union
+from typing import Callable, NamedTuple, Union
+
+import numpy as np
 
 from .perm import (
     InvalidDegreeError,
@@ -43,13 +45,13 @@ class StructureParseError(ValueError):
 
 @dataclass(frozen=True)
 class Leaf:
-    """``n`` points under one of the leaf groups; the subclass names which."""
+    """``n`` points under one of the leaf groups; the subclass's ``LEAF_KINDS`` record holds its rules."""
 
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise InvalidDegreeError(f"{_HEAD_OF[type(self)]}(n) needs n >= 1, got {self.n}")
+            raise InvalidDegreeError(f"{LEAF_KINDS[type(self)].head}(n) needs n >= 1, got {self.n}")
 
 
 class Set(Leaf):
@@ -64,8 +66,26 @@ class Trivial(Leaf):
     """``trivial(n)``: the trivial group."""
 
 
-LEAF_HEADS = {"S": Set, "C": Cycle, "trivial": Trivial}
-_HEAD_OF = {cls: head for head, cls in LEAF_HEADS.items()}
+class LeafKind(NamedTuple):
+    """All the engine knows of one leaf kind, as functions of its ``n``: its
+    ``(m1, m2)`` point and pair orbit counts, and ``orbit_of(n, i, j)``, the
+    canonical orbit id of the entries ``(i, j)``, index arrays broadcasting.
+    Its orbits first appear in its first ``m2`` row-major entries, in id order."""
+
+    head: str
+    group: Callable[[int], PermGroup]
+    counts: Callable[[int], tuple[int, int]]
+    order: Callable[[int], int]
+    orbit_of: Callable[..., np.ndarray]
+
+
+LEAF_KINDS = {
+    Set: LeafKind("S", symmetric_group, lambda n: (1, min(n, 2)), math.factorial,
+                  lambda n, i, j: np.not_equal(i, j).astype(np.int64)),
+    Cycle: LeafKind("C", cyclic_group, lambda n: (1, n), lambda n: n, lambda n, i, j: (j - i) % n),
+    Trivial: LeafKind("trivial", trivial_group, lambda n: (n, n * n), lambda n: 1, lambda n, i, j: i * n + j),
+}
+LEAF_HEADS = {kind.head: cls for cls, kind in LEAF_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -80,7 +100,7 @@ class Wreath:
     outer: "Structure"
 
 
-Structure = Union[Set, Cycle, Trivial, Prod, Wreath]
+Structure = Union[Leaf, Prod, Wreath]
 
 
 def degree(expr: Structure) -> int:
@@ -99,7 +119,7 @@ def format_structure(expr: Structure) -> str:
     'wr(S(4),S(3))'
     """
     if isinstance(expr, Leaf):
-        return f"{_HEAD_OF[type(expr)]}({expr.n})"
+        return f"{LEAF_KINDS[type(expr)].head}({expr.n})"
     if isinstance(expr, Prod):
         return f"prod({format_structure(expr.outer)},{format_structure(expr.inner)})"
     if isinstance(expr, Wreath):
@@ -180,12 +200,8 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Structure, int]:
 @lru_cache(maxsize=32)
 def group_of(expr: Structure) -> PermGroup:
     """The permutation group realizing the structure's symmetry."""
-    if isinstance(expr, Set):
-        return symmetric_group(expr.n)
-    if isinstance(expr, Cycle):
-        return cyclic_group(expr.n)
-    if isinstance(expr, Trivial):
-        return trivial_group(expr.n)
+    if isinstance(expr, Leaf):
+        return LEAF_KINDS[type(expr)].group(expr.n)
     if isinstance(expr, Prod):
         return direct_product_group(group_of(expr.outer), group_of(expr.inner))
     if isinstance(expr, Wreath):
@@ -195,12 +211,8 @@ def group_of(expr: Structure) -> PermGroup:
 
 def orbit_counts(expr: Structure) -> tuple[int, int]:
     """``(m1, m2)``: the numbers of point orbits and of pair orbits."""
-    if isinstance(expr, Set):
-        return 1, min(expr.n, 2)
-    if isinstance(expr, Cycle):
-        return 1, expr.n
-    if isinstance(expr, Trivial):
-        return expr.n, expr.n * expr.n
+    if isinstance(expr, Leaf):
+        return LEAF_KINDS[type(expr)].counts(expr.n)
     if isinstance(expr, Prod):
         (a1, a2), (b1, b2) = orbit_counts(expr.outer), orbit_counts(expr.inner)
         return a1 * b1, a2 * b2
@@ -214,13 +226,12 @@ def param_count(expr: Structure) -> int:
     """Closed-form free-parameter count of an equivariant map: its pair orbits.
 
     It is the second of two counts, ``m1`` point orbits and ``m2`` pair
-    orbits.  Leaves: ``S(n)`` is ``(1, min(n, 2))``, ``C(n)`` is ``(1, n)``
-    and ``trivial(n)`` is ``(n, n**2)``.  A ``prod`` multiplies both.
-    ``wr(B, A)`` has ``m1 = m1(A) * m1(B)`` point orbits, and
-    ``m2 = m1(A) * m2(B) + (m2(A) - m1(A)) * m1(B)**2`` pair orbits: ``B``'s
-    pair orbits inside the fibers of each outer point orbit, and one per
-    pair of ``B``'s point orbits for each pair orbit of ``A`` off the
-    diagonal.  With transitive factors this is ``count(B) + count(A) - 1``.
+    orbits.  A leaf's are its :data:`LEAF_KINDS` record's ``counts``, and a
+    ``prod`` multiplies both.  ``wr(B, A)`` has ``m1 = m1(A) * m1(B)`` point
+    orbits, and ``m2 = m1(A) * m2(B) + (m2(A) - m1(A)) * m1(B)**2`` pair
+    orbits: ``B``'s pair orbits inside the fibers of each outer point orbit,
+    and one per pair of ``B``'s point orbits for each pair orbit of ``A`` off
+    the diagonal.  With transitive factors this is ``count(B) + count(A) - 1``.
     """
     return orbit_counts(expr)[1]
 
@@ -228,15 +239,11 @@ def param_count(expr: Structure) -> int:
 def group_order(expr: Structure) -> int:
     """Order of the structure's group, in closed form.
 
-    ``|S(n)| = n!``, ``|C(n)| = n`` and ``|trivial(n)| = 1``; a ``prod``
+    A leaf's is its :data:`LEAF_KINDS` record's ``order``; a ``prod``
     multiplies the orders, and ``|wr(B, A)| = |B| ** degree(A) * |A|``.
     """
-    if isinstance(expr, Set):
-        return math.factorial(expr.n)
-    if isinstance(expr, Cycle):
-        return expr.n
-    if isinstance(expr, Trivial):
-        return 1
+    if isinstance(expr, Leaf):
+        return LEAF_KINDS[type(expr)].order(expr.n)
     if isinstance(expr, Prod):
         return group_order(expr.outer) * group_order(expr.inner)
     if isinstance(expr, Wreath):

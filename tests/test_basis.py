@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreathlin import rational
@@ -36,14 +36,13 @@ from wreathlin.perm import (
 )
 from wreathlin.layer import apply, apply_dense, random_layer
 from wreathlin.structure import (
-    Cycle,
+    LEAF_KINDS,
     Prod,
-    Set,
-    Trivial,
     Wreath,
     degree,
     group_of,
     group_order,
+    orbit_counts,
     param_count,
     parse_structure,
 )
@@ -251,10 +250,10 @@ def test_pattern_matches_generator_orbits():
 
 @st.composite
 def structures(draw, depth=3, max_degree=256):
-    """Random trees over S/C/trivial leaves of degree 1-4 with at most
+    """Random trees over ``LEAF_KINDS`` leaves of degree 1-4 with at most
     ``max_degree`` points; intransitive factors included."""
     if depth == 0 or max_degree < 2 or draw(st.integers(0, 2)) == 0:
-        leaf = draw(st.sampled_from([Set, Cycle, Trivial]))
+        leaf = draw(st.sampled_from(list(LEAF_KINDS)))
         return leaf(draw(st.integers(1, min(4, max_degree))))
     first = draw(structures(depth - 1, max_degree // 2))
     second = draw(structures(depth - 1, max_degree // degree(first)))
@@ -329,16 +328,22 @@ def test_enumeration_matches_closed_form_group_order(expr):
             enumerate_group(group_of(expr), limit)
 
 
-def test_point_orbit_matches_generator_orbits():
-    for text in ["S(3)", "trivial(3)", "wr(S(3),trivial(2))", "wr(trivial(2),C(3))",
-                 "prod(trivial(2),wr(C(2),trivial(2)))", "wr(prod(trivial(2),S(2)),prod(trivial(2),C(2)))"]:
-        expr = parse_structure(text)
-        ids = point_orbit(expr)
-        # numbered by least point, and constant exactly on the generators' orbits
-        assert np.array_equal(np.unique(ids, return_index=True)[1], orbit_minima(group_of(expr))), text
-        for g in group_of(expr).generators:
-            assert np.array_equal(ids[g], ids), text
-        assert ids.max() + 1 == len(orbit_minima(group_of(expr))), text
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expr=structures(max_degree=40))
+@example(expr=parse_structure("S(3)"))
+@example(expr=parse_structure("trivial(3)"))
+@example(expr=parse_structure("wr(S(3),trivial(2))"))
+@example(expr=parse_structure("wr(trivial(2),C(3))"))
+@example(expr=parse_structure("prod(trivial(2),wr(C(2),trivial(2)))"))
+@example(expr=parse_structure("wr(prod(trivial(2),S(2)),prod(trivial(2),C(2)))"))
+def test_point_orbit_matches_generator_orbits(expr):
+    ids = point_orbit(expr)
+    assert ids.dtype == np.int64 and not ids.flags.writeable
+    # numbered by least point, and constant exactly on the generators' orbits
+    assert np.array_equal(np.unique(ids, return_index=True)[1], orbit_minima(group_of(expr)))
+    for g in group_of(expr).generators:
+        assert np.array_equal(ids[g], ids)
+    assert ids.max() + 1 == len(orbit_minima(group_of(expr))) == orbit_counts(expr)[0]
 
 
 def test_apply_builds_no_pattern():

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line entry points, driven through main()."""
 
 import math
+import tracemalloc
 
 import pytest
 
 import wreathlin.cli
+from wreathlin.basis import orbit_index, pattern_of_structure, point_orbit
 from wreathlin.cli import main
-from wreathlin.structure import MAX_NESTING
+from wreathlin.structure import MAX_NESTING, parse_structure
 
 
 def run_cli(capsys, argv):
@@ -235,6 +237,43 @@ def test_oversize_degree_exits_two_before_allocating(capsys, command, text):
     assert out == ""
     assert err.startswith("error: degree ") and err.count("\n") == 1
     assert "physical memory" in err
+
+
+@pytest.mark.parametrize("command", ["pattern", "verify"])
+@pytest.mark.parametrize("text", ["S(100)", "trivial(100)", "wr(S(1),wr(S(1),S(100)))"])
+def test_pattern_guard_counts_temporaries_and_orbit_indexes(capsys, monkeypatch, command, text):
+    """A machine whose memory holds the 8-byte ids, but not what building
+    them takes, refuses the structure with one error line."""
+    need = wreathlin.cli._pattern_bytes(parse_structure(text))
+    assert need > 3 * 8 * 100 ** 2
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
+    code, out, err = run_cli(capsys, [command, "--structure", text])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: degree 100 is too large: building its 100 x 100 pattern needs {need} bytes, "
+                   f"more than the {need - 1} bytes of physical memory\n")
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need)
+    assert run_cli(capsys, ["pattern", "--structure", text])[0] == 0
+
+
+@pytest.mark.parametrize("text", [
+    "S(300)", "C(300)", "trivial(300)", "wr(S(15),S(20))", "prod(trivial(15),trivial(20))",
+    "prod(prod(prod(S(300),S(1)),S(1)),S(1))", "wr(S(1),wr(S(1),wr(S(1),trivial(300))))",
+    "wr(S(2),prod(wr(S(2),S(5)),S(15)))", "prod(S(1),wr(S(1),wr(S(1),S(300))))",
+])
+def test_pattern_guard_bounds_the_measured_peak(text):
+    """The guard's count is at least what building the pattern allocates,
+    but for a few kilobytes of fixed-size objects, and less than twice it."""
+    expr = parse_structure(text)
+    for cached in (pattern_of_structure, orbit_index, point_orbit):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        pattern_of_structure(expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 ** 14 <= wreathlin.cli._pattern_bytes(expr) < 2 * peak
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and the
-library loads no rational arithmetic."""
+"""Every name a library module imports is used in that module, the library
+loads no rational arithmetic, and only the leaf table knows the leaf kinds."""
 
 import ast
 import os
@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import wreathlin
+from wreathlin.structure import LEAF_KINDS
 
 MODULES = sorted(Path(wreathlin.__file__).parent.glob("*.py"))
+LEAF_CLASS_NAMES = {cls.__name__ for cls in LEAF_KINDS}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,3 +73,35 @@ def test_cli_import_leaves_the_demo_modules_out():
     line, as every ``verify`` and ``pattern`` process does, loads neither
     ``pointcloud`` nor ``train``."""
     assert _loaded_by_cli_import(["wreathlin.pointcloud", "wreathlin.train"]) == "[]\n"
+
+
+def leaf_isinstance_lines(source: str) -> list[int]:
+    """Lines of the ``isinstance`` calls that name a leaf class, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(c, "id", getattr(c, "attr", None)) in LEAF_CLASS_NAMES for c in classes):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["structure.py", "basis.py"])
+def test_leaf_rules_live_in_the_table(name):
+    """A leaf kind's rules are its ``LEAF_KINDS`` record, so the structure
+    engine reads the record and never asks which leaf it holds."""
+    assert leaf_isinstance_lines((Path(wreathlin.__file__).parent / name).read_text()) == []
+
+
+def test_basis_imports_no_leaf_class():
+    tree = ast.parse((Path(wreathlin.__file__).parent / "basis.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & LEAF_CLASS_NAMES == set()
+
+
+def test_leaf_isinstance_detection():
+    source = (
+        "isinstance(x, Set)\nisinstance(x, (Prod, Cycle))\nisinstance(x, structure.Trivial)\n"
+        "isinstance(x, Leaf)\nisinstance(x, (Prod, Wreath))\nSet(3)\n"
+    )
+    assert leaf_isinstance_lines(source) == [1, 2, 3]

@@ -26,7 +26,7 @@ from wreathlin.perm import (
     trivial_group,
     wreath_product_group,
 )
-from wreathlin.structure import Cycle, Leaf, Prod, Set, Trivial, Wreath, degree, group_of, parse_structure
+from wreathlin.structure import LEAF_KINDS, Leaf, Prod, Wreath, degree, group_of, parse_structure
 
 
 def wreath_element(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -440,10 +440,10 @@ def _reference_group(expr) -> PermGroup:
 
 @st.composite
 def trees(draw, depth=3, max_degree=600):
-    """Random trees over S/C/trivial leaves of degree 1-5, one-point factors
-    and intransitive factors included."""
+    """Random trees over ``LEAF_KINDS`` leaves of degree 1-5, one-point
+    factors and intransitive factors included."""
     if depth == 0 or max_degree < 2 or draw(st.integers(0, 2)) == 0:
-        return draw(st.sampled_from([Set, Cycle, Trivial]))(draw(st.integers(1, min(5, max_degree))))
+        return draw(st.sampled_from(list(LEAF_KINDS)))(draw(st.integers(1, min(5, max_degree))))
     first = draw(trees(depth - 1, max_degree // 2))
     second = draw(trees(depth - 1, max_degree // degree(first)))
     a, b = (first, second) if draw(st.booleans()) else (second, first)

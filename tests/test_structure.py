@@ -1,11 +1,13 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
-from wreathlin.basis import structure_orbit_count
-from wreathlin.perm import InvalidDegreeError, enumerate_group
+from wreathlin.basis import orbit_pattern, structure_orbit_count
+from wreathlin.perm import InvalidDegreeError, enumerate_group, orbit_minima
 from wreathlin.structure import (
+    LEAF_KINDS,
     MAX_NESTING,
     Cycle,
     Prod,
@@ -156,6 +158,25 @@ def test_leaf_kinds_share_a_base_but_stay_distinct(head, cls, orbits):
     assert structure_orbit_count(cls(3)) == orbits
     with pytest.raises(InvalidDegreeError, match=rf"^{head}\(n\) needs n >= 1, got 0$"):
         parse_structure(f"{head}(0)")
+
+
+@pytest.mark.parametrize("cls", list(LEAF_KINDS), ids=[kind.head for kind in LEAF_KINDS.values()])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_leaf_kind_record_matches_its_group(cls, n):
+    """Each record's closed forms against its group's generators and its
+    enumeration, so a new leaf kind is checked by its table entry alone."""
+    kind = LEAF_KINDS[cls]
+    group = kind.group(n)
+    pattern = orbit_pattern(group)
+    m1, m2 = kind.counts(n)
+    assert (m1, m2) == (len(orbit_minima(group)), pattern.num_orbits)
+    assert kind.order(n) == len(enumerate_group(group, limit=720))
+    i, j = np.divmod(np.arange(n * n), n)
+    assert np.array_equal(kind.orbit_of(n, i, j), pattern.orbit_id.ravel())
+    # the first m2 row-major entries are the orbits' first appearances, in id order
+    assert np.array_equal(kind.orbit_of(n, i[:m2], j[:m2]), np.arange(m2))
+    assert parse_structure(f"{kind.head}({n})") == cls(n)
+    assert format_structure(cls(n)) == f"{kind.head}({n})"
 
 
 def test_reassociate_wreaths_right_normalizes():
