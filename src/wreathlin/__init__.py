@@ -13,7 +13,6 @@ from .perm import (
     cyclic_group,
     direct_product_group,
     enumerate_group,
-    perm_to_matrix,
     symmetric_group,
     trivial_group,
     wreath_product_group,
@@ -54,7 +53,6 @@ __all__ = [
     "param_count",
     "parse_structure",
     "pattern_of_structure",
-    "perm_to_matrix",
     "symmetric_group",
     "trivial_group",
     "wreath_product_group",

@@ -28,7 +28,8 @@ from .basis import (
     pattern_summary,
 )
 from .layer import equivariance_check, random_layer
-from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
+from .perm import (DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, UNION_CHUNK, EnumerationLimitError, enumerate_group,
+                   max_order_limit)
 from .structure import (
     Prod,
     Structure,
@@ -77,6 +78,12 @@ def _physical_memory() -> int:
 PATTERN_BYTES_PER_ENTRY = 25
 HELD_BYTES_PER_ENTRY = {Prod: 8, Wreath: 17}
 ORBIT_INDEX_BYTES_PER_ORBIT = 24
+# Peak bytes of verify's generator-orbit leg beyond the pattern it keeps alive.
+# Per entry, perm.orbit_labels's Python ints (8 a pointer, 28 an int) and int64
+# result: 52 for trivial(600), 45-48 for S, C and wr at N = 600 to 1,000.  Per
+# pair of the first UNION_CHUNK, a chunk's moved pairs and images: 78 (S(128)).
+LEG_BYTES_PER_ENTRY = 54
+LEG_BYTES_PER_CHUNK_PAIR = 80
 
 
 def _pattern_bytes(expr: Structure) -> int:
@@ -95,21 +102,28 @@ def _pattern_bytes(expr: Structure) -> int:
     return per_entry * degree(expr) ** 2 + ORBIT_INDEX_BYTES_PER_ORBIT * (orbits(expr) + param_count(expr))
 
 
-def _pattern_structure(text: str) -> Structure:
+def _verify_bytes(expr: Structure) -> int:
+    """Bytes that ``verify``'s generator-orbit leg peaks at, at most, the pattern's freed temporaries included."""
+    pairs = degree(expr) ** 2
+    return _pattern_bytes(expr) + LEG_BYTES_PER_ENTRY * pairs + LEG_BYTES_PER_CHUNK_PAIR * min(pairs, UNION_CHUNK)
+
+
+def _pattern_structure(text: str, orbit_leg: bool = False) -> Structure:
     """Parse a structure whose ``N x N`` pattern a command will build.
 
     Raises ``ValueError`` for a malformed expression, and for a structure
     whose pattern, with the temporaries and orbit indexes that building it
-    takes, exceeds physical memory, before allocating.
+    takes, exceeds physical memory, before allocating.  With ``orbit_leg``,
+    so does ``verify``'s generator-orbit leg, run while the pattern is alive.
     """
     expr = parse_structure(text)
-    n, need = degree(expr), _pattern_bytes(expr)
-    ram = _physical_memory()
+    n, need, ram = degree(expr), _pattern_bytes(expr), _physical_memory()
+    what = f"building its {n} x {n} pattern"
+    if orbit_leg and need <= ram:
+        need, what = _verify_bytes(expr), what + " and then its generator orbits"
     if need > ram:
-        raise ValueError(
-            f"degree {n} is too large: building its {n} x {n} pattern needs {need} bytes, "
-            f"more than the {ram} bytes of physical memory"
-        )
+        raise ValueError(f"degree {n} is too large: {what} needs {need} bytes, "
+                         f"more than the {ram} bytes of physical memory")
     return expr
 
 
@@ -196,7 +210,7 @@ def _verify_rows(expr, max_order: int, trials: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        expr = _pattern_structure(args.structure)
+        expr = _pattern_structure(args.structure, orbit_leg=True)
         max_order = max_order_limit() if args.max_order is None else args.max_order
         if max_order < 1:
             raise ValueError(f"--max-order must be at least 1, got {max_order}")

@@ -22,10 +22,10 @@ channels of the side with fewer orbits; ``wr`` adds the outer map of the
 pooled fibers to the inner map of each, ``O(N)`` beyond its factors.
 Fibers pool per inner point orbit, one indicator product, and the outer map
 runs at channels widened by that orbit count; the inner map runs once per
-outer point orbit, with that orbit's weights.  A set inner factor adds its
-pooled row into the cross-fiber term, so each fiber is pooled and broadcast
-once.  Set products and broadcasts of tall arrays go through
-:mod:`wreathlin.arrays`: ``x @ w`` in row blocks of at most
+outer point orbit, with that orbit's weights.  A set inner factor's pooled
+weights sit on the outer map's diagonal orbits, so each fiber is pooled and
+broadcast once and runs only its pointwise weights.  Set products and
+broadcasts of tall arrays go through :mod:`wreathlin.arrays`: ``x @ w`` in row blocks of at most
 ``2**19 // (c_in * c_out)`` rows, since one OpenBLAS call past about ``2**19``
 multiply-adds ran two to three times slower per row (``(20000, 8) @ (8, 8)``:
 0.32 ms as one call, 0.13 ms in blocks), and ``y += row`` through a view with
@@ -256,30 +256,28 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
         outer_coeffs = np.zeros((len(ra), b1 * c_in, b1 * c_out))
         outer_coeffs[ra != ca] = (coeffs[rank[a1 * b2:]].reshape(-1, b1, b1, c_in, c_out)
                                   .transpose(0, 2, 3, 1, 4).reshape(-1, b1 * c_in, b1 * c_out))
+        if isinstance(expr.inner, Set) and expr.inner.n > 1:
+            # the set's pooled weights go on the cross map's diagonal orbits, zero so far and in point orbit order
+            pointwise, outer_coeffs[ra == ca] = _set_split(inner_coeffs.swapaxes(0, 1))
+            mix = mix_for(Q, coeffs[0])
+            inner_maps = [lambda x, w=w: mix(x, w) for w in pointwise]
+        else:
+            inner_maps = [_compile_structure(expr.inner, w) for w in inner_coeffs]
         cross_map = _compile_structure(expr.outer, outer_coeffs)
         # pool each fiber per inner point orbit; one orbit makes it np.ones(Q) @ xr
         inner_points = point_orbit(expr.inner)
         indicator = np.eye(b1)[inner_points].T
         # the inner map runs once per outer point orbit, on that orbit's fibers
         fibers = [slice(None)] if a1 == 1 else [np.flatnonzero(point_orbit(expr.outer) == s) for s in range(a1)]
-        # a set's pooled row is its fiber's pool: fold it into the cross-fiber term
-        fold = isinstance(expr.inner, Set) and expr.inner.n > 1
-        inner_maps = ([_set_split(w) for w in inner_coeffs] if fold
-                      else [_compile_structure(expr.inner, w) for w in inner_coeffs])
-        mix_fiber, mix_pooled, add = mix_for(Q, coeffs[0]), mix_for(P, coeffs[0]), add_for(Q, c_out)
+        add = add_for(Q, c_out)
 
         def run_wreath(x: np.ndarray) -> np.ndarray:
             batch = x.shape[:-2]
             xr = x.reshape(*batch, P, Q, c_in)
-            pooled = (indicator @ xr).reshape(*batch, P, b1 * c_in)
-            cross = cross_map(pooled)
+            cross = cross_map((indicator @ xr).reshape(*batch, P, b1 * c_in))
             fiber = np.empty((*batch, P, Q, c_out)) if a1 > 1 else None
             for at, inner in zip(fibers, inner_maps):
-                if fold:
-                    part = mix_fiber(xr[..., at, :, :], inner[0])
-                    cross[..., at, :] += mix_pooled(pooled[..., at, :], inner[1])
-                else:
-                    part = inner(xr[..., at, :, :])
+                part = inner(xr[..., at, :, :])
                 if a1 == 1:
                     fiber = part
                 else:
@@ -335,14 +333,6 @@ class EquivarianceReport:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tol
-
-    def lines(self) -> list[str]:
-        out = []
-        for i, r in enumerate(self.generator_residuals):
-            mark = "ok" if r <= self.tol else "FAIL"
-            out.append(f"generator {i}: max residual {r:.3e} {mark}")
-        out.append(f"overall: {'pass' if self.passed else 'FAIL'} (tol {self.tol:g})")
-        return out
 
 
 def equivariance_check_map(

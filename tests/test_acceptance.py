@@ -37,12 +37,13 @@ from wreathlin.structure import group_of, param_count, parse_structure
 from wreathlin.train import (
     SegBlock,
     build_segnet,
-    gradient_check,
     init_attn_layer,
     init_set_layer,
     init_wreath_layer,
     run_seg_experiment,
 )
+
+from gradcheck import gradient_check
 
 
 def _verdict(ok: bool, label: str, detail: str) -> None:

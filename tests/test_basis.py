@@ -36,7 +36,6 @@ from wreathlin.perm import (
 )
 from wreathlin.layer import apply, apply_dense, random_layer
 from wreathlin.structure import (
-    LEAF_KINDS,
     Prod,
     Wreath,
     degree,
@@ -46,6 +45,8 @@ from wreathlin.structure import (
     param_count,
     parse_structure,
 )
+
+from strategies import structure_trees
 
 
 def P(text):
@@ -248,19 +249,6 @@ def test_pattern_matches_generator_orbits():
         assert pattern_of_structure(expr) == orbit_pattern(group_of(expr)), text
 
 
-@st.composite
-def structures(draw, depth=3, max_degree=256):
-    """Random trees over ``LEAF_KINDS`` leaves of degree 1-4 with at most
-    ``max_degree`` points; intransitive factors included."""
-    if depth == 0 or max_degree < 2 or draw(st.integers(0, 2)) == 0:
-        leaf = draw(st.sampled_from(list(LEAF_KINDS)))
-        return leaf(draw(st.integers(1, min(4, max_degree))))
-    first = draw(structures(depth - 1, max_degree // 2))
-    second = draw(structures(depth - 1, max_degree // degree(first)))
-    a, b = (first, second) if draw(st.booleans()) else (second, first)
-    return draw(st.sampled_from([Prod, Wreath]))(a, b)
-
-
 def _leaves(expr):
     if isinstance(expr, (Prod, Wreath)):
         return _leaves(expr.outer) + _leaves(expr.inner)
@@ -268,7 +256,7 @@ def _leaves(expr):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(expr=structures(), seed=st.integers(0, 2**16))
+@given(expr=structure_trees(4, 256), seed=st.integers(0, 2**16))
 def test_structure_orbit_count_agrees_with_pattern(expr, seed):
     pattern = pattern_of_structure(expr)
     rows, cols, rank = orbit_index(expr)
@@ -286,7 +274,7 @@ def test_structure_orbit_count_agrees_with_pattern(expr, seed):
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(expr=structures(max_degree=40))
+@given(expr=structure_trees(4, 40))
 def test_closed_form_pattern_matches_generator_orbits(expr):
     """The closed form against union-find over the generators, on random
     trees with intransitive factors anywhere; against Burnside where the
@@ -315,7 +303,7 @@ def test_closed_form_pattern_with_intransitive_factor_under_wreath(text, count):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(expr=structures(max_degree=40))
+@given(expr=structure_trees(4, 40))
 def test_enumeration_matches_closed_form_group_order(expr):
     limit = 5_000
     order = group_order(expr)
@@ -329,7 +317,7 @@ def test_enumeration_matches_closed_form_group_order(expr):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(expr=structures(max_degree=40))
+@given(expr=structure_trees(4, 40))
 @example(expr=parse_structure("S(3)"))
 @example(expr=parse_structure("trivial(3)"))
 @example(expr=parse_structure("wr(S(3),trivial(2))"))

@@ -6,9 +6,9 @@ import tracemalloc
 import pytest
 
 import wreathlin.cli
-from wreathlin.basis import orbit_index, pattern_of_structure, point_orbit
+from wreathlin.basis import orbit_index, orbit_pattern, pattern_of_structure, point_orbit
 from wreathlin.cli import main
-from wreathlin.structure import MAX_NESTING, parse_structure
+from wreathlin.structure import MAX_NESTING, group_of, parse_structure
 
 
 def run_cli(capsys, argv):
@@ -274,6 +274,44 @@ def test_pattern_guard_bounds_the_measured_peak(text):
     finally:
         tracemalloc.stop()
     assert peak - 2 ** 14 <= wreathlin.cli._pattern_bytes(expr) < 2 * peak
+
+
+@pytest.mark.parametrize("text", ["S(100)", "trivial(100)", "wr(S(10),S(10))"])
+def test_verify_guard_counts_the_generator_orbits(capsys, monkeypatch, text):
+    """A machine whose memory holds the pattern, but not the generator orbits
+    that ``verify`` builds beside it, runs ``pattern`` and refuses ``verify``
+    with one error line."""
+    need = wreathlin.cli._verify_bytes(parse_structure(text))
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
+    assert run_cli(capsys, ["pattern", "--structure", text])[0] == 0
+    code, out, err = run_cli(capsys, ["verify", "--structure", text])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: degree 100 is too large: building its 100 x 100 pattern and then its generator "
+                   f"orbits needs {need} bytes, more than the {need - 1} bytes of physical memory\n")
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need)
+    assert run_cli(capsys, ["verify", "--structure", text])[0] == 0
+
+
+@pytest.mark.parametrize("text", [
+    "S(300)", "C(300)", "trivial(300)", "wr(S(15),S(20))", "prod(trivial(15),trivial(20))",
+    "wr(wr(S(2),S(5)),S(30))", "wr(S(1),wr(S(1),wr(S(1),trivial(300))))",
+])
+def test_verify_guard_bounds_the_generator_orbit_peak(text):
+    """``verify`` builds the generator orbits while the pattern is alive; the
+    guard's count is at least that peak, but for a few kilobytes of
+    fixed-size objects, and less than twice it."""
+    expr = parse_structure(text)
+    for cached in (pattern_of_structure, orbit_index, point_orbit, group_of):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        pattern_of_structure(expr)  # cached, so alive through the next line
+        orbit_pattern(group_of(expr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 ** 14 <= wreathlin.cli._verify_bytes(expr) < 2 * peak
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

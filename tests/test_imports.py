@@ -1,8 +1,10 @@
 """Every name a library module imports is used in that module, the library
-loads no rational arithmetic, and only the leaf table knows the leaf kinds."""
+loads no rational arithmetic, only the leaf table knows the leaf kinds, and
+every top-level definition of the library has a reader outside the tests."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,12 @@ import wreathlin
 from wreathlin.structure import LEAF_KINDS
 
 MODULES = sorted(Path(wreathlin.__file__).parent.glob("*.py"))
+ROOT = Path(wreathlin.__file__).parent.parent.parent
+# the readers outside the library: the demos and the benchmark, but not the benchmark's own tests
+USERS = sorted(ROOT.glob("demos/*.py")) + sorted(
+    p for p in ROOT.glob("perfbench/*.py") if p.name != "test_perfbench.py")
+# the JSON serializer waits on ROADMAP item 3, which decides whether trained nets save through it
+UNREAD_ALLOWED = {"save_layer", "load_layer"}
 LEAF_CLASS_NAMES = {cls.__name__ for cls in LEAF_KINDS}
 
 
@@ -105,3 +113,58 @@ def test_leaf_isinstance_detection():
         "isinstance(x, Leaf)\nisinstance(x, (Prod, Wreath))\nSet(3)\n"
     )
     assert leaf_isinstance_lines(source) == [1, 2, 3]
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """Names and attribute names that ``node`` reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def _identifiers(source: str) -> set[str]:
+    """Every identifier of a module, and every word of its strings."""
+    words = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            words.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            words.add(n.attr)
+        elif isinstance(n, ast.alias):
+            words.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            words.update(re.findall(r"[A-Za-z_]\w*", n.value))
+    return words
+
+
+def unread_definitions(library: list[str], users: list[str]) -> list[str]:
+    """Top-level functions and classes of the ``library`` sources that no
+    reader reaches: no library statement but their own definition reads
+    them, and no ``users`` source names them, as an identifier or in a
+    string.  Imports and ``__all__`` read nothing, so an export alone does
+    not count."""
+    defined, read = [], set()
+    for source in library:
+        for stmt in ast.parse(source).body:
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+            defined += own
+            read |= _loads(stmt) - own
+    for source in users:
+        read |= _identifiers(source)
+    return [name for name in defined if name not in read]
+
+
+def test_every_definition_has_a_reader_outside_the_tests():
+    """Only production paths stay in the library: a function or class that
+    only tests call belongs in ``tests/``."""
+    unread = unread_definitions([p.read_text() for p in MODULES], [p.read_text() for p in USERS])
+    assert sorted(unread) == sorted(UNREAD_ALLOWED)
+
+
+def test_unread_definition_detection():
+    library = [
+        "def f():\n    return g()\ndef g():\n    return 1\ndef h(n):\n    return h(n - 1)\n"
+        "class K:\n    pass\nclass L:\n    pass\ndef m():\n    pass\n",
+        "from .a import f, h, K\n__all__ = ['h', 'L']\nx = K\n",
+    ]
+    users = ["import a\nprint('calls f')\n", "from b import m\n"]
+    assert unread_definitions(library, users) == ["h", "L"]

@@ -289,7 +289,7 @@ def test_equivariance_of_random_layers():
     for text in ["S(4)", "C(5)", "prod(S(3),C(2))", "wr(C(2),S(3))", "wr(wr(S(2),C(2)),C(2))"]:
         layer = random_layer(parse_structure(text), c_in=2, c_out=2, rng=rng, bias=True)
         report = equivariance_check(layer, trials=3, rng=rng)
-        assert report.passed, (text, report.lines())
+        assert report.passed, (text, report.generator_residuals)
 
 
 def test_dense_maps_are_equivariant_to_one_point_groups():

@@ -21,12 +21,14 @@ from wreathlin.perm import (
     max_order_limit,
     orbit_labels,
     orbit_minima,
-    perm_to_matrix,
+    permute_rows,
     symmetric_group,
     trivial_group,
     wreath_product_group,
 )
-from wreathlin.structure import LEAF_KINDS, Leaf, Prod, Wreath, degree, group_of, parse_structure
+from wreathlin.structure import Leaf, Prod, group_of, parse_structure
+
+from strategies import structure_trees
 
 
 def wreath_element(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -39,6 +41,17 @@ def wreath_element(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """
     h, ks = np.asarray(h, dtype=np.intp), np.asarray(ks)
     return (h[:, None] * ks.shape[1] + ks[h]).ravel()
+
+
+def perm_to_matrix(p: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix sending basis vector ``e_j`` to ``e_{p[j]}``.
+
+    Exactly one 1 per row and per column: ``M[p[j], j] == 1``.
+    """
+    n = len(p)
+    m = np.zeros((n, n), dtype=np.int64)
+    m[p, np.arange(n)] = 1
+    return m
 
 
 def wreath_block_matrix(h: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -376,6 +389,13 @@ def test_perm_to_matrix_moves_coordinates():
         assert y[p[i]] == x[i]
 
 
+def test_permute_rows_is_the_matrix_action():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        p, x = rng.permutation(6), rng.normal(size=(6, 2))
+        assert np.array_equal(permute_rows(p, x), perm_to_matrix(p) @ x)
+
+
 def test_wreath_element_block_matrix_agreement():
     """The permutation built from (h, k_1..k_P) must match the block matrix
     assembled independently from the same data."""
@@ -438,20 +458,8 @@ def _reference_group(expr) -> PermGroup:
     return PermGroup(P * Q, np.stack(rows), label=f"({inner.label} wr {outer.label})")
 
 
-@st.composite
-def trees(draw, depth=3, max_degree=600):
-    """Random trees over ``LEAF_KINDS`` leaves of degree 1-5, one-point
-    factors and intransitive factors included."""
-    if depth == 0 or max_degree < 2 or draw(st.integers(0, 2)) == 0:
-        return draw(st.sampled_from(list(LEAF_KINDS)))(draw(st.integers(1, min(5, max_degree))))
-    first = draw(trees(depth - 1, max_degree // 2))
-    second = draw(trees(depth - 1, max_degree // degree(first)))
-    a, b = (first, second) if draw(st.booleans()) else (second, first)
-    return draw(st.sampled_from([Prod, Wreath]))(a, b)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(expr=trees())
+@given(expr=structure_trees(5, 600))
 def test_broadcast_generator_rows_match_the_per_row_reference(expr):
     """Row order is pinned, since it sets the commutant solve's work, so the
     broadcast rows must equal the per-row reference exactly, with the same

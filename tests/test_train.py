@@ -20,7 +20,6 @@ from wreathlin.train import (
     block_forward,
     build_segnet,
     evaluate,
-    gradient_check,
     init_attn_layer,
     init_set_layer,
     init_wreath_layer,
@@ -35,6 +34,8 @@ from wreathlin.train import (
     trace_csv,
 )
 from wreathlin.pointcloud import make_blob_scene
+
+from gradcheck import gradient_check
 
 
 def toy_batch(seed=0, n=18, c=4, classes=3, res=3):
