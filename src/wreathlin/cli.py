@@ -84,6 +84,19 @@ ORBIT_INDEX_BYTES_PER_ORBIT = 24
 # pair of the first UNION_CHUNK, a chunk's moved pairs and images: 78 (S(128)).
 LEG_BYTES_PER_ENTRY = 54
 LEG_BYTES_PER_CHUNK_PAIR = 80
+# Peak bytes of verify's group-order leg beyond the pattern and the generator
+# orbits' pattern (8 per entry) it keeps alive.  perm.enumerate_group holds
+# each element as a bytes key, joins the keys and copies the join.  Per
+# element: 146-151 for S(8), wr(C(3),S(5)) and wr(S(2),C(12)).  Per byte of an
+# element's images, N times the itemsize of the least unsigned dtype holding
+# N - 1: 2.6-3.0 from prod(S(7),C(30)) to prod(C(2),C(2000)).
+ENUMERATION_BYTES_PER_ELEMENT = 160
+ENUMERATION_BYTES_PER_IMAGE_BYTE = 3
+# Peak bytes of verify's equivariance leg beyond the pattern, the generator
+# orbits' pattern and the tied matrix (8 per entry each) it keeps alive: the
+# random layer's weights and, where orbits are single entries, its full map,
+# 96-105 per orbit on trivial(100), trivial(300) and prod(trivial(15),trivial(20)).
+LAYER_BYTES_PER_ORBIT = 106
 
 
 def _pattern_bytes(expr: Structure) -> int:
@@ -108,23 +121,58 @@ def _verify_bytes(expr: Structure) -> int:
     return _pattern_bytes(expr) + LEG_BYTES_PER_ENTRY * pairs + LEG_BYTES_PER_CHUNK_PAIR * min(pairs, UNION_CHUNK)
 
 
-def _pattern_structure(text: str, orbit_leg: bool = False) -> Structure:
+def _enumeration_bytes(expr: Structure) -> int:
+    """Bytes that ``verify``'s group-order leg peaks at, at most: the group's
+    elements enumerated beside the two patterns."""
+    n = degree(expr)
+    per_element = ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_IMAGE_BYTE * n * np.min_scalar_type(n - 1).itemsize
+    return _pattern_bytes(expr) + 8 * n * n + group_order(expr) * per_element
+
+
+def _equivariance_bytes(expr: Structure) -> int:
+    """Bytes that ``verify``'s equivariance leg peaks at, at most: a random
+    layer beside the two patterns and the tied matrix."""
+    return _pattern_bytes(expr) + 16 * degree(expr) ** 2 + LAYER_BYTES_PER_ORBIT * param_count(expr)
+
+
+def _check_memory(legs) -> None:
+    """Raise ``ValueError`` at the first of the ``(what, count)`` pairs whose
+    count of bytes exceeds physical memory; each count is a function of no
+    arguments, called only once the legs before it fit."""
+    ram = _physical_memory()
+    for what, count in legs:
+        need = count()
+        if need > ram:
+            raise ValueError(f"{what} needs {need} bytes, more than the {ram} bytes of physical memory")
+
+
+def _pattern_structure(text: str) -> Structure:
     """Parse a structure whose ``N x N`` pattern a command will build.
 
     Raises ``ValueError`` for a malformed expression, and for a structure
     whose pattern, with the temporaries and orbit indexes that building it
-    takes, exceeds physical memory, before allocating.  With ``orbit_leg``,
-    so does ``verify``'s generator-orbit leg, run while the pattern is alive.
+    takes, exceeds physical memory, before allocating.
     """
     expr = parse_structure(text)
-    n, need, ram = degree(expr), _pattern_bytes(expr), _physical_memory()
-    what = f"building its {n} x {n} pattern"
-    if orbit_leg and need <= ram:
-        need, what = _verify_bytes(expr), what + " and then its generator orbits"
-    if need > ram:
-        raise ValueError(f"degree {n} is too large: {what} needs {need} bytes, "
-                         f"more than the {ram} bytes of physical memory")
+    n = degree(expr)
+    _check_memory([(f"degree {n} is too large: building its {n} x {n} pattern", lambda: _pattern_bytes(expr))])
     return expr
+
+
+def _check_verify_memory(expr: Structure, max_order: int) -> None:
+    """Raise ``ValueError``, before allocating, if a leg ``verify`` runs
+    beside the pattern exceeds physical memory: the generator orbits, the
+    group's elements when ``max_order`` lets it enumerate them, or the layer."""
+    n = degree(expr)
+    built = f"building its {n} x {n} pattern and then"
+    legs = [(f"degree {n} is too large: {built} its generator orbits", lambda: _verify_bytes(expr)),
+            (f"degree {n} is too large: {built} a layer of its {param_count(expr)} weight orbits",
+             lambda: _equivariance_bytes(expr))]
+    order = group_order(expr)
+    if order <= max_order:
+        legs.append((f"group order {order} is too large: enumerating it beside its {n} x {n} pattern",
+                     lambda: _enumeration_bytes(expr)))
+    _check_memory(legs)
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
@@ -180,6 +228,7 @@ def _verify_rows(expr, max_order: int, trials: int):
             yield ("group-order", "pass" if len(elements) == order else "FAIL",
                    f"{len(elements)} elements enumerated, closed-form order {order}")
             b = burnside_count(elements)
+            del elements  # the later legs run without it, as the memory guard counts them
             yield ("burnside", "pass" if b == closed else "FAIL", f"average fixed points = {b}")
 
     if degree(expr) <= DEFAULT_ORACLE_MAX_DEGREE:
@@ -210,12 +259,13 @@ def _verify_rows(expr, max_order: int, trials: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        expr = _pattern_structure(args.structure, orbit_leg=True)
+        expr = _pattern_structure(args.structure)
         max_order = max_order_limit() if args.max_order is None else args.max_order
         if max_order < 1:
             raise ValueError(f"--max-order must be at least 1, got {max_order}")
         if args.trials < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        _check_verify_memory(expr, max_order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -21,7 +21,9 @@ broadcast back.  Other products run one pass per factor, widening the
 channels of the side with fewer orbits; ``wr`` adds the outer map of the
 pooled fibers to the inner map of each, ``O(N)`` beyond its factors.
 Fibers pool per inner point orbit, one indicator product, and the outer map
-runs at channels widened by that orbit count; the inner map runs once per
+runs at channels widened by that orbit count; its output is added back
+through a broadcast view with one axis per inner leaf, since a leaf's points
+lie in one orbit or each in its own.  The inner map runs once per
 outer point orbit, with that orbit's weights.  A set inner factor's pooled
 weights sit on the outer map's diagonal orbits, so each fiber is pooled and
 broadcast once and runs only its pointwise weights.  Set products and
@@ -156,6 +158,18 @@ def _folds(factor: Structure, other: Structure, outputs: int) -> bool:
             and (isinstance(other, Set) or _cycle_lengths(other) is not None))
 
 
+def _point_orbit_grid(expr: Structure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The structure's points as one axis per leaf of two or more points,
+    outer major, and the point-orbit count along each: a leaf's points lie in
+    one orbit or each in its own, so ``point_orbit(expr)`` is ``arange(m1)``
+    shaped to the second and broadcast to the first.  There are at most
+    ``log2(N)`` axes, within numpy's 64 however many one-point leaves a tree has."""
+    if isinstance(expr, (Prod, Wreath)):
+        (outer_points, outer_orbits), (inner_points, inner_orbits) = map(_point_orbit_grid, (expr.outer, expr.inner))
+        return outer_points + inner_points, outer_orbits + inner_orbits
+    return ((expr.n,), (orbit_counts(expr)[0],)) if expr.n > 1 else ((), ())
+
+
 def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``x -> sum_o coeffs[o] * B_o x`` on ``(..., N, c_in)`` arrays, weight-side work done.
 
@@ -265,8 +279,8 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
             inner_maps = [_compile_structure(expr.inner, w) for w in inner_coeffs]
         cross_map = _compile_structure(expr.outer, outer_coeffs)
         # pool each fiber per inner point orbit; one orbit makes it np.ones(Q) @ xr
-        inner_points = point_orbit(expr.inner)
-        indicator = np.eye(b1)[inner_points].T
+        indicator = np.eye(b1)[point_orbit(expr.inner)].T
+        points, orbits = _point_orbit_grid(expr.inner)
         # the inner map runs once per outer point orbit, on that orbit's fibers
         fibers = [slice(None)] if a1 == 1 else [np.flatnonzero(point_orbit(expr.outer) == s) for s in range(a1)]
         add = add_for(Q, c_out)
@@ -284,8 +298,9 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
                     fiber[..., at, :, :] = part
             if b1 == 1:
                 add(fiber, cross[..., :, None, :])
-            else:
-                fiber += cross.reshape(*batch, P, b1, c_out)[..., inner_points, :]
+            else:  # each inner point reads its orbit's cross term through a broadcast view
+                fiber = fiber.reshape(*batch, P, *points, c_out)
+                fiber += cross.reshape(*batch, P, *orbits, c_out)
             return fiber.reshape(*batch, -1, c_out)
 
         return run_wreath

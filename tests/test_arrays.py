@@ -3,7 +3,6 @@ plain numpy expressions return, bit for bit, and the set and wreath kernels
 built on them still compute the closed-form set map."""
 
 import operator
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, add_for, broadcast_add, chan
 from wreathlin.basis import pattern_of_structure
 from wreathlin.layer import apply, apply_dense, random_layer
 from wreathlin.structure import parse_structure
+
+from memory import traced_peak
 
 
 def block_rows(c_in, c_out):
@@ -93,12 +94,8 @@ def test_broadcast_add_equals_plain_add(y_shape, rows_shape):
     rng = np.random.default_rng(4)
     y, rows = rng.normal(size=y_shape), rng.normal(size=rows_shape)
     expected = plain_add(y, rows)
-    tracemalloc.start()
-    try:
-        assert broadcast_add(y, rows) is y
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    added, peak = traced_peak(broadcast_add, y, rows)
+    assert added is y
     assert np.array_equal(y, expected)
     # the tiled rows and numpy's 64 KiB iteration buffer at most, never a copy of
     # y: numpy adds into a strided part of an array through a copy of that part

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +45,7 @@ from wreathlin.structure import (
     parse_structure,
 )
 
+from memory import traced_peak
 from strategies import structure_trees
 
 
@@ -195,12 +195,7 @@ def test_commutant_basis_holds_each_vector_once():
     """Sparse nullspace vectors are written straight into the basis array,
     so the peak is near the array's own size; dense vector lists held beside
     the arrays made it 2.2 times that."""
-    tracemalloc.start()
-    try:
-        basis = commutant_basis(trivial_group(16))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    basis, peak = traced_peak(lambda: commutant_basis(trivial_group(16)))
     assert len(basis) == 256
     assert peak < 1.5 * basis.nbytes
 

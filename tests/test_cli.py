@@ -1,14 +1,16 @@
 """End-to-end tests for the command-line entry points, driven through main()."""
 
 import math
-import tracemalloc
 
 import pytest
 
 import wreathlin.cli
 from wreathlin.basis import orbit_index, orbit_pattern, pattern_of_structure, point_orbit
 from wreathlin.cli import main
+from wreathlin.perm import DEFAULT_MAX_ORDER
 from wreathlin.structure import MAX_NESTING, group_of, parse_structure
+
+from memory import traced_peak
 
 
 def run_cli(capsys, argv):
@@ -267,12 +269,7 @@ def test_pattern_guard_bounds_the_measured_peak(text):
     expr = parse_structure(text)
     for cached in (pattern_of_structure, orbit_index, point_orbit):
         cached.cache_clear()
-    tracemalloc.start()
-    try:
-        pattern_of_structure(expr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pattern_of_structure, expr)
     assert peak - 2 ** 14 <= wreathlin.cli._pattern_bytes(expr) < 2 * peak
 
 
@@ -304,14 +301,66 @@ def test_verify_guard_bounds_the_generator_orbit_peak(text):
     expr = parse_structure(text)
     for cached in (pattern_of_structure, orbit_index, point_orbit, group_of):
         cached.cache_clear()
-    tracemalloc.start()
-    try:
-        pattern_of_structure(expr)  # cached, so alive through the next line
-        orbit_pattern(group_of(expr))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the pattern is cached, so alive while the orbits are built
+    _, peak = traced_peak(lambda: (pattern_of_structure(expr), orbit_pattern(group_of(expr))))
     assert peak - 2 ** 14 <= wreathlin.cli._verify_bytes(expr) < 2 * peak
+
+
+def verify_through(expr, leg):
+    """Run ``verify``'s legs in process, building the pattern afresh, up to and including ``leg``."""
+    for cached in (pattern_of_structure, orbit_index, point_orbit, group_of):
+        cached.cache_clear()
+    next(row for row in wreathlin.cli._verify_rows(expr, DEFAULT_MAX_ORDER, 5) if row[0] == leg)
+
+
+@pytest.mark.parametrize("text, leg, count", [
+    ("prod(S(5),C(40))", "group order 4800 is too large: enumerating it beside its 200 x 200 pattern",
+     "_enumeration_bytes"),
+    ("trivial(300)", "degree 300 is too large: building its 300 x 300 pattern and then a layer of its 90000 weight "
+     "orbits", "_equivariance_bytes"),
+])
+def test_verify_guard_counts_the_enumeration_and_the_layer(capsys, monkeypatch, text, leg, count):
+    """A machine whose memory holds the pattern and the generator orbits, but
+    not the group's elements or the layer that ``verify`` builds beside the
+    pattern, runs ``pattern`` and refuses ``verify`` with one error line."""
+    expr = parse_structure(text)
+    need = getattr(wreathlin.cli, count)(expr)
+    assert need > wreathlin.cli._verify_bytes(expr)
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
+    assert run_cli(capsys, ["pattern", "--structure", text])[0] == 0
+    code, out, err = run_cli(capsys, ["verify", "--structure", text])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {leg} needs {need} bytes, more than the {need - 1} bytes of physical memory\n"
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need)
+    assert run_cli(capsys, ["verify", "--structure", text])[0] == 0
+
+
+def test_verify_guard_counts_the_enumeration_only_under_the_order_cap(capsys, monkeypatch):
+    need = wreathlin.cli._enumeration_bytes(parse_structure("prod(S(5),C(40))"))
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
+    assert run_cli(capsys, ["verify", "--structure", "prod(S(5),C(40))", "--max-order", "4799"])[0] == 0
+
+
+@pytest.mark.parametrize("text", ["S(8)", "wr(S(2),C(12))", "prod(S(5),C(40))", "wr(C(3),S(5))", "prod(S(6),C(20))"])
+def test_verify_guard_bounds_the_enumeration_peak(text):
+    """The group-order leg enumerates while both patterns are alive; on
+    groups whose enumeration outweighs the patterns, the guard's count is at
+    least that peak, but for a few kilobytes of fixed-size objects, and less
+    than twice it."""
+    expr = parse_structure(text)
+    _, peak = traced_peak(verify_through, expr, "group-order")
+    assert peak - 2 ** 14 <= wreathlin.cli._enumeration_bytes(expr) < 2 * peak
+
+
+@pytest.mark.parametrize("text", ["trivial(300)", "prod(trivial(15),trivial(20))"])
+def test_verify_guard_bounds_the_equivariance_peak(text):
+    """Where orbits are single entries, the layer's weights and full map
+    outweigh the generator orbits: the guard's count is at least the
+    equivariance leg's peak, less 16 KiB, and less than twice it."""
+    expr = parse_structure(text)
+    _, peak = traced_peak(verify_through, expr, "equivariance")
+    assert peak - 2 ** 14 <= wreathlin.cli._equivariance_bytes(expr) < 2 * peak
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

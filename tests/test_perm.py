@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from wreathlin.perm import (
 )
 from wreathlin.structure import Leaf, Prod, group_of, parse_structure
 
+from memory import traced_peak
 from strategies import structure_trees
 
 
@@ -277,13 +277,12 @@ def test_capped_enumeration_stops_near_the_limit():
     ``wr(S(2),trivial(64))`` has 65 generators and order 2**64."""
     group = wreath_product_group(symmetric_group(2), trivial_group(64))
     limit = 5000
-    tracemalloc.start()
-    try:
+
+    def capped():
         with pytest.raises(EnumerationLimitError):
             enumerate_group(group, limit=limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(capped)
     # about 2.8x here, bytes keys included; a whole level of images is 117x
     assert peak < 8 * limit * group.degree
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -36,6 +34,7 @@ from wreathlin.train import (
 from wreathlin.pointcloud import make_blob_scene
 
 from gradcheck import gradient_check
+from memory import traced_peak
 
 
 def toy_batch(seed=0, n=18, c=4, classes=3, res=3):
@@ -273,11 +272,6 @@ def test_net_forward_traced_memory_peak():
     # buffers to tracemalloc, so the peak of one pass repeats exactly
     blocks, (vox, x, _) = attention_net_and_cloud(2500, 8)
     net_forward(blocks, vox, x)
-    tracemalloc.start()
-    try:
-        net_forward(blocks, vox, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(net_forward, blocks, vox, x)
     assert x.shape == (20_000, 6)
     assert peak < 10_000_000
