@@ -24,20 +24,19 @@ backward reuses the forward primitives: the adjoint of a broadcast to points
 is ``voxel_sum``, that of a per-voxel mean pool is a gather of the gradient
 over the voxel counts, and that of ``conv3d_periodic`` in its grid is
 ``conv3d_periodic`` with the kernel flipped in space and transposed in
-channels; ``conv3d_kernel_grad`` walks the forward's kernel taps through the
-same ``neighbour_table``, built once per cloud and kernel width.  No kernel
-holds all the points' or all the taps' rows at once: ``CHUNK_ELEMENTS`` sizes
-the chunks, and an array within it takes one call.  ``voxel_sum`` bins
-chunks of points, carrying the running totals into each later call as its
-first weights; the gather back to points adds into the layer's output a
-chunk at a time; the convolution gathers and multiplies the taps a chunk at a
-time and sums them in tap order.  So every output is bit for bit that of one
-call.  The attention layer works latent-major: its assignment logits are
-``(L, n)``, so the softmax reduces over the short latent axis as ``L`` whole
-rows rather than ``n`` rows of length ``L``.  Each ``(n, c) @ (c, c')``
-product over the points runs through ``arrays.channel_mix``, in row blocks of
-at most ``2**19 // (c * c')`` rows: OpenBLAS's tall, skinny products slow two
-to three times per row past about ``2**19`` multiply-adds a call.
+channels; ``conv3d_kernel_grad`` walks the forward's kernel taps.  Each is
+one gather through a ``neighbour_table`` and one batched product over the
+taps, and the table is built once per cloud and kernel width.  The kernels
+over the points hold no temporary of all of them: ``voxel_sum`` bins chunks
+of ``CHUNK_ELEMENTS`` elements, carrying the running totals into each later
+call as its first weights, and the gather back to points adds into the
+layer's output a chunk at a time, so each is bit for bit one call.  The attention
+layer works latent-major: its assignment logits are ``(L, n)``, so the
+softmax reduces over the short latent axis as ``L`` whole rows rather than
+``n`` rows of length ``L``.  Each ``(n, c) @ (c, c')`` product over the points
+runs through ``arrays.channel_mix``, in row blocks of at most
+``2**19 // (c * c')`` rows: OpenBLAS's tall, skinny products slow two to three
+times per row past about ``2**19`` multiply-adds a call.
 
 Beside the layers the module holds the moves the equivariance checks apply
 (``shift_assignment``, ``permute_points``, ``within_voxel_permutation``), the
@@ -54,14 +53,12 @@ import numpy as np
 from .arrays import channel_mix
 from .perm import InvalidDegreeError
 
-# Elements that one chunk of a point or tap temporary holds: 2**16 float64,
-# 512 KiB.  On a D = 32 grid with 200,000 uniform points (32,694 voxels
-# occupied), c = 16, K = 3 and one BLAS thread, one WreathPCLayer forward plus
-# backward took 343-365 against 411-434 ms with one call per kernel (best of
-# five, two runs each), and peaked at 81 against 286 MB under tracemalloc; on
-# a fully occupied D = 16 grid (40,000 points) it took about as long and
-# peaked at 13.9 against 39.7 MB.  Every segnet_train array and the
-# segnet_infer convolution fit in one chunk, and take one call as before.
+# Elements that one chunk of a point temporary holds in voxel_sum and
+# gather_to_points: 2**16 float64, 512 KiB.  The segnet_infer forward
+# (100,000 points at c = 6 and 16) peaked at 35.8 against 42.5 MB under
+# tracemalloc with one call per kernel, and interleaved with it in one
+# process ran faster in 152 of 200 forwards.  Every segnet_train array fits
+# in one chunk.
 CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -197,12 +194,10 @@ def mean_pool(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
     return voxel_sum(vox, x) / vox.occupancy[vox.occupied][:, None]
 
 
-def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
-    """Hand every point the row of its voxel in ``(n_occ, c)`` values, or,
-    given ``add_to``, add those rows into that ``(n, c)`` array, a chunk of
-    points at a time, and return it."""
-    if add_to is None:
-        return np.take(per_voxel, vox.point_row, axis=0)
+def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray, add_to: np.ndarray) -> np.ndarray:
+    """Add to each point's row of the ``(n, c)`` array ``add_to`` the row of
+    its voxel in ``(n_occ, c)`` values, a chunk of points at a time, and
+    return ``add_to``."""
     step = max(CHUNK_ELEMENTS // max(per_voxel.shape[1], 1), 1)
     for start in range(0, vox.n_points, step):
         add_to[start:start + step] += np.take(per_voxel, vox.point_row[start:start + step], axis=0)
@@ -233,23 +228,9 @@ def neighbour_table(vox: VoxelizedCloud, width: int) -> np.ndarray:
     return table
 
 
-def _tap_slices(table: np.ndarray, c: int) -> list[slice]:
-    """The kernel taps in order, as many a slice as keep their ``(taps,
-    n_occ, c)`` rows within ``CHUNK_ELEMENTS``, and at least one."""
-    step = max(CHUNK_ELEMENTS // max(table.shape[3] * c, 1), 1)
-    return [slice(start, start + step) for start in range(0, table[..., 0].size, step)]
-
-
-def _tap_rows(rows: np.ndarray, table: np.ndarray, taps: slice) -> np.ndarray:
-    """``(taps, n_occ, c)``: the rows each of the ``taps`` reads, zero at empty voxels."""
-    return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[table.reshape(-1, table.shape[3])[taps]]
-
-
-# Both convolutions free each chunk's gathered rows and products in the order
-# one call over all taps does.  The segnet_train step is sensitive to it
-# through glibc's heap: holding the products, or writing them into a buffer
-# allocated before the rows, made the attention layer's backward, which runs
-# after them, 270 -> 600 us in process, with the same arithmetic.
+def _tap_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``(K**3, n_occ, c)``: the rows each tap reads, zero at empty voxels."""
+    return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[table.reshape(-1, table.shape[3])]
 
 
 def conv3d_periodic(kernel: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -257,32 +238,20 @@ def conv3d_periodic(kernel: np.ndarray, rows: np.ndarray, table: np.ndarray) -> 
     occupied rows, all other voxels zero, at those rows.
 
     ``kernel`` is ``(K, K, K, c_in, c_out)`` and ``table`` the cloud's
-    ``neighbour_table(vox, K)``; cost follows the ``K**3 * n_occ`` tap rows,
-    not ``D**3``.  The taps are gathered and multiplied a chunk at a time and
-    summed in tap order: the running sum is added into each later chunk's
-    first tap product before that chunk's sum.  A delta kernel is the
-    identity map.  The adjoint in the grid is the same convolution with the
-    kernel flipped along its three spatial axes and its channels swapped.
+    ``neighbour_table(vox, K)``; the taps are summed in order, and cost
+    follows the ``K**3 * n_occ`` tap rows, not ``D**3``.  A delta kernel is
+    the identity map.  The adjoint in the grid is the same convolution with
+    the kernel flipped along its three spatial axes and its channels swapped.
     """
     if kernel.ndim != 5 or kernel.shape[:3] != table.shape[:3]:
         raise KernelError(f"kernel must be (K, K, K, c_in, c_out) with K = {table.shape[0]}, got {kernel.shape}")
-    taps = kernel.reshape((-1,) + kernel.shape[3:])
-    first, *rest = _tap_slices(table, max(taps.shape[1:]))
-    out = np.matmul(_tap_rows(rows, table, first), taps[first]).sum(axis=0)
-    for at in rest:
-        products = np.matmul(_tap_rows(rows, table, at), taps[at])
-        products[0] += out
-        out = products.sum(axis=0)
-    return out
+    return np.matmul(_tap_rows(rows, table), kernel.reshape((-1,) + kernel.shape[3:])).sum(axis=0)
 
 
 def conv3d_kernel_grad(rows: np.ndarray, d_out: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Gradient of ``conv3d_periodic`` with respect to its kernel, given the
-    rows it convolved, the gradient of its output rows and the same table;
-    each tap's product is its own, so the taps go in the same chunks."""
-    parts = [np.matmul(_tap_rows(rows, table, at).transpose(0, 2, 1), d_out)
-             for at in _tap_slices(table, rows.shape[1])]
-    d_kernel = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    rows it convolved, the gradient of its output rows and the same table."""
+    d_kernel = np.matmul(_tap_rows(rows, table).transpose(0, 2, 1), d_out)
     return d_kernel.reshape(table.shape[:3] + d_kernel.shape[1:])
 
 
@@ -313,7 +282,7 @@ class WreathPCLayer:
         table = neighbour_table(vox, self.w_conv.shape[0])
         pooled = mean_pool(vox, x)
         y = channel_mix(x, self.w_point)
-        gather_to_points(vox, conv3d_periodic(self.w_conv, pooled, table), add_to=y)
+        gather_to_points(vox, conv3d_periodic(self.w_conv, pooled, table), y)
         return y, {"x": x, "pooled": pooled, "table": table}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -323,7 +292,7 @@ class WreathPCLayer:
         d_w_conv = conv3d_kernel_grad(pooled, d_conv, table)
         flipped = self.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
         d_pooled = conv3d_periodic(flipped, d_conv, table)
-        gather_to_points(vox, d_pooled / vox.occupancy[vox.occupied][:, None], add_to=d_x)
+        gather_to_points(vox, d_pooled / vox.occupancy[vox.occupied][:, None], d_x)
         return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 
