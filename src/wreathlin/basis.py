@@ -15,10 +15,10 @@ The closed form never touches the group itself.  :func:`orbit_index` is the
 one place that decides canonical orbit order: leaves are arithmetic, and
 ``prod`` and ``wr`` nodes compose their factors' first appearances in time
 linear in the orbit count, which is all :func:`layer.apply
-<wreathlin.layer.apply>` needs.  :func:`orbit_of` reads any entry's orbit id
-out of it, so :func:`pattern_of_structure` is that readout over all
-``N x N`` entries, a route independent of the three above.  Patterns serve
-rendering and these oracles only.
+<wreathlin.layer.apply>` needs.  :func:`orbit_grid` numbers every entry
+through it, building a node's ``N x N`` ids from its two factors' grids, so
+:func:`pattern_of_structure` is a route independent of the three above.
+Patterns serve rendering and these oracles only.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ def point_orbit(expr: Structure) -> np.ndarray:
     diagonal id is ``p * (n + 1)``, and the others' match their least point's.
     A ``prod`` or ``wr`` point ``p * Q + a`` lies in orbit ``(orbit of p, orbit of a)``, outer major."""
     if isinstance(expr, Leaf):
-        diagonal = orbit_of(expr, *np.diag_indices(expr.n))
+        idx = np.arange(expr.n)
+        diagonal = LEAF_KINDS[type(expr)].orbit_of(expr.n, idx, idx)
         ids = np.searchsorted(diagonal[diagonal == np.arange(expr.n) * (expr.n + 1)], diagonal)
     elif isinstance(expr, (Prod, Wreath)):
         outer, inner = point_orbit(expr.outer), point_orbit(expr.inner)
@@ -222,45 +223,45 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def pattern_of_structure(expr: Structure) -> SharingPattern:
-    """Sharing pattern of a structure, read entry by entry through :func:`orbit_of`.
+    """Sharing pattern of a structure, numbered by :func:`orbit_grid`.
 
     Builds the full ``N x N`` id matrix, so only rendering and the oracles
     call it; :func:`apply` numbers orbits through :func:`orbit_index`.
     """
-    idx = np.arange(degree(expr))
-    return SharingPattern(orbit_of(expr, idx[:, None], idx[None, :]), structure_orbit_count(expr))
+    return SharingPattern(orbit_grid(expr), structure_orbit_count(expr))
 
 
-def orbit_of(expr: Structure, i, j) -> np.ndarray:
-    """Canonical orbit id of the entries ``(i, j)``; index arrays broadcast.
+def orbit_grid(expr: Structure) -> np.ndarray:
+    """Canonical orbit id of every entry, as an ``(N, N)`` int64 array.
 
     Leaves are arithmetic and already canonical.  A ``prod`` or ``wr`` node
-    splits each entry into an outer entry ``(i // Q, j // Q)`` and an inner
-    entry ``(i % Q, j % Q)``, numbers the node's candidate orbit as
-    :func:`orbit_index` does, and maps it through that node's ``rank``.
+    builds its outer factor's ``P x P`` grid and its inner factor's
+    ``Q x Q`` grid, one after the other, numbers the node's candidate orbit
+    of entry ``(p Q + a, q Q + b)`` as :func:`orbit_index` does through one
+    ``(P, Q, P, Q)`` broadcast, and maps it through that node's ``rank``.
     """
     if isinstance(expr, Leaf):
-        return LEAF_KINDS[type(expr)].orbit_of(expr.n, i, j)
-    rank = orbit_index(expr)[2]
-    Q = degree(expr.inner)
-    (p, a), (q, b) = np.divmod(i, Q), np.divmod(j, Q)
-    inner = orbit_of(expr.inner, a, b)
+        idx = np.arange(expr.n)
+        return LEAF_KINDS[type(expr)].orbit_of(expr.n, idx[:, None], idx)
+    rank = orbit_index(expr)[2]  # numbered before any grid exists
+    P, Q = degree(expr.outer), degree(expr.inner)
+    outer, inner = orbit_grid(expr.outer), orbit_grid(expr.inner)
     if isinstance(expr, Prod):
-        candidate = orbit_of(expr.outer, p, q) * structure_orbit_count(expr.inner) + inner
+        candidate = outer[:, None, :, None] * structure_orbit_count(expr.inner) + inner[:, None, :]
     else:
-        # diagonal blocks: (outer point orbit, inner orbit); off them, the
-        # off-diagonal outer orbit in canonical order, then the inner point
-        # orbits of both entries
+        # off the diagonal blocks: the off-diagonal outer orbit in canonical
+        # order, then the inner point orbits of both entries; on them, the
+        # outer point orbit, then the inner orbit
         ra, ca, _ = orbit_index(expr.outer)
         m1, m2 = orbit_counts(expr.inner)
         off = (np.cumsum(ra != ca) - 1) * m1 * m1 + orbit_counts(expr.outer)[0] * m2
-        inner_points = point_orbit(expr.inner)
-        candidate = np.where(
-            p == q,
-            point_orbit(expr.outer)[p] * m2 + inner,
-            off[orbit_of(expr.outer, p, q)] + inner_points[a] * m1 + inner_points[b],
-        )
-    return rank[candidate]
+        # diagonal orbits first appear at their least points, so a point's
+        # orbit, numbered by least point, is the rank of its diagonal id
+        outer_points, points = (np.unique(g.diagonal(), return_inverse=True)[1] for g in (outer, inner))
+        candidate = off[outer][:, None, :, None] + (points[:, None] * m1 + points)[:, None, :]
+        at = np.arange(P)
+        candidate[at, :, at, :] = outer_points[:, None, None] * m2 + inner
+    return rank[candidate].reshape(P * Q, P * Q)
 
 
 def structure_orbit_count(expr: Structure) -> int:

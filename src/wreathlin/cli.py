@@ -68,15 +68,15 @@ def _physical_memory() -> int:
 
 
 # Peak bytes of building a pattern, under tracemalloc at N = 2,000.  Per
-# entry: 25 for S(2000) and C(2000), the int64 ids and their validation.  A
-# node holds its inner factor's ids while it reads its outer factor's, 8 more
-# per entry for a prod and 17 for a wr: six prods nested on the outer side
-# peak at 64 per entry, six wrs at 118, one wr at 33.  Per orbit: each node's
-# cached orbit index keeps 24, and numbering the root's orbits takes 24 more:
-# trivial(2000) peaks at 56 per entry, and wr(S(1),wr(S(1),wr(S(1),trivial(2000))))
-# at 187, 120 of them for four orbit indexes of N**2 orbits each.
+# entry: 25, the int64 ids and their validation.  Each node builds its ids
+# from its two factors' grids and caches no point orbits, so nesting adds
+# nothing: S(2000), C(2000), wr(S(40),S(50)), six wrs or six prods nested on
+# the outer side, and wr(S(2),wr(S(2),wr(S(5),wr(S(5),S(20))))) all peak at
+# 25.0-25.1.  Per orbit: each node's cached orbit index keeps 24, and numbering
+# the root's orbits takes 24 more: trivial(2000) peaks at 56 per entry, and
+# wr(S(1),wr(S(1),wr(S(1),trivial(2000)))) at 137, 96 of them for four orbit
+# indexes of N**2 orbits each.
 PATTERN_BYTES_PER_ENTRY = 25
-HELD_BYTES_PER_ENTRY = {Prod: 8, Wreath: 17}
 ORBIT_INDEX_BYTES_PER_ORBIT = 24
 # Peak bytes of verify's generator-orbit leg beyond the pattern it keeps alive.
 # Per entry, perm.orbit_labels's Python ints (8 a pointer, 28 an int) and int64
@@ -103,16 +103,10 @@ def _pattern_bytes(expr: Structure) -> int:
     """Bytes that building ``expr``'s pattern peaks at, at most, from the
     closed-form counts and the constants above."""
 
-    def held(e):  # per entry, on the way down to the deepest outer factor
-        if not isinstance(e, (Prod, Wreath)):
-            return 0
-        return max(held(e.inner), HELD_BYTES_PER_ENTRY[type(e)] + held(e.outer))
-
     def orbits(e):  # pair orbits, summed over every node's orbit index
         return param_count(e) + (orbits(e.outer) + orbits(e.inner) if isinstance(e, (Prod, Wreath)) else 0)
 
-    per_entry = PATTERN_BYTES_PER_ENTRY + held(expr)
-    return per_entry * degree(expr) ** 2 + ORBIT_INDEX_BYTES_PER_ORBIT * (orbits(expr) + param_count(expr))
+    return PATTERN_BYTES_PER_ENTRY * degree(expr) ** 2 + ORBIT_INDEX_BYTES_PER_ORBIT * (orbits(expr) + param_count(expr))
 
 
 def _verify_bytes(expr: Structure) -> int:

@@ -11,8 +11,8 @@ pooled fiber, and never materializes the ``N x N`` map.  Per channel pair,
 subtrees correlate by FFT in ``O(N log N)``, unless their full map holds at
 most ``FULL_MAP_MADDS`` multiply-adds per fiber; that map, and the map of a
 ``trivial`` subtree, whose orbits are single entries (``O(N^2)``, its weight
-count), is gathered once through :func:`basis.orbit_of
-<wreathlin.basis.orbit_of>` and applied to all fibers by one matrix product.  A product with a set factor ``S(n)``,
+count), is gathered once through :func:`basis.orbit_grid
+<wreathlin.basis.orbit_grid>` and applied to all fibers by one matrix product.  A product with a set factor ``S(n)``,
 ``n >= 2``, and a set or cyclic other factor ``B`` pools first, as Hartford et
 al. (2018) build the layer for a product of sets, once it has at least
 ``FOLD_MIN_OUTPUTS`` output entries: ``B`` runs on every fiber with the set's
@@ -44,29 +44,16 @@ oracle the fast path is checked against.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .arrays import add_for, broadcast_add, mix_for
-from .basis import materialize, orbit_index, orbit_of, pattern_of_structure, point_orbit, structure_orbit_count
+from .basis import materialize, orbit_grid, orbit_index, pattern_of_structure, point_orbit, structure_orbit_count
 from .perm import PermGroup, permute_rows
-from .structure import (
-    Cycle,
-    Prod,
-    Set,
-    Structure,
-    Wreath,
-    degree,
-    format_structure,
-    group_of,
-    orbit_counts,
-    parse_structure,
-)
+from .structure import Cycle, Prod, Set, Structure, Wreath, degree, group_of, orbit_counts
 
 # Multiply-adds per fiber, n**2 * c_in * c_out, up to which a product of
 # cycles multiplies by its full map rather than correlating by FFT.  With
@@ -190,9 +177,8 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
     n = degree(expr)
     lengths = _cycle_lengths(expr)
     if structure_orbit_count(expr) == n * n or (lengths is not None and n * n * c_in * c_out <= FULL_MAP_MADDS):
-        idx = np.arange(n)
         # y_i = sum_j x_j @ full[i, j], as one (n c_in, n c_out) matrix
-        full = coeffs[orbit_of(expr, idx[:, None], idx)].transpose(1, 2, 0, 3).reshape(n * c_in, n * c_out)
+        full = coeffs[orbit_grid(expr)].transpose(1, 2, 0, 3).reshape(n * c_in, n * c_out)
 
         def run_full_map(x: np.ndarray) -> np.ndarray:
             return (x.reshape(*x.shape[:-2], n * c_in) @ full).reshape(*x.shape[:-2], n, c_out)
@@ -382,33 +368,3 @@ def equivariance_check(
 ) -> EquivarianceReport:
     group = group_of(layer.structure)
     return equivariance_check_map(lambda x: apply(layer, x), group, layer.c_in, trials, rng, tol)
-
-
-def layer_to_dict(layer: EquivariantLayer) -> dict:
-    """Self-describing JSON-compatible form; floats survive bit-exactly."""
-    return {
-        "structure": format_structure(layer.structure),
-        "c_in": layer.c_in,
-        "c_out": layer.c_out,
-        "weights": layer.weights.tolist(),
-        "bias": None if layer.bias is None else layer.bias.tolist(),
-    }
-
-
-def layer_from_dict(data: dict) -> EquivariantLayer:
-    bias = data.get("bias")
-    return EquivariantLayer(
-        structure=parse_structure(data["structure"]),
-        c_in=int(data["c_in"]),
-        c_out=int(data["c_out"]),
-        weights=np.asarray(data["weights"], dtype=np.float64),
-        bias=None if bias is None else np.asarray(bias, dtype=np.float64),
-    )
-
-
-def save_layer(layer: EquivariantLayer, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(layer_to_dict(layer), indent=1) + "\n")
-
-
-def load_layer(path: str | Path) -> EquivariantLayer:
-    return layer_from_dict(json.loads(Path(path).read_text()))

@@ -14,8 +14,8 @@ from wreathlin.basis import (
     commutes_exactly,
     constant_on_orbits,
     materialize,
+    orbit_grid,
     orbit_index,
-    orbit_of,
     orbit_pattern,
     pattern_csv,
     pattern_of_structure,
@@ -258,7 +258,7 @@ def test_structure_orbit_count_agrees_with_pattern(expr, seed):
     _, first = np.unique(pattern.orbit_id.ravel(), return_index=True)
     first_rows, first_cols = np.divmod(first, pattern.n)
     assert np.array_equal(rows, first_rows) and np.array_equal(cols, first_cols)
-    assert np.array_equal(orbit_of(expr, rows, cols), np.arange(pattern.num_orbits))
+    assert np.array_equal(orbit_grid(expr)[rows, cols], np.arange(pattern.num_orbits))
     assert sorted(rank) == list(range(pattern.num_orbits))
     assert structure_orbit_count(expr) == pattern.num_orbits
     for leaf in _leaves(expr):

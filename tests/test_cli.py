@@ -262,6 +262,7 @@ def test_pattern_guard_counts_temporaries_and_orbit_indexes(capsys, monkeypatch,
     "S(300)", "C(300)", "trivial(300)", "wr(S(15),S(20))", "prod(trivial(15),trivial(20))",
     "prod(prod(prod(S(300),S(1)),S(1)),S(1))", "wr(S(1),wr(S(1),wr(S(1),trivial(300))))",
     "wr(S(2),prod(wr(S(2),S(5)),S(15)))", "prod(S(1),wr(S(1),wr(S(1),S(300))))",
+    "wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),S(300)))))))", "wr(S(2),wr(S(2),wr(S(3),wr(S(5),S(5)))))",
 ])
 def test_pattern_guard_bounds_the_measured_peak(text):
     """The guard's count is at least what building the pattern allocates,
@@ -271,6 +272,17 @@ def test_pattern_guard_bounds_the_measured_peak(text):
         cached.cache_clear()
     _, peak = traced_peak(pattern_of_structure, expr)
     assert peak - 2 ** 14 <= wreathlin.cli._pattern_bytes(expr) < 2 * peak
+
+
+def test_pattern_peak_does_not_grow_with_nesting():
+    """Each node builds its ids from its two factors' grids, so six nested
+    ``wr``s peak as one leaf of the same degree does, but for a few kilobytes."""
+    peaks = []
+    for text in ["S(300)", "wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),S(300)))))))"]:
+        for cached in (pattern_of_structure, orbit_index, point_orbit):
+            cached.cache_clear()
+        peaks.append(traced_peak(pattern_of_structure, parse_structure(text))[1])
+    assert peaks[1] <= 1.05 * peaks[0] + 2 ** 14
 
 
 @pytest.mark.parametrize("text", ["S(100)", "trivial(100)", "wr(S(10),S(10))"])

@@ -19,8 +19,6 @@ ROOT = Path(wreathlin.__file__).parent.parent.parent
 # the readers outside the library: the demos and the benchmark, but not the benchmark's own tests
 USERS = sorted(ROOT.glob("demos/*.py")) + sorted(
     p for p in ROOT.glob("perfbench/*.py") if p.name != "test_perfbench.py")
-# the JSON serializer waits on ROADMAP item 3, which decides whether trained nets save through it
-UNREAD_ALLOWED = {"save_layer", "load_layer"}
 LEAF_CLASS_NAMES = {cls.__name__ for cls in LEAF_KINDS}
 
 
@@ -157,7 +155,7 @@ def test_every_definition_has_a_reader_outside_the_tests():
     """Only production paths stay in the library: a function or class that
     only tests call belongs in ``tests/``."""
     unread = unread_definitions([p.read_text() for p in MODULES], [p.read_text() for p in USERS])
-    assert sorted(unread) == sorted(UNREAD_ALLOWED)
+    assert unread == []
 
 
 def test_unread_definition_detection():

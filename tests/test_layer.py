@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -13,11 +12,7 @@ from wreathlin.layer import (
     apply_dense,
     equivariance_check,
     equivariance_check_map,
-    layer_from_dict,
-    layer_to_dict,
-    load_layer,
     random_layer,
-    save_layer,
 )
 from wreathlin.perm import permute_rows
 from wreathlin.structure import Prod, Wreath, degree, format_structure, group_of, orbit_counts, parse_structure
@@ -401,24 +396,3 @@ def test_equivariance_check_map_convention():
     x = np.arange(3, dtype=np.float64).reshape(3, 1)
     assert np.array_equal(permute_rows(g, x)[g[0]], x[0])
 
-
-def test_serialization_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(7)
-    layer = random_layer(parse_structure("wr(S(2),C(3))"), c_in=2, c_out=2, rng=rng, bias=True)
-    path = tmp_path / "layer.json"
-    save_layer(layer, path)
-    back = load_layer(path)
-    assert back.structure == layer.structure
-    assert back.weights.tobytes() == layer.weights.tobytes()
-    assert back.bias.tobytes() == layer.bias.tobytes()
-    # the container is plain JSON with self-describing fields
-    data = json.loads(path.read_text())
-    assert set(data) == {"structure", "c_in", "c_out", "weights", "bias"}
-
-
-def test_dict_round_trip_without_bias():
-    layer = make_layer("C(4)", np.arange(4, dtype=np.float64).reshape(4, 1, 1))
-    back = layer_from_dict(layer_to_dict(layer))
-    assert back.structure == layer.structure
-    assert np.array_equal(back.weights, layer.weights)
-    assert back.bias is None
