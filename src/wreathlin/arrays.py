@@ -1,4 +1,5 @@
-"""Two array kernels for tall ``(..., n, c)`` arrays with few channels.
+"""Two array kernels for tall ``(..., n, c)`` arrays with few channels, and
+a pool of large scratch arrays that callers reuse across calls.
 
 The set and wreath kernels of ``layer`` and the point-cloud layers spend
 their time on two numpy/BLAS operations whose cost is not their arithmetic:
@@ -29,11 +30,25 @@ same way in a short call as in a long one.  With the OpenBLAS above that held
 for ``c_in <= 8`` and for ``c_out`` a multiple of 8; some shapes with
 ``c_in >= 12`` and a small ``c_out``, such as ``(n, 16) @ (16, 4)``, differed
 by up to 6.5e-16 relative.
+
+:func:`scratch` hands out uninitialized arrays from a pool keyed by shape and
+dtype.  glibc maps a request of ``2**17`` bytes or more (its default mmap
+threshold) fresh from the kernel, or trims and re-grows the heap for it, so a
+step that frees and re-requests such arrays faults in new pages on every
+call: 937 minor faults per warm ``segnet_train`` step, against 0 with the
+pool.  The pool serves only those sizes, and hands a buffer out again only
+while the pool holds the sole reference to it (``sys.getrefcount``).  An
+array a caller still holds, or any view of one, is therefore never
+overwritten: what :func:`scratch` returns shares memory with nothing live.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -43,15 +58,78 @@ BLOCK_MADDS = 2 ** 19
 # Elements per row of broadcast_add's wide view, at most; its set-up (the
 # tiled rows) pays off above WIDE_ROW ** 2 elements.
 WIDE_ROW = 128
+# scratch pools arrays of POOL_MIN_BYTES to POOL_MAX_BYTES.  Smaller ones come
+# from the heap's free lists, not fresh pages.  The largest array of a
+# segnet_train step, (4000, 16) float64, is 512,000 bytes, and a chunk of
+# pointcloud.CHUNK_ELEMENTS float64 512 KiB.  A larger array is not kept:
+# with 20,000-point arrays kept, a forward asked for more shapes than the
+# pool holds, reused none, and peaked 3.3 MB higher under tracemalloc.
+POOL_MIN_BYTES = 2 ** 17
+POOL_MAX_BYTES = 2 ** 20
+# Bytes the pool keeps, busy or idle, at most.  A warm segnet_train step
+# (4,000 points, widths 6, 16 and 8) keeps 4,928,000.
+POOL_BYTES = 6 * 2 ** 20
+
+# (shape, dtype) -> the arrays kept of it, least recently asked for first
+_POOL: OrderedDict[tuple, list[np.ndarray]] = OrderedDict()
+_POOL_LOCK = threading.Lock()
 
 
-def channel_mix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for ``(..., n, c_in)`` by ``(c_in, c_out)``, as a fresh array.
+def scratch(shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialized array that shares memory with no live array.
+
+    An array of at least ``POOL_MIN_BYTES`` comes from the pool: a kept
+    buffer of the same shape and dtype that nothing outside the pool
+    references, or else a new one.  The pool keeps a new array of at most
+    ``POOL_MAX_BYTES``, letting the least recently asked-for shapes go until
+    it holds at most ``POOL_BYTES``.  Asking for a larger array lets every
+    shape go, so a pass over a larger cloud keeps no buffer of a smaller one.
+    An array under ``POOL_MIN_BYTES`` is ``np.empty``.  A name still bound
+    to an array its caller is done with keeps that array busy, so a loop
+    should not name what it asks for on each pass.
+
+    >>> a = scratch((128, 128))  # 128 KiB: pooled
+    >>> view = a[1:]
+    >>> del a
+    >>> b = scratch((128, 128))
+    >>> np.shares_memory(b, view)  # the view holds its buffer
+    False
+    >>> address = b.ctypes.data
+    >>> del b
+    >>> scratch((128, 128)).ctypes.data == address  # idle again, so reused
+    True
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    dtype = np.dtype(dtype)
+    nbytes = dtype.itemsize * math.prod(shape)
+    if nbytes < POOL_MIN_BYTES:
+        return np.empty(shape, dtype)
+    key = (shape, dtype)
+    with _POOL_LOCK:
+        kept = _POOL.get(key, [])
+        for i in range(len(kept)):
+            if sys.getrefcount(kept[i]) == 2:  # the list's reference and the argument's
+                _POOL.move_to_end(key)
+                return kept[i]
+        keep = nbytes <= POOL_MAX_BYTES
+        held = sum(buf.nbytes for bufs in _POOL.values() for buf in bufs)
+        while _POOL and (not keep or held + nbytes > POOL_BYTES):
+            held -= sum(buf.nbytes for buf in _POOL.popitem(last=False)[1])
+        buf = np.empty(shape, dtype)
+        if keep:
+            _POOL.setdefault(key, []).append(buf)
+            _POOL.move_to_end(key)
+        return buf
+
+
+def channel_mix(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w`` for ``(..., n, c_in)`` by ``(c_in, c_out)``, into ``out``
+    if given (a C-contiguous array of the product's shape), else a new array.
 
     Runs in row blocks of ``BLOCK_MADDS // (c_in * c_out)`` rows, plus a
     tail of at least two rows; ``n`` within one block, or a ``w`` too large
-    for one row a block, takes ``x @ w`` itself.  ``x`` may be any strided
-    view.
+    for one row a block, takes ``np.matmul(x, w)`` itself.  ``x`` may be
+    any strided view.
 
     >>> x, w = np.arange(40000.0).reshape(-1, 8) % 7, np.eye(8)[::-1]
     >>> y = channel_mix(x, w)
@@ -60,12 +138,12 @@ def channel_mix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     block = BLOCK_MADDS // w.size
     if x.shape[-2] <= block or not block:
-        return x @ w
+        return np.matmul(x, w, out=out)
     *batch, n, c_in = x.shape
     head = n - n % block
     if n - head == 1:  # numpy multiplies a lone row by gemv, which may round apart from gemm
         head -= block
-    y = np.empty((*batch, n, w.shape[1]))
+    y = np.empty((*batch, n, w.shape[1])) if out is None else out
     # splitting the row axis into (blocks, rows) is a view for any strides
     np.matmul(x[..., :head, :].reshape(*batch, -1, block, c_in), w,
               out=y[..., :head, :].reshape(*batch, -1, block, w.shape[1]))

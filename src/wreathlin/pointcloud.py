@@ -17,9 +17,12 @@ variant replaces the hard voxel assignment with a learned soft one and is
 equivariant to arbitrary reorderings of the points.
 
 Each layer class owns its ``forward`` and its ``backward``, and with them the
-cache that passes between the two.  Both return fresh arrays that alias
-neither their inputs nor the cache, so a caller may update them in place (the
-block epilogue in ``train`` adds its skip and rectifies that way).  Each
+cache that passes between the two.  Both return arrays that share memory
+with nothing live: not their inputs, not the cache, and no array a caller
+still holds, so a caller may update them in place (the block epilogue in
+``train`` adds its skip and rectifies that way).  The large ones come from
+``arrays.scratch``, which hands a buffer out again only once nothing outside
+its pool references it; what a caller drops, the next call may reuse.  Each
 backward reuses the forward primitives: the adjoint of a broadcast to points
 is ``voxel_sum``, that of a per-voxel mean pool is a gather of the gradient
 over the voxel counts, and that of ``conv3d_periodic`` in its grid is
@@ -50,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import channel_mix
+from .arrays import channel_mix, scratch
 from .perm import InvalidDegreeError
 
 # Elements that one chunk of a point temporary holds in voxel_sum and
@@ -179,7 +182,9 @@ def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
     step = max(CHUNK_ELEMENTS, size) // max(c, 1)
 
     def bins(rows: slice) -> np.ndarray:
-        return (vox.point_row[rows, None] * c + np.arange(c)).ravel()
+        point_row = vox.point_row[rows]
+        out = scratch((len(point_row), c), np.int64)
+        return np.add(point_row[:, None] * c, np.arange(c), out=out).ravel()
 
     totals = np.bincount(bins(slice(0, step)), weights=x[:step].ravel(), minlength=size)
     for start in range(step, vox.n_points, step):
@@ -198,9 +203,13 @@ def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray, add_to: np.ndar
     """Add to each point's row of the ``(n, c)`` array ``add_to`` the row of
     its voxel in ``(n_occ, c)`` values, a chunk of points at a time, and
     return ``add_to``."""
-    step = max(CHUNK_ELEMENTS // max(per_voxel.shape[1], 1), 1)
+    c = per_voxel.shape[1]
+    step = max(CHUNK_ELEMENTS // max(c, 1), 1)
     for start in range(0, vox.n_points, step):
-        add_to[start:start + step] += np.take(per_voxel, vox.point_row[start:start + step], axis=0)
+        rows = vox.point_row[start:start + step]
+        # every row is in range; mode="raise" would take into a copy of out
+        add_to[start:start + step] += np.take(per_voxel, rows, axis=0, mode="clip",
+                                              out=scratch((len(rows), c)))
     return add_to
 
 
@@ -248,6 +257,11 @@ def conv3d_periodic(kernel: np.ndarray, rows: np.ndarray, table: np.ndarray) -> 
     return np.matmul(_tap_rows(rows, table), kernel.reshape((-1,) + kernel.shape[3:])).sum(axis=0)
 
 
+def _mix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` over the points, into a :func:`~wreathlin.arrays.scratch` array."""
+    return channel_mix(x, w, out=scratch((x.shape[0], w.shape[1])))
+
+
 def conv3d_kernel_grad(rows: np.ndarray, d_out: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Gradient of ``conv3d_periodic`` with respect to its kernel, given the
     rows it convolved, the gradient of its output rows and the same table."""
@@ -281,13 +295,13 @@ class WreathPCLayer:
     def forward(self, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
         table = neighbour_table(vox, self.w_conv.shape[0])
         pooled = mean_pool(vox, x)
-        y = channel_mix(x, self.w_point)
+        y = _mix(x, self.w_point)
         gather_to_points(vox, conv3d_periodic(self.w_conv, pooled, table), y)
         return y, {"x": x, "pooled": pooled, "table": table}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
         x, pooled, table = cache["x"], cache["pooled"], cache["table"]
-        d_x = channel_mix(d_y, self.w_point.T)
+        d_x = _mix(d_y, self.w_point.T)
         d_conv = voxel_sum(vox, d_y)
         d_w_conv = conv3d_kernel_grad(pooled, d_conv, table)
         flipped = self.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
@@ -339,7 +353,7 @@ class AttnPCLayer:
         soft /= soft.sum(axis=0)
         pooled = soft @ x  # (L, c_in)
         mixed = np.einsum("lkcd,kc->ld", self.w_interact, pooled)  # (L, c_out)
-        y = channel_mix(soft.T, mixed)
+        y = _mix(soft.T, mixed)
         return y, {"x": x, "soft": soft, "pooled": pooled, "mixed": mixed}
 
     def backward(self, vox: VoxelizedCloud, cache: dict, d_y: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -351,8 +365,8 @@ class AttnPCLayer:
         d_z += d_pooled @ x.T
         d_z -= (d_z * soft).sum(axis=0)
         d_z *= soft
-        d_x = channel_mix(soft.T, d_pooled)
-        d_x += channel_mix(d_z.T, self.w_assign.T)
+        d_x = _mix(soft.T, d_pooled)
+        d_x += _mix(d_z.T, self.w_assign.T)
         return {"w_assign": (d_z @ x).T, "w_interact": d_w_interact}, d_x
 
 

@@ -2,9 +2,11 @@
 and rectifier, reverse mode through the stack (each layer supplies its own
 ``backward``), plain SGD, and the blob segmentation experiment.
 
-A block adds its skip and rectifies in place in the fresh array its layer
-returns, and caches that output as ``out``; the backward masks by
-``out > 0``, which is where the rectifier's input was positive.
+A block adds its skip and rectifies in place in the array its layer
+returns, which shares memory with nothing live, and caches that output as
+``out``; the backward masks by ``out > 0``, which is where the rectifier's
+input was positive.  The loss gradient and the masked gradients come from
+``arrays.scratch`` too, so a warm step reuses the arrays the last one dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .arrays import scratch
 from .pointcloud import (
     AttnPCLayer,
     PCLayer,
@@ -47,13 +50,16 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     top = logits[:, 0].copy()
     for j in range(1, k):
         np.maximum(top, logits[:, j], out=top)
-    z = logits - top[:, None]
-    e = np.exp(z)
+    # z, then e = exp(z), then the softmax and its gradient, all in one array
+    z = np.subtract(logits, top[:, None], out=scratch((n, k)))
+    picked = z[np.arange(n), labels]
+    e = np.exp(z, out=z)
     norm = e.sum(axis=1)
-    loss = float(np.mean(np.log(norm) - z[np.arange(n), labels]))
-    soft = e / norm[:, None]
+    loss = float(np.mean(np.log(norm) - picked))
+    soft = np.divide(e, norm[:, None], out=e)
     soft[np.arange(n), labels] -= 1.0
-    return loss, soft / n
+    soft /= n
+    return loss, soft
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class SegBlock:
 
 def block_forward(block: SegBlock, vox: VoxelizedCloud, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """The layer's output plus the skip, rectified, all in place in the
-    layer's fresh output array, which the cache also keeps as ``out``."""
+    layer's output array, which the cache also keeps as ``out``."""
     y, cache = pc_layer_forward(block.layer, vox, x)
     if block.has_skip:
         y += x
@@ -106,7 +112,8 @@ def net_backward(
     for i in range(len(blocks) - 1, -1, -1):
         block, cache = blocks[i], caches[i]
         if block.rectify:
-            d_h = d_h * (cache["out"] > 0)  # a rectified output is positive where its input was
+            # a rectified output is positive where its input was
+            d_h = np.multiply(d_h, cache["out"] > 0, out=scratch(d_h.shape))
         layer_grads, d_x = layer_backward(block.layer, vox, cache, d_h)
         if block.has_skip:
             d_x += d_h
@@ -160,16 +167,19 @@ def sgd_train(
             raise TrainingDivergedError(f"non-finite loss {loss} at epoch {epoch}")
         trace.append((epoch, loss, acc))
 
+    def step(vox: VoxelizedCloud, x: np.ndarray, labels: np.ndarray) -> None:
+        # a function, so the step's arrays are idle for the next step to reuse
+        logits, caches = net_forward(blocks, vox, x)
+        _, d_logits = loss_ce(logits, labels)
+        grads, _ = net_backward(blocks, vox, caches, d_logits)
+        for i, block in enumerate(blocks):
+            update = {name: value - lr * grads[i][name] for name, value in _block_params(block).items()}
+            blocks[i] = replace(block, layer=replace(block.layer, **update))
+
     record(0)
     for epoch in range(1, epochs + 1):
         for idx in rng.permutation(len(samples)):
-            vox, x, labels = samples[idx]
-            logits, caches = net_forward(blocks, vox, x)
-            _, d_logits = loss_ce(logits, labels)
-            grads, _ = net_backward(blocks, vox, caches, d_logits)
-            for i, block in enumerate(blocks):
-                step = {name: value - lr * grads[i][name] for name, value in _block_params(block).items()}
-                blocks[i] = replace(block, layer=replace(block.layer, **step))
+            step(*samples[idx])
         record(epoch)
     return blocks, trace
 

@@ -1,5 +1,7 @@
-"""The traced peak memory of one call, for the allocation tests."""
+"""The traced peak memory and the page faults of one call, for the
+allocation tests."""
 
+import resource
 import tracemalloc
 
 
@@ -12,3 +14,11 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def minor_faults(fn, *args):
+    """``(fn(*args), faults)``: the call's result and the minor page faults
+    (``ru_minflt``) this process took while it ran, each a page mapped in."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = fn(*args)
+    return result, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before

@@ -3,11 +3,16 @@ plain numpy expressions return, bit for bit, and the set and wreath kernels
 built on them still compute the closed-form set map."""
 
 import operator
+import sys
+import threading
+import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, add_for, broadcast_add, channel_mix, mix_for
+import wreathlin.arrays as arrays
+from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, add_for, broadcast_add, channel_mix, mix_for, scratch
 from wreathlin.basis import pattern_of_structure
 from wreathlin.layer import apply, apply_dense, random_layer
 from wreathlin.structure import parse_structure
@@ -35,6 +40,8 @@ def test_channel_mix_equals_matmul(shape, c_out):
     y = channel_mix(x, w)
     assert y.shape == shape[:-1] + (c_out,)
     assert np.array_equal(y, x @ w)
+    out = np.full_like(y, np.nan)
+    assert channel_mix(x, w, out=out) is out and np.array_equal(out, y)
 
 
 def test_channel_mix_of_a_weight_beyond_one_block_a_row_is_the_plain_product():
@@ -156,3 +163,55 @@ def test_apply_on_sets_of_large_sets_follows_the_nested_set_formula():
     x = rng.normal(size=(64 * 384, 8))
     expected = nested_set_formula(x, 64, *layer.weights)
     assert np.abs(apply(layer, x) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_scratch_hands_out_only_idle_buffers_and_keeps_at_most_its_cap(monkeypatch):
+    monkeypatch.setattr(arrays, "_POOL", OrderedDict())
+    monkeypatch.setattr(arrays, "POOL_BYTES", 4 * 2 ** 17)
+    assert arrays.POOL_MIN_BYTES == 2 ** 17
+    small = scratch(2 ** 14 - 1)  # under POOL_MIN_BYTES: np.empty, not kept
+    assert small.dtype == np.float64 and not arrays._POOL
+    a, b = scratch((2 ** 14, 1)), scratch((2 ** 14, 1))
+    assert not np.shares_memory(a, b) and len(arrays._POOL[(2 ** 14, 1), np.dtype(np.float64)]) == 2
+    address = b.ctypes.data
+    del b
+    assert scratch((2 ** 14, 1)).ctypes.data == address
+    del a
+    for i in range(1, 5):  # each 8 * i bytes over 2**17: the cap holds three
+        scratch(2 ** 14 + i)
+    assert [shape for shape, _ in arrays._POOL] == [(2 ** 14 + 2,), (2 ** 14 + 3,), (2 ** 14 + 4,)]
+    scratch(2 ** 14 + 2)  # a hit makes its shape the most recent
+    scratch(2 ** 14 + 5)
+    assert [shape for shape, _ in arrays._POOL] == [(2 ** 14 + 4,), (2 ** 14 + 2,), (2 ** 14 + 5,)]
+    ids = scratch(arrays.POOL_MAX_BYTES // 8 + 1, np.int64)  # too large to keep: lets every shape go
+    assert ids.dtype == np.int64 and not arrays._POOL
+
+
+def test_scratch_never_hands_one_buffer_to_two_threads(monkeypatch):
+    """Each thread fills the buffer it holds and finds it unchanged after
+    switching threads every microsecond; a check-then-hand-out without the
+    pool's lock would give two threads one idle buffer."""
+    monkeypatch.setattr(arrays, "_POOL", OrderedDict())
+    errors = []
+
+    def work(tag):
+        for _ in range(300):
+            buf = scratch(2 ** 14)
+            buf.fill(tag)
+            time.sleep(0)
+            if not (buf == tag).all():
+                errors.append(tag)
+            del buf  # idle, for any thread to take next
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -1,6 +1,14 @@
+import os
+import resource
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wreathlin.arrays as arrays
 from wreathlin.pointcloud import (
     PointCloud,
     permute_points,
@@ -244,27 +252,104 @@ def attention_net_and_cloud(points_per_blob, resolution, seed=0):
     return build_segnet(6, 8, 2, 16, 3, rng, attention_latents=4), sample
 
 
+def cache_arrays(caches):
+    return [{k: v.copy() for k, v in cache.items() if isinstance(v, np.ndarray)} for cache in caches]
+
+
 def test_net_passes_leave_inputs_and_caches_intact():
-    # blocks add the skip and rectify in place, in arrays their layers return
-    blocks, (vox, x, labels) = attention_net_and_cloud(40, 4)
-    x_before = x.copy()
+    """Blocks add the skip and rectify in place, in arrays their layers
+    return.  At 320 points every array is under ``arrays.POOL_MIN_BYTES``;
+    at the benchmark's 4,000 the large ones come from the scratch pool, so
+    arrays held from one pass must survive later passes of the same shapes."""
+    for points_per_blob, resolution in [(40, 4), (500, 8)]:
+        blocks, (vox, x, labels) = attention_net_and_cloud(points_per_blob, resolution)
+        x_before = x.copy()
+        logits, caches = net_forward(blocks, vox, x)
+        held, held_caches = logits.copy(), cache_arrays(caches)
+        assert np.array_equal(x, x_before)
+        shifted, _ = net_forward(blocks, shift_assignment(vox, (1, 2, 3)), x)
+        assert not np.shares_memory(shifted, logits)
+        assert np.array_equal(logits, held)
+        again, fresh = net_forward(blocks, vox, x)
+        assert np.array_equal(again, logits)
+        h = x
+        for block, cache in zip(blocks, caches):  # each block cached the input it was given
+            assert np.array_equal(cache["x"], h)
+            h, _ = block_forward(block, vox, h.copy())
+        assert np.array_equal(h, logits)
+        _, d_logits = loss_ce(logits, labels)
+        d_before = d_logits.copy()
+        grads, d_x = net_backward(blocks, vox, caches, d_logits)
+        fresh_grads, fresh_d_x = net_backward(blocks, vox, fresh, d_logits)
+        assert np.array_equal(logits, held)
+        assert np.array_equal(d_logits, d_before)
+        assert np.array_equal(d_x, fresh_d_x)
+        for g, f in zip(grads, fresh_grads):
+            assert g.keys() == f.keys() and all(np.array_equal(g[k], f[k]) for k in g)
+        for cache, before in zip(caches, held_caches):
+            assert all(np.array_equal(cache[k], v) for k, v in before.items())
+
+
+def benchmark_step(blocks, vox, x, labels):
+    """One SGD step of the benchmark's ``segnet_train``, at its ``lr = 0.005``;
+    returns the updated blocks."""
     logits, caches = net_forward(blocks, vox, x)
-    assert np.array_equal(x, x_before)
-    again, fresh = net_forward(blocks, vox, x)
-    assert np.array_equal(again, logits)
-    h = x
-    for block, cache in zip(blocks, caches):  # each block cached the input it was given
-        assert np.array_equal(cache["x"], h)
-        h, _ = block_forward(block, vox, h.copy())
-    assert np.array_equal(h, logits)
     _, d_logits = loss_ce(logits, labels)
-    d_before = d_logits.copy()
-    grads, d_x = net_backward(blocks, vox, caches, d_logits)
-    fresh_grads, fresh_d_x = net_backward(blocks, vox, fresh, d_logits)
-    assert np.array_equal(d_logits, d_before)
-    assert np.array_equal(d_x, fresh_d_x)
-    for g, f in zip(grads, fresh_grads):
-        assert g.keys() == f.keys() and all(np.array_equal(g[k], f[k]) for k in g)
+    grads, _ = net_backward(blocks, vox, caches, d_logits)
+    return [replace(b, layer=replace(b.layer, **{k: getattr(b.layer, k) - 0.005 * g for k, g in grad.items()}))
+            for b, grad in zip(blocks, grads)]
+
+
+FAULTS_PER_STEP = """
+import statistics
+from memory import minor_faults
+from test_train import attention_net_and_cloud, benchmark_step
+
+blocks, sample = attention_net_and_cloud(500, 8)
+for _ in range(5):
+    blocks = benchmark_step(blocks, *sample)
+faults = []
+for _ in range(21):
+    blocks, n = minor_faults(benchmark_step, blocks, *sample)
+    faults.append(n)
+print(statistics.median(faults))
+"""
+
+
+def test_a_warm_step_maps_no_fresh_pages():
+    """A warm SGD step on the benchmark's 4,000-point cloud reuses its large
+    arrays.  When each step freed and re-requested them, this step took a
+    median of 593 minor faults (2.4 MB of fresh pages; the benchmark's step
+    937); with the scratch pool it takes 0.  The bound is one array the pool
+    serves: ``2**17`` bytes span 32 pages.
+    The step runs in a fresh process without ``MALLOC_*`` or
+    ``GLIBC_TUNABLES`` settings, which move glibc's mmap and trim thresholds."""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env, capture_output=True, text=True,
+                         check=True)
+    assert float(out.stdout) < 2 ** 17 // resource.getpagesize()
+
+
+def pool_bytes():
+    return sum(buf.nbytes for bufs in arrays._POOL.values() for buf in bufs)
+
+
+def test_the_scratch_pool_stays_bounded_and_lets_a_smaller_cloud_go():
+    """Steps on 4,000-point clouds keep their large arrays; one forward on a
+    100,000-point cloud, whose arrays are too large to keep, lets them go."""
+    blocks, (vox, x, labels) = attention_net_and_cloud(500, 8)
+    for _ in range(3):
+        blocks = benchmark_step(blocks, vox, x, labels)
+        assert pool_bytes() <= arrays.POOL_BYTES
+    assert any(shape[0] == 4000 for shape, _ in arrays._POOL)
+    _, (big_vox, big_x, _) = attention_net_and_cloud(12_500, 16, seed=1)
+    assert big_vox.n_points == 100_000
+    net_forward(blocks, big_vox, big_x)
+    assert pool_bytes() <= arrays.POOL_BYTES
+    assert all(shape[0] != 4000 for shape, _ in arrays._POOL)
 
 
 def test_net_forward_traced_memory_peak():
