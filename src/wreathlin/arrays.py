@@ -20,10 +20,8 @@ their time on two numpy/BLAS operations whose cost is not their arithmetic:
   copy of that part.
 
 Both take the plain expression where it is already fast: a product of at most
-one block, an add into an array of at most ``WIDE_ROW ** 2`` elements.  Where
-the row count ``n`` alone decides that, :func:`mix_for` and :func:`add_for`
-give a caller that knows ``n`` in advance the plain operator itself, so small
-arrays pay not even a Python call.  An add is elementwise, so
+one block, an add into an array of at most ``WIDE_ROW ** 2`` elements, or
+one whose row count has no wide factor.  An add is elementwise, so
 :func:`broadcast_add` is exact.  Blocking keeps the strides of every row, so
 :func:`channel_mix` equals ``x @ w`` bit for bit wherever BLAS sums a row the
 same way in a short call as in a long one.  With the OpenBLAS above that held
@@ -40,12 +38,14 @@ pool.  The pool serves only those sizes, and hands a buffer out again only
 while the pool holds the sole reference to it (``sys.getrefcount``).  An
 array a caller still holds, or any view of one, is therefore never
 overwritten: what :func:`scratch` returns shares memory with nothing live.
+
+:func:`freeze_field` gives a frozen dataclass a read-only copy of an array
+it was handed, so no view its caller kept can write into it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -184,13 +184,9 @@ def broadcast_add(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return y
 
 
-def mix_for(n: int, w: np.ndarray):
-    """:func:`channel_mix` if ``(..., n, c_in)`` arrays can exceed one block
-    of ``w``, else ``operator.matmul``."""
-    return channel_mix if n * w.size > BLOCK_MADDS >= w.size else operator.matmul
-
-
-def add_for(n: int, c: int):
-    """:func:`broadcast_add` if ``(..., n, c)`` arrays have a wide view, else
-    ``operator.iadd``."""
-    return broadcast_add if _wide_factor(n, c) else operator.iadd
+def freeze_field(obj, name: str, value, dtype=np.float64) -> None:
+    """Set field ``name`` of the frozen dataclass ``obj`` to a read-only,
+    C-contiguous copy of ``value`` as ``dtype``, which no view of ``value`` reaches."""
+    arr = np.array(value, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)

@@ -158,22 +158,30 @@ def commutes_exactly(matrix: np.ndarray, g: np.ndarray) -> bool:
     return np.array_equal(matrix, matrix[np.ix_(g, g)])
 
 
-@lru_cache(maxsize=256)
-def point_orbit(expr: Structure) -> np.ndarray:
-    """Point-orbit id of each of the structure's points, numbered by least point.
+def point_orbit_grid(expr: Structure) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The structure's points as one axis per leaf of two or more points,
+    outer major, and the point-orbit count along each: a leaf's points lie in
+    one orbit or each in its own, so the count is 1 or the leaf's degree.
+    There are at most ``log2(N)`` axes, within numpy's 64 however many
+    one-point leaves a tree has.
 
-    A leaf orbit's id is its first row-major entry, so a least point ``p``'s
-    diagonal id is ``p * (n + 1)``, and the others' match their least point's.
-    A ``prod`` or ``wr`` point ``p * Q + a`` lies in orbit ``(orbit of p, orbit of a)``, outer major."""
-    if isinstance(expr, Leaf):
-        idx = np.arange(expr.n)
-        diagonal = LEAF_KINDS[type(expr)].orbit_of(expr.n, idx, idx)
-        ids = np.searchsorted(diagonal[diagonal == np.arange(expr.n) * (expr.n + 1)], diagonal)
-    elif isinstance(expr, (Prod, Wreath)):
-        outer, inner = point_orbit(expr.outer), point_orbit(expr.inner)
-        ids = (outer[:, None] * orbit_counts(expr.inner)[0] + inner).ravel()
-    else:
-        raise TypeError(f"not a structure: {expr!r}")
+    >>> from wreathlin.structure import parse_structure
+    >>> point_orbit_grid(parse_structure("wr(trivial(2),S(3))"))
+    ((3, 2), (1, 2))
+    """
+    if isinstance(expr, (Prod, Wreath)):
+        (outer_points, outer_orbits), (inner_points, inner_orbits) = map(point_orbit_grid, (expr.outer, expr.inner))
+        return outer_points + inner_points, outer_orbits + inner_orbits
+    return ((expr.n,), (orbit_counts(expr)[0],)) if expr.n > 1 else ((), ())
+
+
+def point_orbit(expr: Structure) -> np.ndarray:
+    """Point-orbit id of each of the structure's points, numbered by least
+    point: ``arange(m1)`` shaped to :func:`point_orbit_grid`'s orbit counts
+    and broadcast to its points.  A ``prod`` or ``wr`` point ``p * Q + a``
+    lies in orbit ``(orbit of p, orbit of a)``, outer major."""
+    points, orbits = point_orbit_grid(expr)
+    ids = np.broadcast_to(np.arange(orbit_counts(expr)[0]).reshape(orbits), points).ravel()
     ids.setflags(write=False)
     return ids
 
@@ -255,9 +263,7 @@ def orbit_grid(expr: Structure) -> np.ndarray:
         ra, ca, _ = orbit_index(expr.outer)
         m1, m2 = orbit_counts(expr.inner)
         off = (np.cumsum(ra != ca) - 1) * m1 * m1 + orbit_counts(expr.outer)[0] * m2
-        # diagonal orbits first appear at their least points, so a point's
-        # orbit, numbered by least point, is the rank of its diagonal id
-        outer_points, points = (np.unique(g.diagonal(), return_inverse=True)[1] for g in (outer, inner))
+        outer_points, points = point_orbit(expr.outer), point_orbit(expr.inner)
         candidate = off[outer][:, None, :, None] + (points[:, None] * m1 + points)[:, None, :]
         at = np.arange(P)
         candidate[at, :, at, :] = outer_points[:, None, None] * m2 + inner

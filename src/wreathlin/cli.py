@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .arrays import POOL_BYTES
 from .basis import (
     DEFAULT_ORACLE_MAX_DEGREE,
     burnside_count,
@@ -272,12 +273,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# Bytes the demo peaks at, under tracemalloc in process with the scratch pool
+# emptied first, on 2,000 to 96,000 points.  Each cloud keeps 48 per point
+# beside its float64 features (its int64 voxel, row and label, and float64
+# offsets) and 16 per voxel (its int64 counts and occupied ids).  Beyond the
+# clouds, the tap rows and the cached block outputs, a training step or the
+# equivariance check held 4.0-5.9 float64 arrays of (points, widest channels),
+# and the attention backward up to 4 of (latents, points).  The pool keeps
+# step arrays, up to arrays.POOL_BYTES, across steps.  The count read 1.20-1.33
+# times the peak at D = 8; it counts the tap rows of min(points, D**3)
+# occupied voxels, which blob scenes do not reach at D = 16 and 32.
+CLOUD_BYTES_PER_POINT = 48
+CLOUD_BYTES_PER_VOXEL = 16
+STEP_ARRAYS = 6
+ATTENTION_ARRAYS = 4
+
+
 def _demo_size_error(args: argparse.Namespace) -> str | None:
     """The first demo size out of range, as an error message, or ``None``.
 
-    The arrays the demo holds at once are summed against physical memory
-    before anything is allocated, counting 8-byte floats at the demo's hidden
-    width and 8-byte voxel counts; the size that takes the sum past it is named.
+    The bytes the demo peaks at are counted from its sizes and the constants
+    above before anything is allocated, one term per size, and the size whose
+    term takes the running sum past physical memory is named.
     """
     # the demo's modules load here, not with the command line, so `verify` and `pattern` skip them
     from .train import FEATURE_CHANNELS, HELD_OUT_CLOUDS, HIDDEN_WIDTH, TRAIN_CLOUDS, kernel_width
@@ -294,24 +311,27 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
         return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
     n_points = args.blobs * args.points_per_blob
     taps, clouds, width = kernel_width(args.res) ** 3, TRAIN_CLOUDS + HELD_OUT_CLOUDS, HIDDEN_WIDTH
+    widest = max(width, args.blobs)  # the logits have one channel per blob
+    step = 8 * STEP_ARRAYS * n_points * widest
     sizes = [
-        # each cloud's int64 voxel counts; a convolution's tap rows and products
+        # each cloud's voxel counts; a convolution's tap rows and products
         ("res", "its voxel counts and kernel-tap rows need",
-         clouds * args.res ** 3 + 2 * taps * min(n_points, args.res ** 3) * width),
-        ("points_per_blob", f"{clouds} clouds of {n_points} points need", clouds * n_points * FEATURE_CHANNELS),
-        # the backward holds three (L, n) arrays: the soft assignment and two gradients
+         clouds * CLOUD_BYTES_PER_VOXEL * args.res ** 3 + 8 * 2 * taps * min(n_points, args.res ** 3) * widest),
+        ("points_per_blob", f"{clouds} clouds of {n_points} points and a training step over them need",
+         clouds * (CLOUD_BYTES_PER_POINT + 8 * FEATURE_CHANNELS) * n_points + step + min(POOL_BYTES, step)),
         ("attention", "its interaction weights and soft assignments need",
-         args.attention * (args.attention * width ** 2 + 3 * n_points)),
+         8 * args.attention * (args.attention * width ** 2 + ATTENTION_ARRAYS * n_points)),
         # each block holds its point map and kernel taps, and caches its output
-        ("blocks", "its weights and cached outputs need", args.blocks * ((taps + 1) * width ** 2 + n_points * width)),
+        ("blocks", "its weights and cached outputs need",
+         8 * args.blocks * ((taps + 1) * width * widest + n_points * width)),
     ]
     ram = _physical_memory()
     total = 0
-    for name, what, n_floats in sizes:
-        total += 8 * n_floats
+    for name, what, need in sizes:
+        total += need
         if total > ram:
             return (f"--{name.replace('_', '-')} {getattr(args, name)} is too large: {what} "
-                    f"{8 * n_floats} bytes, {total} in all, more than the {ram} bytes of physical memory")
+                    f"{need} bytes, {total} in all, more than the {ram} bytes of physical memory")
     return None
 
 
@@ -349,7 +369,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     (out_dir / "trace.csv").write_text(trace_csv(trace))
 
     vox, x, labels = test[0]
-    logits, _ = net_forward(trained, vox, x)
+    logits = net_forward(trained, vox, x)[0]
     (out_dir / "predictions.txt").write_text(format_predictions(logits.argmax(axis=1)))
 
     check_rng = np.random.default_rng(args.seed + 7)
@@ -357,9 +377,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     worst = 0.0
     for _ in range(3):
         shifts = tuple(int(v) for v in check_rng.integers(0, args.res, size=3))
-        y2, _ = net_forward(trained, shift_assignment(vox, shifts), x)
+        y2 = net_forward(trained, shift_assignment(vox, shifts), x)[0]
         order = within_voxel_permutation(vox, check_rng)
-        y3, _ = net_forward(trained, permute_points(vox, order), x[order])
+        y3 = net_forward(trained, permute_points(vox, order), x[order])[0]
         scale = max(np.abs(y).max(), 1e-12)
         worst = max(
             worst,

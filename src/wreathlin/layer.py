@@ -22,8 +22,9 @@ channels of the side with fewer orbits; ``wr`` adds the outer map of the
 pooled fibers to the inner map of each, ``O(N)`` beyond its factors.
 Fibers pool per inner point orbit, one indicator product, and the outer map
 runs at channels widened by that orbit count; its output is added back
-through a broadcast view with one axis per inner leaf, since a leaf's points
-lie in one orbit or each in its own.  The inner map runs once per
+through a broadcast view with one axis per inner leaf,
+:func:`basis.point_orbit_grid <wreathlin.basis.point_orbit_grid>`, since a
+leaf's points lie in one orbit or each in its own.  The inner map runs once per
 outer point orbit, with that orbit's weights.  A set inner factor's pooled
 weights sit on the outer map's diagonal orbits, so each fiber is pooled and
 broadcast once and runs only its pointwise weights.  Set products and
@@ -32,8 +33,7 @@ broadcasts of tall arrays go through :mod:`wreathlin.arrays`: ``x @ w`` in row b
 multiply-adds ran two to three times slower per row (``(20000, 8) @ (8, 8)``:
 0.32 ms as one call, 0.13 ms in blocks), and ``y += row`` through a view with
 rows of up to 128 elements (``(100000, 8)``: 0.9–1.3 ms plain, 0.6 ms wide).
-Each node picks the plain operators instead when it compiles, if its row
-count is too small for either.
+Each takes the plain operator itself on arrays too small for either.
 Orbit ids map to node-local coefficients through :func:`basis.orbit_index
 <wreathlin.basis.orbit_index>`, so no sharing pattern is built either.
 All of that weight-side work, the kernel spectra included, is done once per
@@ -50,8 +50,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import add_for, broadcast_add, mix_for
-from .basis import materialize, orbit_grid, orbit_index, pattern_of_structure, point_orbit, structure_orbit_count
+from .arrays import broadcast_add, channel_mix, freeze_field
+from .basis import (materialize, orbit_grid, orbit_index, pattern_of_structure, point_orbit, point_orbit_grid,
+                    structure_orbit_count)
 from .perm import PermGroup, permute_rows
 from .structure import Cycle, Prod, Set, Structure, Wreath, degree, group_of, orbit_counts
 
@@ -87,18 +88,14 @@ class EquivariantLayer:
         if self.c_in < 1 or self.c_out < 1:
             raise ValueError("channel counts must be at least 1")
         # copies, so a caller writing into its arrays changes neither the weights nor the compiled map
-        w = np.array(self.weights, dtype=np.float64, order="C")
+        freeze_field(self, "weights", self.weights)
         expected = (structure_orbit_count(self.structure), self.c_in, self.c_out)
-        if w.shape != expected:
-            raise ValueError(f"weights shape {w.shape} != {expected}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if self.weights.shape != expected:
+            raise ValueError(f"weights shape {self.weights.shape} != {expected}")
         if self.bias is not None:
-            b = np.array(self.bias, dtype=np.float64, order="C")
-            if b.shape != (self.c_out,):
-                raise ValueError(f"bias shape {b.shape} != ({self.c_out},)")
-            b.setflags(write=False)
-            object.__setattr__(self, "bias", b)
+            freeze_field(self, "bias", self.bias)
+            if self.bias.shape != (self.c_out,):
+                raise ValueError(f"bias shape {self.bias.shape} != ({self.c_out},)")
 
     @property
     def degree(self) -> int:
@@ -145,18 +142,6 @@ def _folds(factor: Structure, other: Structure, outputs: int) -> bool:
             and (isinstance(other, Set) or _cycle_lengths(other) is not None))
 
 
-def _point_orbit_grid(expr: Structure) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The structure's points as one axis per leaf of two or more points,
-    outer major, and the point-orbit count along each: a leaf's points lie in
-    one orbit or each in its own, so ``point_orbit(expr)`` is ``arange(m1)``
-    shaped to the second and broadcast to the first.  There are at most
-    ``log2(N)`` axes, within numpy's 64 however many one-point leaves a tree has."""
-    if isinstance(expr, (Prod, Wreath)):
-        (outer_points, outer_orbits), (inner_points, inner_orbits) = map(_point_orbit_grid, (expr.outer, expr.inner))
-        return outer_points + inner_points, outer_orbits + inner_orbits
-    return ((expr.n,), (orbit_counts(expr)[0],)) if expr.n > 1 else ((), ())
-
-
 def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``x -> sum_o coeffs[o] * B_o x`` on ``(..., N, c_in)`` arrays, weight-side work done.
 
@@ -186,14 +171,13 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
         return run_full_map
     if isinstance(expr, Set):
         diff, off = _set_split(coeffs)
-        mix, add = mix_for(n, diff), add_for(n, c_out)
 
         def run_set(x: np.ndarray) -> np.ndarray:
             # pool first, by BLAS (a sum over points loops over c entries at a time): its ones row is freed before y exists
             row = np.ones(x.shape[-2]) @ x @ off
             # one output buffer, pooled row added in place: the temporaries of
             # x @ W0 + (s - x) @ W1 fault in fresh pages on every large call
-            return add(mix(x, diff), row[..., None, :])
+            return broadcast_add(channel_mix(x, diff), row[..., None, :])
 
         return run_set
     if lengths is not None:
@@ -259,17 +243,15 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
         if isinstance(expr.inner, Set) and expr.inner.n > 1:
             # the set's pooled weights go on the cross map's diagonal orbits, zero so far and in point orbit order
             pointwise, outer_coeffs[ra == ca] = _set_split(inner_coeffs.swapaxes(0, 1))
-            mix = mix_for(Q, coeffs[0])
-            inner_maps = [lambda x, w=w: mix(x, w) for w in pointwise]
+            inner_maps = [lambda x, w=w: channel_mix(x, w) for w in pointwise]
         else:
             inner_maps = [_compile_structure(expr.inner, w) for w in inner_coeffs]
         cross_map = _compile_structure(expr.outer, outer_coeffs)
         # pool each fiber per inner point orbit; one orbit makes it np.ones(Q) @ xr
         indicator = np.eye(b1)[point_orbit(expr.inner)].T
-        points, orbits = _point_orbit_grid(expr.inner)
+        points, orbits = point_orbit_grid(expr.inner)
         # the inner map runs once per outer point orbit, on that orbit's fibers
         fibers = [slice(None)] if a1 == 1 else [np.flatnonzero(point_orbit(expr.outer) == s) for s in range(a1)]
-        add = add_for(Q, c_out)
 
         def run_wreath(x: np.ndarray) -> np.ndarray:
             batch = x.shape[:-2]
@@ -283,7 +265,7 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
                 else:
                     fiber[..., at, :, :] = part
             if b1 == 1:
-                add(fiber, cross[..., :, None, :])
+                broadcast_add(fiber, cross[..., :, None, :])
             else:  # each inner point reads its orbit's cross term through a broadcast view
                 fiber = fiber.reshape(*batch, P, *points, c_out)
                 fiber += cross.reshape(*batch, P, *orbits, c_out)

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import channel_mix, scratch
+from .arrays import channel_mix, freeze_field, scratch
 from .perm import InvalidDegreeError
 
 # Elements that one chunk of a point temporary holds in voxel_sum and
@@ -69,12 +69,6 @@ class KernelError(ValueError):
     """The convolution kernel does not fit the grid (or has even width)."""
 
 
-def _frozen_array(obj, name: str, value, dtype=np.float64) -> None:
-    arr = np.ascontiguousarray(value, dtype=dtype)
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Points in 3-space with per-point feature channels and optional labels."""
@@ -84,8 +78,8 @@ class PointCloud:
     labels: np.ndarray | None = None  # (n,) ints
 
     def __post_init__(self) -> None:
-        _frozen_array(self, "coords", self.coords)
-        _frozen_array(self, "features", self.features)
+        freeze_field(self, "coords", self.coords)
+        freeze_field(self, "features", self.features)
         if self.coords.ndim != 2 or self.coords.shape[1] != 3:
             raise ValueError(f"coords must be (n, 3), got {self.coords.shape}")
         if self.features.ndim != 2 or self.features.shape[0] != self.coords.shape[0]:
@@ -93,7 +87,7 @@ class PointCloud:
         if not np.all(np.isfinite(self.coords)):
             raise ValueError("coords must be finite")
         if self.labels is not None:
-            _frozen_array(self, "labels", self.labels, dtype=np.int64)
+            freeze_field(self, "labels", self.labels, dtype=np.int64)
             if self.labels.shape != (self.coords.shape[0],):
                 raise ValueError("labels must be (n,)")
 
@@ -127,13 +121,11 @@ class VoxelizedCloud:
     def __post_init__(self) -> None:
         if self.resolution < 1:
             raise InvalidDegreeError("resolution must be at least 1")
-        _frozen_array(self, "assignment", self.assignment, dtype=np.int64)
-        _frozen_array(self, "rel_coords", self.rel_coords)
-        _frozen_array(self, "occupancy", self.occupancy, dtype=np.int64)
-        _frozen_array(self, "occupied", np.flatnonzero(self.occupancy), dtype=np.int64)
-        full = len(self.occupied) == len(self.occupancy)  # every row is its voxel's id
-        rows = self.assignment if full else np.searchsorted(self.occupied, self.assignment)
-        _frozen_array(self, "point_row", rows, dtype=np.int64)
+        freeze_field(self, "assignment", self.assignment, dtype=np.int64)
+        freeze_field(self, "rel_coords", self.rel_coords)
+        freeze_field(self, "occupancy", self.occupancy, dtype=np.int64)
+        freeze_field(self, "occupied", np.flatnonzero(self.occupancy), dtype=np.int64)
+        freeze_field(self, "point_row", np.searchsorted(self.occupied, self.assignment), dtype=np.int64)
 
     @property
     def n_points(self) -> int:
@@ -277,8 +269,8 @@ class WreathPCLayer:
     w_conv: np.ndarray  # (K, K, K, c_in, c_out)
 
     def __post_init__(self) -> None:
-        _frozen_array(self, "w_point", self.w_point)
-        _frozen_array(self, "w_conv", self.w_conv)
+        freeze_field(self, "w_point", self.w_point)
+        freeze_field(self, "w_conv", self.w_conv)
         if self.w_point.ndim != 2:
             raise ValueError("w_point must be (c_in, c_out)")
         if self.w_conv.ndim != 5 or self.w_conv.shape[3:] != self.w_point.shape:
@@ -330,8 +322,8 @@ class AttnPCLayer:
     w_interact: np.ndarray  # (L, L, c_in, c_out)
 
     def __post_init__(self) -> None:
-        _frozen_array(self, "w_assign", self.w_assign)
-        _frozen_array(self, "w_interact", self.w_interact)
+        freeze_field(self, "w_assign", self.w_assign)
+        freeze_field(self, "w_interact", self.w_interact)
         if self.w_assign.ndim != 2 or self.w_interact.ndim != 4:
             raise ValueError("w_assign must be (c_in, L), w_interact (L, L, c_in, c_out)")
         L = self.w_assign.shape[1]

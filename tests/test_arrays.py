@@ -2,7 +2,6 @@
 plain numpy expressions return, bit for bit, and the set and wreath kernels
 built on them still compute the closed-form set map."""
 
-import operator
 import sys
 import threading
 import time
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import wreathlin.arrays as arrays
-from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, add_for, broadcast_add, channel_mix, mix_for, scratch
+from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, broadcast_add, channel_mix, scratch
 from wreathlin.basis import pattern_of_structure
 from wreathlin.layer import apply, apply_dense, random_layer
 from wreathlin.structure import parse_structure
@@ -119,15 +118,6 @@ def test_broadcast_add_writes_through_a_non_contiguous_array():
     assert broadcast_add(y, rows) is y
     assert np.array_equal(y, expected)
     assert np.array_equal(base.swapaxes(0, 1), expected)
-
-
-def test_row_counts_known_in_advance_select_the_plain_operators_where_they_suffice():
-    w = np.ones((8, 8))
-    assert mix_for(100, w) is operator.matmul and mix_for(block_rows(8, 8), w) is operator.matmul
-    assert mix_for(block_rows(8, 8) + 1, w) is channel_mix
-    assert mix_for(10 ** 6, np.ones((1024, 513))) is operator.matmul  # over one block a row
-    assert add_for(64, 8) is operator.iadd and add_for(20011, 8) is operator.iadd
-    assert add_for(256, 8) is broadcast_add and add_for(1000, 8) is broadcast_add
 
 
 def set_formula(x, w0, w1):

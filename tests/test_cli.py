@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+import wreathlin.arrays
 import wreathlin.cli
-from wreathlin.basis import orbit_index, orbit_pattern, pattern_of_structure, point_orbit
+from wreathlin.basis import orbit_index, orbit_pattern, pattern_of_structure
 from wreathlin.cli import main
 from wreathlin.perm import DEFAULT_MAX_ORDER
 from wreathlin.structure import MAX_NESTING, group_of, parse_structure
@@ -268,7 +269,7 @@ def test_pattern_guard_bounds_the_measured_peak(text):
     """The guard's count is at least what building the pattern allocates,
     but for a few kilobytes of fixed-size objects, and less than twice it."""
     expr = parse_structure(text)
-    for cached in (pattern_of_structure, orbit_index, point_orbit):
+    for cached in (pattern_of_structure, orbit_index):
         cached.cache_clear()
     _, peak = traced_peak(pattern_of_structure, expr)
     assert peak - 2 ** 14 <= wreathlin.cli._pattern_bytes(expr) < 2 * peak
@@ -279,7 +280,7 @@ def test_pattern_peak_does_not_grow_with_nesting():
     ``wr``s peak as one leaf of the same degree does, but for a few kilobytes."""
     peaks = []
     for text in ["S(300)", "wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),S(300)))))))"]:
-        for cached in (pattern_of_structure, orbit_index, point_orbit):
+        for cached in (pattern_of_structure, orbit_index):
             cached.cache_clear()
         peaks.append(traced_peak(pattern_of_structure, parse_structure(text))[1])
     assert peaks[1] <= 1.05 * peaks[0] + 2 ** 14
@@ -311,7 +312,7 @@ def test_verify_guard_bounds_the_generator_orbit_peak(text):
     guard's count is at least that peak, but for a few kilobytes of
     fixed-size objects, and less than twice it."""
     expr = parse_structure(text)
-    for cached in (pattern_of_structure, orbit_index, point_orbit, group_of):
+    for cached in (pattern_of_structure, orbit_index, group_of):
         cached.cache_clear()
     # the pattern is cached, so alive while the orbits are built
     _, peak = traced_peak(lambda: (pattern_of_structure(expr), orbit_pattern(group_of(expr))))
@@ -320,7 +321,7 @@ def test_verify_guard_bounds_the_generator_orbit_peak(text):
 
 def verify_through(expr, leg):
     """Run ``verify``'s legs in process, building the pattern afresh, up to and including ``leg``."""
-    for cached in (pattern_of_structure, orbit_index, point_orbit, group_of):
+    for cached in (pattern_of_structure, orbit_index, group_of):
         cached.cache_clear()
     next(row for row in wreathlin.cli._verify_rows(expr, DEFAULT_MAX_ORDER, 5) if row[0] == leg)
 
@@ -487,14 +488,15 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad, message", [
     (["--attention", "40"],
-     "--attention 40 is too large: its interaction weights and soft assignments need 836480 bytes, "
-     "845856 in all"),
+     "--attention 40 is too large: its interaction weights and soft assignments need 842240 bytes, "
+     "873792 in all"),
     (["--points-per-blob", "1000"],
-     "--points-per-blob 1000 is too large: 9 clouds of 3000 points need 1296000 bytes, 1297600 in all"),
+     "--points-per-blob 1000 is too large: 9 clouds of 3000 points and a training step over them need "
+     "4896000 bytes, 4898176 in all"),
     (["--blocks", "100"],
-     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 226976 in all"),
+     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 249152 in all"),
     (["--attention", "8", "--blocks", "30"],
-     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 110880 in all"),
+     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 134208 in all"),
 ])
 def test_demo_sizes_beyond_memory_exit_two_before_writing(tmp_path, capsys, monkeypatch, bad, message):
     # a 100 kB machine: each size below is small enough to run, but not there;
@@ -506,6 +508,26 @@ def test_demo_sizes_beyond_memory_exit_two_before_writing(tmp_path, capsys, monk
     assert out == ""
     assert err == f"error: {message}, more than the 100000 bytes of physical memory\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sizes", [
+    ["--points-per-blob", "500"],
+    ["--points-per-blob", "2000", "--attention", "4"],
+    ["--points-per-blob", "2000", "--blocks", "4"],
+])
+def test_demo_guard_bounds_the_measured_peak(tmp_path, capsys, monkeypatch, sizes):
+    """The guard's count is at least what the whole demo allocates, but for a
+    few kilobytes of fixed-size objects, and less than twice it."""
+    argv = ["demo", "--res", "8", "--blobs", "8", "--epochs", "1", *sizes, "--out", str(tmp_path / "run")]
+    run_cli(capsys, DEMO_ARGS + ["--out", str(tmp_path / "warm")])  # a first demo's imports, untraced
+    wreathlin.arrays._POOL.clear()
+    (code, _, _), peak = traced_peak(run_cli, capsys, argv)
+    assert code == 0
+    args = wreathlin.cli.build_parser().parse_args(argv)
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: peak - 2 ** 14 - 1)
+    assert wreathlin.cli._demo_size_error(args) is not None
+    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: 2 * peak - 1)
+    assert wreathlin.cli._demo_size_error(args) is None
 
 
 @pytest.mark.parametrize("where", ["under_file", "is_file"])

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, the library
-loads no rational arithmetic, only the leaf table knows the leaf kinds, and
-every top-level definition of the library has a reader outside the tests."""
+loads no rational arithmetic, only the leaf table knows the leaf kinds,
+every top-level definition of the library has a reader outside the tests,
+and every cache the library keeps has a bound."""
 
 import ast
 import os
@@ -166,3 +167,39 @@ def test_unread_definition_detection():
     ]
     users = ["import a\nprint('calls f')\n", "from b import m\n"]
     assert unread_definitions(library, users) == ["h", "L"]
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines that make a cache with no integer bound: ``functools.cache``,
+    and ``lru_cache`` bare or called without an integer ``maxsize``."""
+    tree = ast.parse(source)
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and (getattr(node.value, "id", None), node.attr) == ("functools", "cache"):
+            lines.append(node.lineno)
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            bound = [] if call is None else call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            if not (bound and isinstance(bound[0], ast.Constant) and type(bound[0].value) is int):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    """Caches have bounded memory: each ``lru_cache`` states its entry count."""
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_unbounded_cache_detection():
+    source = (
+        "from functools import cache, lru_cache\nimport functools\n"
+        "@lru_cache(maxsize=32)\ndef a(): pass\n@lru_cache(8)\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n@lru_cache(maxsize=None)\ndef d(): pass\n"
+        "@functools.lru_cache()\ndef e(): pass\n@functools.cache\ndef f(): pass\n"
+        "g = lru_cache(maxsize=True)(len)\n"
+    )
+    assert unbounded_caches(source) == [1, 7, 9, 11, 13, 15]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from wreathlin.basis import materialize, pattern_of_structure, point_orbit, structure_orbit_count
+from wreathlin.basis import materialize, pattern_of_structure, structure_orbit_count
 from wreathlin.layer import (
     EquivariantLayer,
-    _point_orbit_grid,
     apply,
     apply_dense,
     equivariance_check,
@@ -279,15 +278,6 @@ def test_wreath_adds_an_intransitive_inner_cross_term_in_place():
     apply(layer, x)
     y, peak = traced_peak(apply, layer, x)
     assert peak < 3.25 * y.nbytes
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(structure_trees(4, 256))
-def test_point_orbits_are_a_broadcast_over_one_axis_per_leaf(expr):
-    """The wreath kernel adds its cross term through this view."""
-    points, orbits = _point_orbit_grid(expr)
-    ids = np.broadcast_to(np.arange(orbit_counts(expr)[0]).reshape(orbits), points)
-    assert np.array_equal(ids.ravel(), point_orbit(expr))
 
 
 def test_wreath_over_an_inner_factor_of_many_one_point_leaves():

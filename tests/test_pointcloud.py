@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import wreathlin.pointcloud
+from wreathlin.basis import constant_on_orbits, orbit_index, pattern_of_structure
+from wreathlin.layer import EquivariantLayer, apply
 from wreathlin.pointcloud import (
     AttnPCLayer,
     KernelError,
@@ -24,6 +26,7 @@ from wreathlin.pointcloud import (
     voxelize,
     within_voxel_permutation,
 )
+from wreathlin.structure import parse_structure
 from wreathlin.train import SegBlock, net_forward
 
 from memory import traced_peak
@@ -90,7 +93,26 @@ def test_occupied_rows_are_read_only_and_derived():
     assert not vox.occupied.flags.writeable and not vox.point_row.flags.writeable
     # on a fully occupied grid the rows are the voxel ids themselves
     full = voxelize(random_cloud(rng, n=40), 1)
-    assert full.point_row is full.assignment
+    assert np.array_equal(full.point_row, full.assignment)
+
+
+def test_value_objects_own_their_arrays():
+    """A view its caller kept of an array it handed over writes into the
+    caller's array alone: the cloud, the voxelization with its derived rows
+    and the layer keep the values they were built with."""
+    rng = np.random.default_rng(18)
+    vox = voxelize(random_cloud(rng, n=40), 4)
+    given = vox.assignment.copy(), rng.uniform(size=(40, 3)), rng.normal(size=(4, 2))
+    before = [a.copy() for a in given]
+    views = [a[:] for a in given]
+    held = VoxelizedCloud(4, given[0], vox.rel_coords, vox.occupancy)
+    cloud = PointCloud(coords=given[1], features=np.zeros((40, 1)))
+    layer = WreathPCLayer(given[2], np.zeros((3, 3, 3, 4, 2)))
+    for view in views:
+        view[...] = view[-1]
+    for kept, value in zip([held.assignment, cloud.coords, layer.w_point], before):
+        assert np.array_equal(kept, value)
+    assert np.array_equal(held.occupied[held.point_row], held.assignment)
 
 
 def test_mean_pool_is_duplication_invariant():
@@ -503,6 +525,50 @@ def test_set_layer_is_the_global_mean_pool_closed_form():
         grads_other, d_x_other = layer.backward(other, cache_other, d_y)
         assert np.array_equal(d_x_other, d_x)
         assert all(np.array_equal(grads_other[k], grads[k]) for k in grads)
+
+
+def assert_engine_layer(layer, vox, text, used):
+    """``layer`` on ``vox`` is the engine's layer of the structure ``text``:
+    its dense map, one forward per unit input, is constant on the
+    structure's orbits for every channel pair and nonzero on ``used`` of
+    them, and the engine layer read off its orbits' first entries applies
+    as ``forward`` does."""
+    expr, n, c_in, c_out = parse_structure(text), vox.n_points, layer.c_in, layer.c_out
+    dense = np.empty((n, n, c_in, c_out))  # [i, j, ci, co]: output (i, co) of input (j, ci)
+    for j in range(n):
+        for ci in range(c_in):
+            unit = np.zeros((n, c_in))
+            unit[j, ci] = 1.0
+            dense[:, j, ci] = layer.forward(vox, unit)[0]
+    pattern = pattern_of_structure(expr)
+    for ci in range(c_in):
+        for co in range(c_out):
+            assert constant_on_orbits(dense[:, :, ci, co], pattern)
+            assert len(np.unique(pattern.orbit_id[dense[:, :, ci, co] != 0])) == used
+    rows, cols, _ = orbit_index(expr)
+    engine = EquivariantLayer(expr, c_in, c_out, dense[rows, cols])
+    x = np.random.default_rng(n).normal(size=(n, c_in))
+    np.testing.assert_allclose(apply(engine, x), layer.forward(vox, x)[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("D, K, q", [(3, 3, 2), (4, 3, 3), (5, 3, 2), (3, 1, 4)])
+def test_voxel_layer_is_the_engines_wreath_map(D, K, q):
+    """With ``q`` points in every voxel, voxel-major, the voxel layer is the
+    engine's map of ``wr(S(q), prod(C(D), prod(C(D), C(D))))``: it uses the
+    two orbits of each voxel's own points and the ``K**3 - 1`` voxel offsets
+    of its kernel window besides the centre, ``K**3 + 1`` of the
+    structure's ``D**3 + 1`` orbits."""
+    rng = np.random.default_rng(D * 100 + K * 10 + q)
+    vox = VoxelizedCloud(D, np.repeat(np.arange(D ** 3), q), np.zeros((q * D ** 3, 3)), np.full(D ** 3, q))
+    layer = WreathPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(K, K, K, 2, 3)))
+    assert_engine_layer(layer, vox, f"wr(S({q}),prod(C({D}),prod(C({D}),C({D}))))", K ** 3 + 1)
+
+
+def test_set_layer_is_the_engines_set_map():
+    rng = np.random.default_rng(11)
+    vox = voxelize(random_cloud(rng, n=9), 3)
+    layer = SetPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(1, 1, 1, 2, 3)))
+    assert_engine_layer(layer, vox, "S(9)", 2)
 
 
 def test_attention_layer_full_permutation_equivariance():
