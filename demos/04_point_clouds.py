@@ -23,9 +23,8 @@ from wreathlin.pointcloud import (
 
 rng = np.random.default_rng(3)
 cloud = PointCloud(coords=rng.uniform(size=(30, 3)), features=rng.normal(size=(30, 4)))
-vox = voxelize(cloud, 3)
-print(f"30 points on a 3x3x3 grid: {int((vox.occupancy > 0).sum())} voxels occupied, "
-      f"{int((vox.occupancy == 0).sum())} empty")
+vox, _ = voxelize(cloud, 3)
+print(f"30 points on a 3x3x3 grid: {len(vox.occupied)} voxels occupied, {27 - len(vox.occupied)} empty")
 
 layer = WreathPCLayer(w_point=rng.normal(size=(4, 4)), w_conv=rng.normal(size=(3, 3, 3, 4, 4)))
 y = pc_layer_forward(layer, vox, cloud.features)[0]
@@ -44,7 +43,7 @@ print(f"within-voxel shuffle:        max residual {res_perm:.2e}")
 
 # What the layer is NOT blind to: a real-space move that lands points in
 # different voxels.  A fractional-cell offset is not a grid symmetry.
-vox_moved = voxelize(PointCloud(coords=(cloud.coords + 0.17) % 1.0, features=cloud.features), 3)
+vox_moved, _ = voxelize(PointCloud(coords=(cloud.coords + 0.17) % 1.0, features=cloud.features), 3)
 res_moved = np.abs(pc_layer_forward(layer, vox_moved, cloud.features)[0] - y).max()
 print(f"off-grid translation:        max residual {res_moved:.2e}  (sensitivity, not a bug)")
 

@@ -274,16 +274,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # Bytes the demo peaks at, under tracemalloc in process with the scratch pool
-# emptied first, on 2,000 to 96,000 points.  Each cloud keeps 48 per point
-# beside its float64 features (its int64 voxel, row and label, and float64
-# offsets) and 16 per voxel (its int64 counts and occupied ids).  Beyond the
-# clouds, the tap rows and the cached block outputs, a training step or the
-# equivariance check held 4.0-5.9 float64 arrays of (points, widest channels),
-# and the attention backward up to 4 of (latents, points).  The pool keeps
-# step arrays, up to arrays.POOL_BYTES, across steps.  The count read 1.20-1.33
-# times the peak at D = 8; it counts the tap rows of min(points, D**3)
-# occupied voxels, which blob scenes do not reach at D = 16 and 32.
-CLOUD_BYTES_PER_POINT = 48
+# emptied first, on 2,000 to 96,000 points.  Each cloud keeps 24 per point
+# beside its float64 features (int64 voxel, row and label; 24.0-25.2 measured)
+# and 16 per occupied voxel (int64 counts and ids); voxelizing counts all D**3
+# voxels in int64.  Beyond these, the tap rows and the cached block outputs, a
+# step or the equivariance check held 4.0-5.9 float64 (points, widest channels)
+# arrays, the attention backward up to 4 of (latents, points), and the pool its
+# step arrays up to arrays.POOL_BYTES.  The count read 1.26-1.41 times the peak
+# at D = 8 on 4,000 to 32,000 points; its tap rows of min(points, D**3) voxels
+# exceed what blob scenes occupy at D = 16 and 32.
+CLOUD_BYTES_PER_POINT = 24
 CLOUD_BYTES_PER_VOXEL = 16
 STEP_ARRAYS = 6
 ATTENTION_ARRAYS = 4
@@ -314,9 +314,9 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
     widest = max(width, args.blobs)  # the logits have one channel per blob
     step = 8 * STEP_ARRAYS * n_points * widest
     sizes = [
-        # each cloud's voxel counts; a convolution's tap rows and products
+        # one count of every voxel; each cloud's occupied voxels; a convolution's tap rows and products
         ("res", "its voxel counts and kernel-tap rows need",
-         clouds * CLOUD_BYTES_PER_VOXEL * args.res ** 3 + 8 * 2 * taps * min(n_points, args.res ** 3) * widest),
+         8 * args.res ** 3 + (clouds * CLOUD_BYTES_PER_VOXEL + 8 * 2 * taps * widest) * min(n_points, args.res ** 3)),
         ("points_per_blob", f"{clouds} clouds of {n_points} points and a training step over them need",
          clouds * (CLOUD_BYTES_PER_POINT + 8 * FEATURE_CHANNELS) * n_points + step + min(POOL_BYTES, step)),
         ("attention", "its interaction weights and soft assignments need",

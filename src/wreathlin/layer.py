@@ -79,23 +79,27 @@ FOLD_MIN_OUTPUTS = 2 ** 14
 @dataclass(frozen=True)
 class EquivariantLayer:
     structure: Structure
-    c_in: int
-    c_out: int
     weights: np.ndarray  # (num_orbits, c_in, c_out)
     bias: np.ndarray | None = None  # (c_out,)
 
     def __post_init__(self) -> None:
-        if self.c_in < 1 or self.c_out < 1:
-            raise ValueError("channel counts must be at least 1")
         # copies, so a caller writing into its arrays changes neither the weights nor the compiled map
         freeze_field(self, "weights", self.weights)
-        expected = (structure_orbit_count(self.structure), self.c_in, self.c_out)
-        if self.weights.shape != expected:
-            raise ValueError(f"weights shape {self.weights.shape} != {expected}")
+        n_orbits = structure_orbit_count(self.structure)
+        if self.weights.ndim != 3 or self.weights.shape[0] != n_orbits or min(self.weights.shape[1:]) < 1:
+            raise ValueError(f"weights shape {self.weights.shape} is not ({n_orbits}, c_in >= 1, c_out >= 1)")
         if self.bias is not None:
             freeze_field(self, "bias", self.bias)
             if self.bias.shape != (self.c_out,):
                 raise ValueError(f"bias shape {self.bias.shape} != ({self.c_out},)")
+
+    @property
+    def c_in(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def c_out(self) -> int:
+        return self.weights.shape[2]
 
     @property
     def degree(self) -> int:
@@ -119,7 +123,7 @@ def random_layer(
     s = 1.0 / np.sqrt(c_in)
     w = rng.uniform(-s, s, size=(n_orbits, c_in, c_out))
     b = rng.uniform(-s, s, size=c_out) if bias else None
-    return EquivariantLayer(structure, c_in, c_out, w, b)
+    return EquivariantLayer(structure, w, b)
 
 
 def _cycle_lengths(expr: Structure) -> tuple[int, ...] | None:

@@ -8,13 +8,14 @@ The basic layer maps point features ``X`` to
 
 where ``mean_pool`` averages the points of each voxel, ``conv`` is a
 circular 3-D convolution over the ``D x D x D`` grid, and ``gather`` hands
-each point the value of its voxel.  Only occupied voxels hold a row; every
-other voxel is zero, and since each point reads only its own voxel, cost and
-memory follow the occupied voxels, not ``D**3``.  The global-pool ablation is
-the same layer over a single voxel: every point assigned to the one cell of
-a ``D = 1`` grid, whatever grid the cloud was voxelized into.  An attention
-variant replaces the hard voxel assignment with a learned soft one and is
-equivariant to arbitrary reorderings of the points.
+each point the value of its voxel.  A ``VoxelizedCloud`` is the points'
+voxel ids and what follows from them.  Only occupied voxels hold a row; every
+other voxel is zero, and since each point reads only its own voxel, cost
+and memory follow the occupied voxels, not ``D**3``.  The global-pool
+ablation is the same layer over a single voxel: every point assigned to the
+one cell of a ``D = 1`` grid, whatever grid the cloud was voxelized into.  An
+attention variant replaces the hard voxel assignment with a learned soft one
+and is equivariant to arbitrary reorderings of the points.
 
 Each layer class owns its ``forward`` and its ``backward``, and with them the
 cache that passes between the two.  Both return arrays that share memory
@@ -100,20 +101,18 @@ class PointCloud:
 class VoxelizedCloud:
     """Hard assignment of points to a ``D**3`` voxel grid.
 
-    ``assignment[i]`` is the flat voxel index ``ix * D**2 + iy * D + iz``;
-    ``rel_coords`` are positions relative to the assigned voxel center, in
-    voxel units, each component in ``[-0.5, 0.5]``.  Derived: ``occupied``,
+    ``assignment[i]`` is the flat voxel id ``ix * D**2 + iy * D + iz`` of point
+    ``i``, in ``0 .. D**3 - 1``.  Derived from one count per voxel: ``occupied``,
     the ascending ids of voxels with a point, which per-voxel ``(n_occ, c)``
-    rows follow, and ``point_row[i]``, the row of point ``i``'s voxel.  Its
-    arrays are read-only, so each ``neighbour_table`` is built once per
-    kernel width and kept with the cloud, as is ``one_voxel``.
+    rows follow, ``counts``, the points in each, and ``point_row[i]``, the row
+    of point ``i``'s voxel.  Its arrays are read-only, so each
+    ``neighbour_table`` is built once per kernel width and kept with the cloud.
     """
 
     resolution: int
     assignment: np.ndarray  # (n,)
-    rel_coords: np.ndarray  # (n, 3)
-    occupancy: np.ndarray  # (D**3,)
     occupied: np.ndarray = field(init=False)  # (n_occ,)
+    counts: np.ndarray = field(init=False)  # (n_occ,)
     point_row: np.ndarray = field(init=False)  # (n,)
     # kernel width -> neighbour_table
     _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
@@ -122,10 +121,13 @@ class VoxelizedCloud:
         if self.resolution < 1:
             raise InvalidDegreeError("resolution must be at least 1")
         freeze_field(self, "assignment", self.assignment, dtype=np.int64)
-        freeze_field(self, "rel_coords", self.rel_coords)
-        freeze_field(self, "occupancy", self.occupancy, dtype=np.int64)
-        freeze_field(self, "occupied", np.flatnonzero(self.occupancy), dtype=np.int64)
-        freeze_field(self, "point_row", np.searchsorted(self.occupied, self.assignment), dtype=np.int64)
+        ids, voxels = self.assignment, self.resolution ** 3
+        if ids.ndim != 1 or (ids.size and not 0 <= ids.min() <= ids.max() < voxels):
+            raise ValueError(f"assignment must be a 1-D array of voxel ids in 0 .. {voxels - 1}")
+        per_voxel = np.bincount(ids, minlength=voxels)
+        freeze_field(self, "occupied", np.flatnonzero(per_voxel), dtype=np.int64)
+        freeze_field(self, "counts", per_voxel[self.occupied], dtype=np.int64)
+        freeze_field(self, "point_row", np.searchsorted(self.occupied, ids), dtype=np.int64)
 
     @property
     def n_points(self) -> int:
@@ -135,16 +137,21 @@ class VoxelizedCloud:
     def one_voxel(self) -> VoxelizedCloud:
         """The same points all assigned to the single voxel of a ``D = 1`` grid,
         built once per cloud, so its ``neighbour_table`` is too."""
-        return VoxelizedCloud(1, np.zeros(self.n_points, dtype=np.int64), self.rel_coords, np.array([self.n_points]))
+        return VoxelizedCloud(1, np.zeros(self.n_points, dtype=np.int64))
 
 
-def voxelize(cloud: PointCloud, resolution: int) -> VoxelizedCloud:
-    """Scale the cloud's bounding box to ``[0, D)**3`` and bin the points.
+def voxelize(cloud: PointCloud, resolution: int) -> tuple[VoxelizedCloud, np.ndarray]:
+    """Scale the cloud's bounding box to ``[0, D)**3`` and bin the points; return
+    the voxelization and the ``(n, 3)`` offsets from the voxel centers, in
+    voxel units.  A degenerate extent along an axis is treated as one unit
+    wide, with the points at the center of the first cell on that axis (so
+    identical points get zero offsets).  Points on the upper boundary land in
+    the last voxel.
 
-    A degenerate extent along an axis is treated as one unit wide, with the
-    points sitting at the center of the first cell on that axis (so identical
-    points get zero offsets).  Points on the upper boundary land in the last
-    voxel.
+    >>> coords = np.array([[0, 0, 0], [0.25, 0, 0], [1, 1, 1]])
+    >>> vox, offsets = voxelize(PointCloud(coords, coords), 2)
+    >>> vox.assignment.tolist(), vox.counts.tolist(), offsets.tolist()
+    ([0, 0, 7], [2, 1], [[-0.5, -0.5, -0.5], [0.0, -0.5, -0.5], [0.5, 0.5, 0.5]])
     """
     if resolution < 1:
         raise InvalidDegreeError("resolution must be at least 1")
@@ -155,10 +162,8 @@ def voxelize(cloud: PointCloud, resolution: int) -> VoxelizedCloud:
     scaled = (coords - lo) / np.where(degenerate, 1.0, extent) * resolution
     scaled[:, degenerate] = 0.5
     idx = np.minimum(np.floor(scaled).astype(np.int64), resolution - 1)
-    rel = scaled - (idx + 0.5)
     flat = np.ravel_multi_index(idx.T, (resolution,) * 3)
-    occupancy = np.bincount(flat, minlength=resolution ** 3)
-    return VoxelizedCloud(resolution=resolution, assignment=flat, rel_coords=rel, occupancy=occupancy)
+    return VoxelizedCloud(resolution, flat), scaled - (idx + 0.5)
 
 
 def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
@@ -188,7 +193,7 @@ def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
 
 def mean_pool(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
     """Mean of point values per occupied voxel, ``(n_occ, c)``."""
-    return voxel_sum(vox, x) / vox.occupancy[vox.occupied][:, None]
+    return voxel_sum(vox, x) / vox.counts[:, None]
 
 
 def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray, add_to: np.ndarray) -> np.ndarray:
@@ -298,7 +303,7 @@ class WreathPCLayer:
         d_w_conv = conv3d_kernel_grad(pooled, d_conv, table)
         flipped = self.w_conv[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3)
         d_pooled = conv3d_periodic(flipped, d_conv, table)
-        gather_to_points(vox, d_pooled / vox.occupancy[vox.occupied][:, None], d_x)
+        gather_to_points(vox, d_pooled / vox.counts[:, None], d_x)
         return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 
@@ -382,15 +387,12 @@ def shift_assignment(vox: VoxelizedCloud, shifts: tuple[int, int, int]) -> Voxel
     """Relabel voxels by a cyclic shift per axis; points do not move."""
     D = vox.resolution
     idx = np.unravel_index(vox.assignment, (D, D, D))
-    flat = np.ravel_multi_index([(i + s) % D for i, s in zip(idx, shifts)], (D, D, D))
-    occupancy = np.bincount(flat, minlength=D ** 3)
-    return VoxelizedCloud(D, flat, vox.rel_coords, occupancy)
+    return VoxelizedCloud(D, np.ravel_multi_index([(i + s) % D for i, s in zip(idx, shifts)], (D, D, D)))
 
 
 def permute_points(vox: VoxelizedCloud, order: np.ndarray) -> VoxelizedCloud:
     """Reorder the point rows of the voxelization by ``order``."""
-    order = np.asarray(order)
-    return VoxelizedCloud(vox.resolution, vox.assignment[order], vox.rel_coords[order], vox.occupancy)
+    return VoxelizedCloud(vox.resolution, vox.assignment[np.asarray(order)])
 
 
 def within_voxel_permutation(vox: VoxelizedCloud, rng: np.random.Generator) -> np.ndarray:
@@ -398,8 +400,7 @@ def within_voxel_permutation(vox: VoxelizedCloud, rng: np.random.Generator) -> n
     order = np.arange(vox.n_points)
     # a stable sort keeps each voxel's run of members in ascending point order
     by_voxel = np.argsort(vox.assignment, kind="stable")
-    starts = np.flatnonzero(np.diff(vox.assignment[by_voxel])) + 1
-    for members in np.split(by_voxel, starts):
+    for members in np.split(by_voxel, np.cumsum(vox.counts)[:-1]):
         order[members] = rng.permutation(members)
     return order
 
@@ -424,15 +425,9 @@ def sample_blob_cloud(
     ``noise`` is the standard deviation in voxel units.  Features are the
     noisy coordinates themselves.
     """
-    sigma = noise / resolution
-    coords = []
-    labels = []
-    for b, center in enumerate(centers):
-        pts = center + sigma * rng.standard_normal((points_per_blob, 3))
-        coords.append(pts)
-        labels.extend([b] * points_per_blob)
-    coords = np.clip(np.concatenate(coords), 0.0, 1.0)
-    return PointCloud(coords=coords, features=coords.copy(), labels=np.asarray(labels))
+    blobs = [center + noise / resolution * rng.standard_normal((points_per_blob, 3)) for center in centers]
+    coords = np.clip(np.concatenate(blobs), 0.0, 1.0)
+    return PointCloud(coords=coords, features=coords, labels=np.repeat(np.arange(len(centers)), points_per_blob))
 
 
 def format_predictions(labels: np.ndarray) -> str:

@@ -242,9 +242,9 @@ def make_seg_samples(
     samples = []
     for _ in range(n_samples):
         cloud = sample_blob_cloud(centers, points_per_blob, noise, resolution, rng)
-        vox = voxelize(cloud, resolution)
+        vox, offsets = voxelize(cloud, resolution)
         noisy = cloud.coords + feature_noise * rng.normal(size=cloud.coords.shape)
-        samples.append((vox, np.hstack([noisy, vox.rel_coords]), cloud.labels))
+        samples.append((vox, np.hstack([noisy, offsets]), cloud.labels))
     return samples
 
 

@@ -89,7 +89,7 @@ def test_layer_gradients_are_keyed_by_the_layer_fields():
     }
     assert set(layers) == set(typing.get_args(pc.PCLayer))
     cloud = pc.PointCloud(coords=rng.uniform(size=(10, 3)), features=rng.normal(size=(10, 4)))
-    vox = pc.voxelize(cloud, 2)
+    vox, _ = pc.voxelize(cloud, 2)
     for cls, layer in layers.items():
         assert type(layer) is cls
         y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
@@ -115,7 +115,7 @@ def test_wreath_layer_calls_the_pooled_primitives_through_the_module(monkeypatch
         monkeypatch.setattr(pc, name, counting(name, getattr(pc, name)))
     rng = np.random.default_rng(1)
     cloud = pc.PointCloud(coords=rng.uniform(size=(30, 3)), features=rng.normal(size=(30, 4)))
-    vox = pc.voxelize(cloud, 4)
+    vox, _ = pc.voxelize(cloud, 4)
     layer = init_wreath_layer(4, 3, 3, rng)
     y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
     pc.layer_backward(layer, vox, cache, np.ones_like(y))

@@ -489,14 +489,14 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize("bad, message", [
     (["--attention", "40"],
      "--attention 40 is too large: its interaction weights and soft assignments need 842240 bytes, "
-     "873792 in all"),
+     "869968 in all"),
     (["--points-per-blob", "1000"],
      "--points-per-blob 1000 is too large: 9 clouds of 3000 points and a training step over them need "
-     "4896000 bytes, 4898176 in all"),
+     "4248000 bytes, 4250240 in all"),
     (["--blocks", "100"],
-     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 249152 in all"),
+     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 245328 in all"),
     (["--attention", "8", "--blocks", "30"],
-     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 134208 in all"),
+     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 130384 in all"),
 ])
 def test_demo_sizes_beyond_memory_exit_two_before_writing(tmp_path, capsys, monkeypatch, bad, message):
     # a 100 kB machine: each size below is small enough to run, but not there;

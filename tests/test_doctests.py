@@ -20,3 +20,4 @@ def test_docstring_examples(name):
 def test_docstring_examples_exist():
     counts = {name: doctest.testmod(importlib.import_module(name)).attempted for name in MODULES}
     assert counts["wreathlin.perm"] >= 7 and counts["wreathlin.structure"] >= 2 and counts["wreathlin.basis"] >= 1
+    assert counts["wreathlin.pointcloud"] >= 1

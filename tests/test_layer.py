@@ -20,11 +20,9 @@ from memory import traced_peak
 from strategies import structure_trees
 
 
-def make_layer(text, weights, c_in=1, c_out=1, bias=None):
+def make_layer(text, weights, bias=None):
     return EquivariantLayer(
         structure=parse_structure(text),
-        c_in=c_in,
-        c_out=c_out,
         weights=np.asarray(weights, dtype=np.float64),
         bias=None if bias is None else np.asarray(bias, dtype=np.float64),
     )
@@ -46,6 +44,14 @@ def test_zero_weights_give_zero_output():
 def test_weights_first_dimension_checked():
     with pytest.raises(ValueError):
         make_layer("S(3)", np.zeros((3, 1, 1)))
+
+
+def test_channel_counts_are_the_weights_shape():
+    layer = make_layer("S(3)", np.zeros((2, 4, 5)))
+    assert (layer.c_in, layer.c_out) == (4, 5)
+    for weights in (np.zeros((2, 0, 1)), np.zeros((2, 1, 0)), np.zeros((2, 1)), np.zeros((2, 1, 1, 1))):
+        with pytest.raises(ValueError, match=r"is not \(2, c_in >= 1, c_out >= 1\)"):
+            make_layer("S(3)", weights)
 
 
 def test_fast_path_matches_dense_on_mixed_hierarchy():
@@ -79,7 +85,7 @@ def test_linearity():
 
 
 def test_bias_is_added_per_output_channel():
-    layer = make_layer("S(2)", np.zeros((2, 1, 2)), c_in=1, c_out=2, bias=[1.0, -2.0])
+    layer = make_layer("S(2)", np.zeros((2, 1, 2)), bias=[1.0, -2.0])
     y = apply(layer, np.zeros((2, 1)))
     assert np.array_equal(y, np.array([[1.0, -2.0], [1.0, -2.0]]))
 
@@ -216,7 +222,7 @@ def test_cycles_within_the_budget_multiply_by_their_full_map(text, kernel):
 def test_layer_owns_its_weights_and_bias():
     rng = np.random.default_rng(14)
     base_w, base_b = rng.normal(size=(2, 4, 1, 2)), rng.normal(size=(2, 2))
-    layer = make_layer("C(4)", base_w[0], c_out=2, bias=base_b[1])  # contiguous views of writable arrays
+    layer = make_layer("C(4)", base_w[0], bias=base_b[1])  # contiguous views of writable arrays
     x = rng.normal(size=(4, 1))
     y, w, b = apply(layer, x), layer.weights.copy(), layer.bias.copy()
     base_w[...] = 0.0

@@ -46,36 +46,36 @@ def test_point_cloud_validates_shapes():
 
 
 def test_voxelize_single_point():
-    vox = voxelize(PointCloud(coords=np.array([[5.0, -2.0, 9.0]]), features=np.zeros((1, 1))), 3)
+    vox, offsets = voxelize(PointCloud(coords=np.array([[5.0, -2.0, 9.0]]), features=np.zeros((1, 1))), 3)
     assert vox.assignment[0] == 0
-    assert np.all(vox.rel_coords == 0)
+    assert np.all(offsets == 0)
 
 
 def test_voxelize_cube_corners():
     corners = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    vox = voxelize(PointCloud(coords=corners, features=np.zeros((8, 1))), 2)
+    vox, _ = voxelize(PointCloud(coords=corners, features=np.zeros((8, 1))), 2)
     assert sorted(vox.assignment.tolist()) == list(range(8))
 
 
 def test_voxelize_identical_points():
-    vox = voxelize(PointCloud(coords=np.full((5, 3), 0.7), features=np.zeros((5, 1))), 4)
+    vox, offsets = voxelize(PointCloud(coords=np.full((5, 3), 0.7), features=np.zeros((5, 1))), 4)
     assert len(set(vox.assignment.tolist())) == 1
-    assert np.all(vox.rel_coords == 0)
+    assert np.all(offsets == 0)
 
 
 def test_voxelize_offsets_bounded_and_occupancy_total():
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng, n=60)
-    vox = voxelize(cloud, 3)
-    assert np.all(np.abs(vox.rel_coords) <= 0.5 + 1e-12)
-    assert vox.occupancy.sum() == 60
+    vox, offsets = voxelize(cloud, 3)
+    assert np.all(np.abs(offsets) <= 0.5 + 1e-12)
+    assert vox.counts.sum() == 60
     assert vox.assignment.min() >= 0 and vox.assignment.max() < 27
 
 
 def test_mean_pool_and_gather():
     coords = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.9, 0.9, 0.9]])
     cloud = PointCloud(coords=coords, features=np.array([[2.0], [4.0], [10.0]]))
-    vox = voxelize(cloud, 2)
+    vox, _ = voxelize(cloud, 2)
     # only the two occupied voxels get a row, in ascending voxel order
     assert vox.occupied.tolist() == [0, 7]
     assert vox.point_row.tolist() == [0, 0, 1]
@@ -87,13 +87,28 @@ def test_mean_pool_and_gather():
 
 def test_occupied_rows_are_read_only_and_derived():
     rng = np.random.default_rng(17)
-    vox = voxelize(random_cloud(rng, n=40), 4)
-    assert np.array_equal(vox.occupied, np.flatnonzero(vox.occupancy))
+    vox, _ = voxelize(random_cloud(rng, n=40), 4)
+    assert np.array_equal(vox.occupied, np.flatnonzero(np.bincount(vox.assignment, minlength=4 ** 3)))
     assert np.array_equal(vox.occupied[vox.point_row], vox.assignment)
     assert not vox.occupied.flags.writeable and not vox.point_row.flags.writeable
     # on a fully occupied grid the rows are the voxel ids themselves
-    full = voxelize(random_cloud(rng, n=40), 1)
+    full, _ = voxelize(random_cloud(rng, n=40), 1)
     assert np.array_equal(full.point_row, full.assignment)
+
+
+def test_counts_and_rows_follow_the_assignment():
+    vox = VoxelizedCloud(2, [0, 0, 7])
+    assert vox.occupied.tolist() == [0, 7] and vox.counts.tolist() == [2, 1] and vox.point_row.tolist() == [0, 0, 1]
+    assert not vox.counts.flags.writeable
+    # two points in two voxels pool apart: with unit weights each point adds its own value
+    layer = WreathPCLayer(w_point=np.ones((1, 1)), w_conv=np.ones((1, 1, 1, 1, 1)))
+    assert layer.forward(VoxelizedCloud(2, [0, 7]), np.array([[1.0], [2.0]]))[0].tolist() == [[2.0], [4.0]]
+
+
+@pytest.mark.parametrize("assignment", [[0, -1], [0, 8], [[0, 1], [1, 0]]], ids=["negative", "D**3", "2-D"])
+def test_voxelized_cloud_rejects_malformed_ids(assignment):
+    with pytest.raises(ValueError, match=r"^assignment must be a 1-D array of voxel ids in 0 \.\. 7$"):
+        VoxelizedCloud(2, np.array(assignment))
 
 
 def test_value_objects_own_their_arrays():
@@ -101,11 +116,11 @@ def test_value_objects_own_their_arrays():
     caller's array alone: the cloud, the voxelization with its derived rows
     and the layer keep the values they were built with."""
     rng = np.random.default_rng(18)
-    vox = voxelize(random_cloud(rng, n=40), 4)
+    vox, _ = voxelize(random_cloud(rng, n=40), 4)
     given = vox.assignment.copy(), rng.uniform(size=(40, 3)), rng.normal(size=(4, 2))
     before = [a.copy() for a in given]
     views = [a[:] for a in given]
-    held = VoxelizedCloud(4, given[0], vox.rel_coords, vox.occupancy)
+    held = VoxelizedCloud(4, given[0])
     cloud = PointCloud(coords=given[1], features=np.zeros((40, 1)))
     layer = WreathPCLayer(given[2], np.zeros((3, 3, 3, 4, 2)))
     for view in views:
@@ -118,12 +133,12 @@ def test_value_objects_own_their_arrays():
 def test_mean_pool_is_duplication_invariant():
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, n=20, c=3)
-    vox = voxelize(cloud, 2)
+    vox, _ = voxelize(cloud, 2)
     pooled = mean_pool(vox, cloud.features)
     dup = PointCloud(
         coords=np.vstack([cloud.coords] * 3), features=np.vstack([cloud.features] * 3)
     )
-    vox_dup = voxelize(dup, 2)
+    vox_dup, _ = voxelize(dup, 2)
     assert np.allclose(mean_pool(vox_dup, dup.features), pooled)
 
 
@@ -138,12 +153,12 @@ def dense_voxel_sum(vox, x):
 def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n):
     rng = np.random.default_rng(n)
     cloud = random_cloud(rng, n=n, c=5)
-    vox = voxelize(cloud, 8)
+    vox, _ = voxelize(cloud, 8)
     acc = np.zeros((8 ** 3, 5))
     np.add.at(acc, vox.assignment, cloud.features)
     assert np.array_equal(dense_voxel_sum(vox, cloud.features), acc)
     assert np.array_equal(voxel_sum(vox, cloud.features), acc[vox.occupied])
-    pooled = acc / np.maximum(vox.occupancy, 1)[:, None]
+    pooled = acc / np.maximum(np.bincount(vox.assignment, minlength=8 ** 3), 1)[:, None]
     assert np.array_equal(mean_pool(vox, cloud.features), pooled[vox.occupied])
 
 
@@ -176,8 +191,7 @@ def cloud_on(D, voxels, rng):
     """A voxelized cloud with one to three points in each of the given voxels."""
     ids = np.ravel_multi_index(np.asarray(voxels).T, (D,) * 3)
     assignment = rng.permutation(np.repeat(ids, rng.integers(1, 4, size=len(ids))))
-    occupancy = np.bincount(assignment, minlength=D ** 3)
-    return VoxelizedCloud(D, assignment, np.zeros((len(assignment), 3)), occupancy)
+    return VoxelizedCloud(D, assignment)
 
 
 def random_occupied(D, share, rng):
@@ -244,7 +258,7 @@ def test_neighbour_table_is_built_once_per_cloud_and_width():
     assert neighbour_table(vox, 3) is table and neighbour_table(vox, 5) is not table
     with pytest.raises(ValueError):
         table[0, 0, 0, 0] = 0  # read-only, so no caller can change what the next one reads
-    fresh = VoxelizedCloud(vox.resolution, vox.assignment, vox.rel_coords, vox.occupancy)
+    fresh = VoxelizedCloud(vox.resolution, vox.assignment)
     assert np.array_equal(neighbour_table(fresh, 3), table)
     layer = WreathPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(3, 3, 3, 2, 3)))
     x, d_y = rng.normal(size=(vox.n_points, 2)), rng.normal(size=(vox.n_points, 3))
@@ -338,7 +352,7 @@ def dense_wreath_layer(layer, vox, x, d_y):
     """Dense reference ``WreathPCLayer`` forward and backward, over all
     ``D**3`` voxels with empty ones pooled to zero."""
     D, K = vox.resolution, layer.w_conv.shape[0]
-    counts = np.maximum(vox.occupancy, 1)[:, None]
+    counts = np.maximum(np.bincount(vox.assignment, minlength=D ** 3), 1)[:, None]
     grid = (dense_voxel_sum(vox, x) / counts).reshape(D, D, D, layer.c_in)
     y = x @ layer.w_point
     y += dense_conv(layer.w_conv, grid).reshape(D ** 3, layer.c_out)[vox.assignment]
@@ -354,7 +368,7 @@ def dense_wreath_layer(layer, vox, x, d_y):
 def test_wreath_layer_matches_the_dense_layer_bit_for_bit(D, K):
     rng = np.random.default_rng(D * K)
     cloud = random_cloud(rng, n=60, c=4)
-    vox = voxelize(cloud, D)
+    vox, _ = voxelize(cloud, D)
     assert 1 < len(vox.occupied) < D ** 3
     layer = WreathPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(K, K, K, 4, 3)))
     d_y = rng.normal(size=(60, 3))
@@ -371,7 +385,7 @@ def test_wreath_layer_memory_follows_the_occupied_voxels():
     rng = np.random.default_rng(18)
     D, c = 64, 8
     cloud = random_cloud(rng, n=50, c=c)
-    vox = voxelize(cloud, D)
+    vox, _ = voxelize(cloud, D)
     layer = WreathPCLayer(w_point=rng.normal(size=(c, c)), w_conv=rng.normal(size=(3, 3, 3, c, c)))
     d_y = rng.normal(size=(50, c))
     layer.backward(vox, layer.forward(vox, cloud.features)[1], d_y)
@@ -385,7 +399,7 @@ def test_chunks_of_one_row_give_the_one_call_bits(monkeypatch):
     elementwise."""
     rng = np.random.default_rng(24)
     cloud = random_cloud(rng, n=400, c=3)
-    vox = voxelize(cloud, 5)
+    vox, _ = voxelize(cloud, 5)
     layer = WreathPCLayer(w_point=rng.normal(size=(3, 4)), w_conv=rng.normal(size=(3, 3, 3, 3, 4)))
     d_y = rng.normal(size=(400, 4))
     runs = []
@@ -405,7 +419,7 @@ def test_wreath_layer_holds_chunks_of_points_not_all_of_them():
     rng = np.random.default_rng(24)
     n, c = 50_000, 16
     cloud = random_cloud(rng, n=n, c=c)
-    vox = voxelize(cloud, 8)
+    vox, _ = voxelize(cloud, 8)
     layer = WreathPCLayer(w_point=rng.normal(size=(c, c)), w_conv=rng.normal(size=(3, 3, 3, c, c)))
     d_y = rng.normal(size=(n, c))
     layer.forward(vox, cloud.features)  # builds the neighbour table
@@ -418,7 +432,7 @@ def test_wreath_layer_holds_chunks_of_points_not_all_of_them():
 def test_zero_kernel_identity_mixing_is_identity():
     rng = np.random.default_rng(5)
     cloud = random_cloud(rng, n=25, c=3)
-    vox = voxelize(cloud, 3)
+    vox, _ = voxelize(cloud, 3)
     layer = WreathPCLayer(w_point=np.eye(3), w_conv=np.zeros((3, 3, 3, 3, 3)))
     assert np.array_equal(pc_layer_forward(layer, vox, cloud.features)[0], cloud.features)
 
@@ -429,7 +443,7 @@ def test_single_occupancy_unit_kernel_collapses_to_pointwise_map():
     rng = np.random.default_rng(6)
     coords = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     cloud = PointCloud(coords=coords, features=rng.normal(size=(8, 3)))
-    vox = voxelize(cloud, 2)
+    vox, _ = voxelize(cloud, 2)
     layer = WreathPCLayer(
         w_point=rng.normal(size=(3, 2)), w_conv=rng.normal(size=(1, 1, 1, 3, 2))
     )
@@ -443,7 +457,7 @@ def test_wreath_layer_hierarchy_equivariance():
         D = int(rng.integers(2, 5))
         K = 3 if D >= 3 else 1
         cloud = random_cloud(rng, n=int(rng.integers(5, 40)))
-        vox = voxelize(cloud, D)
+        vox, _ = voxelize(cloud, D)
         layer = WreathPCLayer(
             w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(K, K, K, 4, 3))
         )
@@ -467,7 +481,7 @@ def scan_within_voxel_permutation(vox, rng):
 
 @pytest.mark.parametrize("n", [1, 30, 4_000, 100_000])
 def test_within_voxel_permutation_draws_as_the_scan_did(n):
-    vox = voxelize(random_cloud(np.random.default_rng(n), n=n, c=1), 16)
+    vox, _ = voxelize(random_cloud(np.random.default_rng(n), n=n, c=1), 16)
     got = within_voxel_permutation(vox, np.random.default_rng(7))
     assert np.array_equal(got, scan_within_voxel_permutation(vox, np.random.default_rng(7)))
 
@@ -475,7 +489,7 @@ def test_within_voxel_permutation_draws_as_the_scan_did(n):
 def test_set_layer_permutation_equivariance():
     rng = np.random.default_rng(8)
     cloud = random_cloud(rng, n=15)
-    vox = voxelize(cloud, 2)
+    vox, _ = voxelize(cloud, 2)
     layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(1, 1, 1, 4, 3)))
     y = pc_layer_forward(layer, vox, cloud.features)[0]
     order = rng.permutation(15)
@@ -486,7 +500,7 @@ def test_set_layer_permutation_equivariance():
 def test_set_layer_reuses_its_one_voxel_cloud():
     rng = np.random.default_rng(9)
     cloud = random_cloud(rng, n=30)
-    vox = voxelize(cloud, 3)
+    vox, _ = voxelize(cloud, 3)
     layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(1, 1, 1, 4, 3)))
     y, cache = layer.forward(vox, cloud.features)
     one = vox.one_voxel
@@ -504,8 +518,8 @@ def test_set_layer_is_the_global_mean_pool_closed_form():
     rng = np.random.default_rng(10)
     n = 40
     cloud = random_cloud(rng, n=n)
-    vox = voxelize(cloud, 3)
-    assert np.count_nonzero(vox.occupancy) > 1
+    vox, _ = voxelize(cloud, 3)
+    assert len(vox.occupied) > 1
     w_point, w_conv = rng.normal(size=(4, 3)), rng.normal(size=(1, 1, 1, 4, 3))
     layer = SetPCLayer(w_point=w_point, w_conv=w_conv)
     x, d_y = cloud.features, rng.normal(size=(n, 3))
@@ -519,7 +533,7 @@ def test_set_layer_is_the_global_mean_pool_closed_form():
     np.testing.assert_allclose(d_x, d_y @ w_point.T + (w_pool @ d_y.sum(axis=0)) / n, rtol=1e-12)
 
     # the layer ignores the grid: a shifted or coarser voxelization changes nothing
-    for other in (shift_assignment(vox, (1, 2, 0)), voxelize(cloud, 2)):
+    for other in (shift_assignment(vox, (1, 2, 0)), voxelize(cloud, 2)[0]):
         y_other, cache_other = layer.forward(other, x)
         assert np.array_equal(y_other, y)
         grads_other, d_x_other = layer.backward(other, cache_other, d_y)
@@ -546,7 +560,7 @@ def assert_engine_layer(layer, vox, text, used):
             assert constant_on_orbits(dense[:, :, ci, co], pattern)
             assert len(np.unique(pattern.orbit_id[dense[:, :, ci, co] != 0])) == used
     rows, cols, _ = orbit_index(expr)
-    engine = EquivariantLayer(expr, c_in, c_out, dense[rows, cols])
+    engine = EquivariantLayer(expr, dense[rows, cols])
     x = np.random.default_rng(n).normal(size=(n, c_in))
     np.testing.assert_allclose(apply(engine, x), layer.forward(vox, x)[0], rtol=0, atol=1e-12)
 
@@ -559,14 +573,55 @@ def test_voxel_layer_is_the_engines_wreath_map(D, K, q):
     of its kernel window besides the centre, ``K**3 + 1`` of the
     structure's ``D**3 + 1`` orbits."""
     rng = np.random.default_rng(D * 100 + K * 10 + q)
-    vox = VoxelizedCloud(D, np.repeat(np.arange(D ** 3), q), np.zeros((q * D ** 3, 3)), np.full(D ** 3, q))
+    vox = VoxelizedCloud(D, np.repeat(np.arange(D ** 3), q))
     layer = WreathPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(K, K, K, 2, 3)))
     assert_engine_layer(layer, vox, f"wr(S({q}),prod(C({D}),prod(C({D}),C({D}))))", K ** 3 + 1)
 
 
+def coefficient_map_weights(layer, D, q, expr, sign=1):
+    """The engine weights of ``wr(S(q), prod(C(D), prod(C(D), C(D))))`` that
+    ``layer`` is on ``q`` points per voxel, built from its own weights:
+    ``w_point + w_conv[centre] / q`` on each voxel's own diagonal and
+    ``w_conv[centre] / q`` off it; between voxels, tap ``a`` at voxel offset
+    ``sign * (a - K // 2) mod D`` on each axis, divided by ``q``, and zero
+    outside the kernel window.  They are listed by ``wr`` candidate (the two
+    inner orbits of the outer diagonal, then each outer offset besides zero,
+    ``ix * D**2 + iy * D + iz``) and mapped to canonical order by the rank
+    ``orbit_index`` gives."""
+    K = layer.w_conv.shape[0]
+    per_candidate = np.zeros((D ** 3 + 1,) + layer.w_point.shape)
+    centre = layer.w_conv[K // 2, K // 2, K // 2] / q
+    per_candidate[0], per_candidate[1] = layer.w_point + centre, centre
+    for tap in np.ndindex(K, K, K):
+        offset = np.ravel_multi_index([sign * (a - K // 2) % D for a in tap], (D,) * 3)
+        if offset:
+            per_candidate[1 + offset] = layer.w_conv[tap] / q
+    weights = np.empty_like(per_candidate)
+    weights[orbit_index(expr)[2]] = per_candidate
+    return weights
+
+
+@pytest.mark.parametrize("D, K, q", [(3, 3, 2), (4, 3, 3), (5, 3, 2), (3, 1, 4)])
+def test_voxel_layer_is_the_engines_wreath_map_by_its_coefficient_map(D, K, q):
+    """The engine layer built from the voxel layer's weights through the
+    coefficient map applies as ``forward`` does; with each tap's offset
+    negated it does not, so the tap sign is fixed."""
+    rng = np.random.default_rng(D * 100 + K * 10 + q + 1)
+    vox = VoxelizedCloud(D, np.repeat(np.arange(D ** 3), q))
+    layer = WreathPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(K, K, K, 2, 3)))
+    expr = parse_structure(f"wr(S({q}),prod(C({D}),prod(C({D}),C({D}))))")
+    x = rng.normal(size=(vox.n_points, 2))
+    y = layer.forward(vox, x)[0]
+    engine = EquivariantLayer(expr, coefficient_map_weights(layer, D, q, expr))
+    np.testing.assert_allclose(apply(engine, x), y, rtol=0, atol=1e-12)
+    if K > 1:
+        mirrored = EquivariantLayer(expr, coefficient_map_weights(layer, D, q, expr, sign=-1))
+        assert np.abs(apply(mirrored, x) - y).max() > 1e-3
+
+
 def test_set_layer_is_the_engines_set_map():
     rng = np.random.default_rng(11)
-    vox = voxelize(random_cloud(rng, n=9), 3)
+    vox, _ = voxelize(random_cloud(rng, n=9), 3)
     layer = SetPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(1, 1, 1, 2, 3)))
     assert_engine_layer(layer, vox, "S(9)", 2)
 
@@ -637,7 +692,7 @@ def test_attention_zero_interaction_gives_zero():
 def test_segnet_zero_weights_zero_logits():
     rng = np.random.default_rng(12)
     cloud = random_cloud(rng, n=10, c=3)
-    vox = voxelize(cloud, 2)
+    vox, _ = voxelize(cloud, 2)
     blocks = [
         SegBlock(WreathPCLayer(w_point=np.zeros((3, 3)), w_conv=np.zeros((1, 1, 1, 3, 3))),
                  rectify=True),
@@ -650,7 +705,7 @@ def test_segnet_zero_weights_zero_logits():
 def test_segnet_channel_mismatch_raises():
     rng = np.random.default_rng(13)
     cloud = random_cloud(rng, n=6, c=3)
-    vox = voxelize(cloud, 2)
+    vox, _ = voxelize(cloud, 2)
     blocks = [
         SegBlock(WreathPCLayer(w_point=np.zeros((4, 2)), w_conv=np.zeros((1, 1, 1, 4, 2))),
                  rectify=False)
@@ -662,7 +717,7 @@ def test_segnet_channel_mismatch_raises():
 def test_segnet_end_to_end_hierarchy_equivariance():
     rng = np.random.default_rng(14)
     cloud = random_cloud(rng, n=24, c=3)
-    vox = voxelize(cloud, 3)
+    vox, _ = voxelize(cloud, 3)
     blocks = [
         SegBlock(WreathPCLayer(w_point=rng.normal(size=(3, 3)),
                                w_conv=rng.normal(size=(3, 3, 3, 3, 3))), rectify=True),

@@ -48,7 +48,7 @@ from memory import traced_peak
 def toy_batch(seed=0, n=18, c=4, classes=3, res=3):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(coords=rng.uniform(size=(n, 3)), features=rng.normal(size=(n, c)))
-    vox = voxelize(cloud, res)
+    vox, _ = voxelize(cloud, res)
     labels = rng.integers(0, classes, size=n)
     return rng, vox, cloud.features, labels
 
@@ -135,7 +135,7 @@ def test_single_layer_gradient_check(kind):
 def test_full_stack_gradient_check_with_attention():
     rng = np.random.default_rng(2)
     cloud = PointCloud(coords=rng.uniform(size=(24, 3)), features=rng.normal(size=(24, 4)))
-    vox = voxelize(cloud, 3)
+    vox, _ = voxelize(cloud, 3)
     labels = rng.integers(0, 3, size=24)
     blocks = build_segnet(4, 3, 2, 5, 3, rng, attention_latents=3)
     report = gradient_check(blocks, vox, cloud.features, labels, threshold=1e-4)
@@ -147,7 +147,7 @@ def test_sgd_reduces_loss_and_is_deterministic():
     samples = []
     for _ in range(3):
         cloud = PointCloud(coords=rng.uniform(size=(18, 3)), features=rng.normal(size=(18, 4)))
-        samples.append((voxelize(cloud, 3), cloud.features, rng.integers(0, 3, size=18)))
+        samples.append((voxelize(cloud, 3)[0], cloud.features, rng.integers(0, 3, size=18)))
     net = [SegBlock(init_wreath_layer(4, 5, 3, rng), rectify=True),
            SegBlock(init_wreath_layer(5, 3, 3, rng), rectify=False)]
     _, trace_a = sgd_train(net, samples, epochs=4, lr=0.05, seed=9)
@@ -160,7 +160,7 @@ def test_sgd_reduces_loss_and_is_deterministic():
 def test_zero_learning_rate_changes_nothing():
     rng = np.random.default_rng(4)
     cloud = PointCloud(coords=rng.uniform(size=(12, 3)), features=rng.normal(size=(12, 4)))
-    samples = [(voxelize(cloud, 2), cloud.features, rng.integers(0, 2, size=12))]
+    samples = [(voxelize(cloud, 2)[0], cloud.features, rng.integers(0, 2, size=12))]
     net = [SegBlock(init_wreath_layer(4, 2, 1, rng), rectify=False)]
     trained, trace = sgd_train(net, samples, epochs=3, lr=0.0, seed=0)
     assert all(row[1] == trace[0][1] for row in trace)
@@ -171,7 +171,7 @@ def test_divergence_raises():
     # two blocks so a huge step makes the forward pass overflow to non-finite
     rng = np.random.default_rng(5)
     cloud = PointCloud(coords=rng.uniform(size=(12, 3)), features=rng.normal(size=(12, 4)))
-    samples = [(voxelize(cloud, 2), cloud.features, rng.integers(0, 2, size=12))]
+    samples = [(voxelize(cloud, 2)[0], cloud.features, rng.integers(0, 2, size=12))]
     net = [SegBlock(init_wreath_layer(4, 4, 1, rng), rectify=True),
            SegBlock(init_wreath_layer(4, 2, 1, rng), rectify=False)]
     with pytest.raises(TrainingDivergedError):
@@ -182,7 +182,7 @@ def test_divergence_raises():
 def test_training_preserves_hierarchy_equivariance():
     rng = np.random.default_rng(6)
     cloud = PointCloud(coords=rng.uniform(size=(20, 3)), features=rng.normal(size=(20, 4)))
-    vox = voxelize(cloud, 3)
+    vox, _ = voxelize(cloud, 3)
     samples = [(vox, cloud.features, rng.integers(0, 3, size=20))]
     net = [SegBlock(init_wreath_layer(4, 4, 3, rng), rectify=True),
            SegBlock(init_wreath_layer(4, 3, 3, rng), rectify=False)]
