@@ -33,14 +33,18 @@ by up to 6.5e-16 relative.
 dtype.  glibc maps a request of ``2**17`` bytes or more (its default mmap
 threshold) fresh from the kernel, or trims and re-grows the heap for it, so a
 step that frees and re-requests such arrays faults in new pages on every
-call: 937 minor faults per warm ``segnet_train`` step, against 0 with the
-pool.  The pool serves only those sizes, and hands a buffer out again only
-while the pool holds the sole reference to it (``sys.getrefcount``).  An
-array a caller still holds, or any view of one, is therefore never
-overwritten: what :func:`scratch` returns shares memory with nothing live.
+call: 937 minor faults per warm ``segnet_train`` step and 1,649 per warm
+100,000-point ``segnet_infer`` forward, against 0 with the pool.  The pool
+serves only those sizes, keeps up to one byte budget of them, and lets them
+all go when a new array is larger than all it keeps together, as the first
+of a pass over a larger cloud is.  It hands a buffer out again only while
+the pool holds the sole reference to it (``sys.getrefcount``).  An array a
+caller still holds, or any view of one, is therefore never overwritten: what
+:func:`scratch` returns shares memory with nothing live.
 
 :func:`freeze_field` gives a frozen dataclass a read-only copy of an array
-it was handed, so no view its caller kept can write into it.
+it was handed, so no view its caller kept can write into it, and freezes in
+place an array the dataclass built itself.
 """
 
 from __future__ import annotations
@@ -58,17 +62,13 @@ BLOCK_MADDS = 2 ** 19
 # Elements per row of broadcast_add's wide view, at most; its set-up (the
 # tiled rows) pays off above WIDE_ROW ** 2 elements.
 WIDE_ROW = 128
-# scratch pools arrays of POOL_MIN_BYTES to POOL_MAX_BYTES.  Smaller ones come
-# from the heap's free lists, not fresh pages.  The largest array of a
-# segnet_train step, (4000, 16) float64, is 512,000 bytes, and a chunk of
-# pointcloud.CHUNK_ELEMENTS float64 512 KiB.  A larger array is not kept:
-# with 20,000-point arrays kept, a forward asked for more shapes than the
-# pool holds, reused none, and peaked 3.3 MB higher under tracemalloc.
+# scratch pools arrays of POOL_MIN_BYTES or more.  Smaller ones come from the
+# heap's free lists, not fresh pages.
 POOL_MIN_BYTES = 2 ** 17
-POOL_MAX_BYTES = 2 ** 20
 # Bytes the pool keeps, busy or idle, at most.  A warm segnet_train step
-# (4,000 points, widths 6, 16 and 8) keeps 4,928,000.
-POOL_BYTES = 6 * 2 ** 20
+# (4,000 points, widths 6, 16 and 8) keeps 4,928,000, and a warm segnet_infer
+# forward (100,000 points) 34,531,296, which this holds with a third to spare.
+POOL_BYTES = 48 * 2 ** 20
 
 # (shape, dtype) -> the arrays kept of it, least recently asked for first
 _POOL: OrderedDict[tuple, list[np.ndarray]] = OrderedDict()
@@ -80,10 +80,11 @@ def scratch(shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
     An array of at least ``POOL_MIN_BYTES`` comes from the pool: a kept
     buffer of the same shape and dtype that nothing outside the pool
-    references, or else a new one.  The pool keeps a new array of at most
-    ``POOL_MAX_BYTES``, letting the least recently asked-for shapes go until
-    it holds at most ``POOL_BYTES``.  Asking for a larger array lets every
-    shape go, so a pass over a larger cloud keeps no buffer of a smaller one.
+    references, or else a new one.  The pool keeps a new array, letting the
+    least recently asked-for shapes go until it holds at most
+    ``POOL_BYTES``.  A new array larger than all the pool keeps together
+    lets every shape go, so a pass over a larger cloud keeps no buffer of a
+    smaller one; one larger than ``POOL_BYTES`` does so and is not kept.
     An array under ``POOL_MIN_BYTES`` is ``np.empty``.  A name still bound
     to an array its caller is done with keeps that array busy, so a loop
     should not name what it asks for on each pass.
@@ -98,6 +99,11 @@ def scratch(shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
     >>> del b
     >>> scratch((128, 128)).ctypes.data == address  # idle again, so reused
     True
+    >>> _POOL.clear()
+    >>> small = scratch((128, 128))
+    >>> large = scratch((256, 128))  # larger than all that is kept
+    >>> [shape for shape, _ in _POOL]  # lets the smaller shape go
+    [(256, 128)]
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     dtype = np.dtype(dtype)
@@ -111,12 +117,13 @@ def scratch(shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
             if sys.getrefcount(kept[i]) == 2:  # the list's reference and the argument's
                 _POOL.move_to_end(key)
                 return kept[i]
-        keep = nbytes <= POOL_MAX_BYTES
         held = sum(buf.nbytes for bufs in _POOL.values() for buf in bufs)
-        while _POOL and (not keep or held + nbytes > POOL_BYTES):
+        if nbytes > held:  # larger than all that is kept, as the first array of a larger cloud's pass
+            _POOL.clear()
+        while _POOL and held + nbytes > POOL_BYTES:
             held -= sum(buf.nbytes for buf in _POOL.popitem(last=False)[1])
         buf = np.empty(shape, dtype)
-        if keep:
+        if nbytes <= POOL_BYTES:
             _POOL.setdefault(key, []).append(buf)
             _POOL.move_to_end(key)
         return buf
@@ -184,9 +191,12 @@ def broadcast_add(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return y
 
 
-def freeze_field(obj, name: str, value, dtype=np.float64) -> None:
+def freeze_field(obj, name: str, value, dtype=np.float64, copy: bool = True) -> None:
     """Set field ``name`` of the frozen dataclass ``obj`` to a read-only,
-    C-contiguous copy of ``value`` as ``dtype``, which no view of ``value`` reaches."""
-    arr = np.array(value, dtype=dtype, order="C")
+    C-contiguous copy of ``value`` as ``dtype``, which no view of ``value`` reaches.
+    With ``copy=False``, for an array that ``obj`` built itself and shares
+    with no one, ``value`` itself is frozen wherever it has that dtype and
+    layout already."""
+    arr = (np.array if copy else np.asarray)(value, dtype=dtype, order="C")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)

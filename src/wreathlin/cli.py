@@ -280,9 +280,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # voxels in int64.  Beyond these, the tap rows and the cached block outputs, a
 # step or the equivariance check held 4.0-5.9 float64 (points, widest channels)
 # arrays, the attention backward up to 4 of (latents, points), and the pool its
-# step arrays up to arrays.POOL_BYTES.  The count read 1.26-1.41 times the peak
-# at D = 8 on 4,000 to 32,000 points; its tap rows of min(points, D**3) voxels
-# exceed what blob scenes occupy at D = 16 and 32.
+# step arrays up to arrays.POOL_BYTES.  The count read 1.11-1.41 times the peak
+# at D = 8 on 4,000 to 96,000 points (1.82-1.98 on 2,000); its tap rows of
+# min(points, D**3) voxels exceed what blob scenes occupy at D = 16 and 32.
 CLOUD_BYTES_PER_POINT = 24
 CLOUD_BYTES_PER_VOXEL = 16
 STEP_ARRAYS = 6

@@ -1,8 +1,12 @@
-"""The traced peak memory and the page faults of one call, for the
-allocation tests."""
+"""The traced peak memory and the page faults of one call, in this process
+or a fresh one, for the allocation tests."""
 
+import os
 import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 
 def traced_peak(fn, *args):
@@ -22,3 +26,29 @@ def minor_faults(fn, *args):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = fn(*args)
     return result, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+FAULTS_PER_CALL = """
+import statistics
+from memory import minor_faults
+{setup}
+for _ in range({warm}):
+    op()
+print(statistics.median(minor_faults(op)[1] for _ in range({runs})))
+"""
+
+
+def fresh_process_faults(setup, warm=5, runs=21):
+    """The median minor faults of ``runs`` calls of ``op()`` after ``warm``
+    untimed ones, in a fresh Python process that first runs the source
+    ``setup``, which defines ``op``.  The process imports ``wreathlin`` from
+    ``src`` and these test modules, runs one BLAS thread, and has no
+    ``MALLOC_*`` or ``GLIBC_TUNABLES`` settings, which move glibc's mmap and
+    trim thresholds."""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    script = FAULTS_PER_CALL.format(setup=setup, warm=warm, runs=runs)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout)

@@ -173,7 +173,11 @@ def test_scratch_hands_out_only_idle_buffers_and_keeps_at_most_its_cap(monkeypat
     scratch(2 ** 14 + 2)  # a hit makes its shape the most recent
     scratch(2 ** 14 + 5)
     assert [shape for shape, _ in arrays._POOL] == [(2 ** 14 + 4,), (2 ** 14 + 2,), (2 ** 14 + 5,)]
-    ids = scratch(arrays.POOL_MAX_BYTES // 8 + 1, np.int64)  # too large to keep: lets every shape go
+    arrays._POOL.clear()
+    scratch(2 ** 14)
+    scratch(2 ** 15)  # larger than all that is kept: lets every shape go, though both fit the cap
+    assert [shape for shape, _ in arrays._POOL] == [(2 ** 15,)]
+    ids = scratch(arrays.POOL_BYTES // 8 + 1, np.int64)  # too large to keep: lets every shape go
     assert ids.dtype == np.int64 and not arrays._POOL
 
 

@@ -1,9 +1,6 @@
-import os
 import resource
-import subprocess
-import sys
+from collections import OrderedDict
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +39,7 @@ from wreathlin.train import (
 from wreathlin.pointcloud import make_blob_scene
 
 from gradcheck import gradient_check
-from memory import traced_peak
+from memory import fresh_process_faults, traced_peak
 
 
 def toy_batch(seed=0, n=18, c=4, classes=3, res=3):
@@ -259,9 +256,10 @@ def cache_arrays(caches):
 def test_net_passes_leave_inputs_and_caches_intact():
     """Blocks add the skip and rectify in place, in arrays their layers
     return.  At 320 points every array is under ``arrays.POOL_MIN_BYTES``;
-    at the benchmark's 4,000 the large ones come from the scratch pool, so
-    arrays held from one pass must survive later passes of the same shapes."""
-    for points_per_blob, resolution in [(40, 4), (500, 8)]:
+    at the benchmark's 4,000 the large ones come from the scratch pool, and
+    at 20,000 so do arrays of 2.56 MB, so arrays held from one pass must
+    survive later passes of the same shapes."""
+    for points_per_blob, resolution in [(40, 4), (500, 8), (2500, 8)]:
         blocks, (vox, x, labels) = attention_net_and_cloud(points_per_blob, resolution)
         x_before = x.copy()
         logits, caches = net_forward(blocks, vox, x)
@@ -300,46 +298,47 @@ def benchmark_step(blocks, vox, x, labels):
             for b, grad in zip(blocks, grads)]
 
 
-FAULTS_PER_STEP = """
-import statistics
-from memory import minor_faults
-from test_train import attention_net_and_cloud, benchmark_step
-
-blocks, sample = attention_net_and_cloud(500, 8)
-for _ in range(5):
-    blocks = benchmark_step(blocks, *sample)
-faults = []
-for _ in range(21):
-    blocks, n = minor_faults(benchmark_step, blocks, *sample)
-    faults.append(n)
-print(statistics.median(faults))
-"""
-
-
 def test_a_warm_step_maps_no_fresh_pages():
     """A warm SGD step on the benchmark's 4,000-point cloud reuses its large
     arrays.  When each step freed and re-requested them, this step took a
     median of 593 minor faults (2.4 MB of fresh pages; the benchmark's step
     937); with the scratch pool it takes 0.  The bound is one array the pool
-    serves: ``2**17`` bytes span 32 pages.
-    The step runs in a fresh process without ``MALLOC_*`` or
-    ``GLIBC_TUNABLES`` settings, which move glibc's mmap and trim thresholds."""
-    here = Path(__file__).resolve().parent
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env, capture_output=True, text=True,
-                         check=True)
-    assert float(out.stdout) < 2 ** 17 // resource.getpagesize()
+    serves: ``2**17`` bytes span 32 pages."""
+    faults = fresh_process_faults("""
+from test_train import attention_net_and_cloud, benchmark_step
+blocks, sample = attention_net_and_cloud(500, 8)
+def op():
+    global blocks
+    blocks = benchmark_step(blocks, *sample)
+""")
+    assert faults < 2 ** 17 // resource.getpagesize()
+
+
+def test_a_warm_forward_on_the_inference_cloud_maps_no_fresh_pages():
+    """A warm forward on the benchmark's 100,000-point cloud reuses its
+    ``(100000, 16)`` and ``(100000, 8)`` arrays, which the pool keeps at any
+    size under its budget.  With a 1 MiB cap on the arrays it kept, this
+    forward took 1,108 minor faults (4.5 MB of fresh pages; the benchmark's
+    1,649); now 0."""
+    faults = fresh_process_faults("""
+from test_train import attention_net_and_cloud
+from wreathlin.train import net_forward
+blocks, (vox, x, _) = attention_net_and_cloud(12_500, 16)
+def op():
+    net_forward(blocks, vox, x)
+""", warm=3, runs=7)
+    assert faults < 2 ** 17 // resource.getpagesize()
 
 
 def pool_bytes():
     return sum(buf.nbytes for bufs in arrays._POOL.values() for buf in bufs)
 
 
-def test_the_scratch_pool_stays_bounded_and_lets_a_smaller_cloud_go():
-    """Steps on 4,000-point clouds keep their large arrays; one forward on a
-    100,000-point cloud, whose arrays are too large to keep, lets them go."""
+def test_the_scratch_pool_stays_bounded_and_lets_a_smaller_cloud_go(monkeypatch):
+    """Steps on 4,000-point clouds keep their large arrays.  One forward on a
+    100,000-point cloud asks for an array larger than all the pool keeps,
+    which lets every shape go, and keeps its own arrays in their place."""
+    monkeypatch.setattr(arrays, "_POOL", OrderedDict())
     blocks, (vox, x, labels) = attention_net_and_cloud(500, 8)
     for _ in range(3):
         blocks = benchmark_step(blocks, vox, x, labels)
@@ -350,6 +349,7 @@ def test_the_scratch_pool_stays_bounded_and_lets_a_smaller_cloud_go():
     net_forward(blocks, big_vox, big_x)
     assert pool_bytes() <= arrays.POOL_BYTES
     assert all(shape[0] != 4000 for shape, _ in arrays._POOL)
+    assert any(shape[0] == 100_000 for shape, _ in arrays._POOL)
 
 
 def test_net_forward_traced_memory_peak():
