@@ -1,7 +1,12 @@
 """Command-line surface: pattern emission, verification suites, and the
 synthetic segmentation demo.
 
-Exit codes: 0 success, 1 verification or runtime failure, 2 usage error.
+Exit codes: 0 success, 1 verification or runtime failure, 2 usage error
+or out of memory.  The console script ``wreathlin`` (:func:`run`) caps its
+own address space at what it holds plus the memory available when it
+starts, so an allocation beyond that fails as one ``error:`` line rather
+than a traceback.  Memory that other processes take while it runs is not
+counted, and can still bring the kernel's OOM killer.
 """
 
 from __future__ import annotations
@@ -9,12 +14,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .arrays import POOL_BYTES
 from .basis import (
     DEFAULT_ORACLE_MAX_DEGREE,
     burnside_count,
@@ -29,12 +34,9 @@ from .basis import (
     pattern_summary,
 )
 from .layer import equivariance_check, random_layer
-from .perm import (DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, UNION_CHUNK, EnumerationLimitError, enumerate_group,
-                   max_order_limit)
+from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
 from .structure import (
-    Prod,
     Structure,
-    Wreath,
     degree,
     format_structure,
     group_of,
@@ -68,106 +70,18 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-# Peak bytes of building a pattern, under tracemalloc at N = 2,000.  Per
-# entry: 25, the int64 ids and their validation.  Each node builds its ids
-# from its two factors' grids and caches no point orbits, so nesting adds
-# nothing: S(2000), C(2000), wr(S(40),S(50)), six wrs or six prods nested on
-# the outer side, and wr(S(2),wr(S(2),wr(S(5),wr(S(5),S(20))))) all peak at
-# 25.0-25.1.  Per orbit: each node's cached orbit index keeps 24, and numbering
-# the root's orbits takes 24 more: trivial(2000) peaks at 56 per entry, and
-# wr(S(1),wr(S(1),wr(S(1),trivial(2000)))) at 137, 96 of them for four orbit
-# indexes of N**2 orbits each.
-PATTERN_BYTES_PER_ENTRY = 25
-ORBIT_INDEX_BYTES_PER_ORBIT = 24
-# Peak bytes of verify's generator-orbit leg beyond the pattern it keeps alive.
-# Per entry, perm.orbit_labels's Python ints (8 a pointer, 28 an int) and int64
-# result: 52 for trivial(600), 45-48 for S, C and wr at N = 600 to 1,000.  Per
-# pair of the first UNION_CHUNK, a chunk's moved pairs and images: 78 (S(128)).
-LEG_BYTES_PER_ENTRY = 54
-LEG_BYTES_PER_CHUNK_PAIR = 80
-# Peak bytes of verify's group-order leg beyond the pattern and the generator
-# orbits' pattern (8 per entry) it keeps alive.  perm.enumerate_group holds
-# each element as a bytes key, joins the keys and copies the join.  Per
-# element: 146-151 for S(8), wr(C(3),S(5)) and wr(S(2),C(12)).  Per byte of an
-# element's images, N times the itemsize of the least unsigned dtype holding
-# N - 1: 2.6-3.0 from prod(S(7),C(30)) to prod(C(2),C(2000)).
-ENUMERATION_BYTES_PER_ELEMENT = 160
-ENUMERATION_BYTES_PER_IMAGE_BYTE = 3
-# Peak bytes of verify's equivariance leg beyond the pattern, the generator
-# orbits' pattern and the tied matrix (8 per entry each) it keeps alive: the
-# random layer's weights and, where orbits are single entries, its full map,
-# 96-105 per orbit on trivial(100), trivial(300) and prod(trivial(15),trivial(20)).
-LAYER_BYTES_PER_ORBIT = 106
-
-
-def _pattern_bytes(expr: Structure) -> int:
-    """Bytes that building ``expr``'s pattern peaks at, at most, from the
-    closed-form counts and the constants above."""
-
-    def orbits(e):  # pair orbits, summed over every node's orbit index
-        return param_count(e) + (orbits(e.outer) + orbits(e.inner) if isinstance(e, (Prod, Wreath)) else 0)
-
-    return PATTERN_BYTES_PER_ENTRY * degree(expr) ** 2 + ORBIT_INDEX_BYTES_PER_ORBIT * (orbits(expr) + param_count(expr))
-
-
-def _verify_bytes(expr: Structure) -> int:
-    """Bytes that ``verify``'s generator-orbit leg peaks at, at most, the pattern's freed temporaries included."""
-    pairs = degree(expr) ** 2
-    return _pattern_bytes(expr) + LEG_BYTES_PER_ENTRY * pairs + LEG_BYTES_PER_CHUNK_PAIR * min(pairs, UNION_CHUNK)
-
-
-def _enumeration_bytes(expr: Structure) -> int:
-    """Bytes that ``verify``'s group-order leg peaks at, at most: the group's
-    elements enumerated beside the two patterns."""
-    n = degree(expr)
-    per_element = ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_IMAGE_BYTE * n * np.min_scalar_type(n - 1).itemsize
-    return _pattern_bytes(expr) + 8 * n * n + group_order(expr) * per_element
-
-
-def _equivariance_bytes(expr: Structure) -> int:
-    """Bytes that ``verify``'s equivariance leg peaks at, at most: a random
-    layer beside the two patterns and the tied matrix."""
-    return _pattern_bytes(expr) + 16 * degree(expr) ** 2 + LAYER_BYTES_PER_ORBIT * param_count(expr)
-
-
-def _check_memory(legs) -> None:
-    """Raise ``ValueError`` at the first of the ``(what, count)`` pairs whose
-    count of bytes exceeds physical memory; each count is a function of no
-    arguments, called only once the legs before it fit."""
-    ram = _physical_memory()
-    for what, count in legs:
-        need = count()
-        if need > ram:
-            raise ValueError(f"{what} needs {need} bytes, more than the {ram} bytes of physical memory")
-
-
 def _pattern_structure(text: str) -> Structure:
     """Parse a structure whose ``N x N`` pattern a command will build.
 
     Raises ``ValueError`` for a malformed expression, and for a structure
-    whose pattern, with the temporaries and orbit indexes that building it
-    takes, exceeds physical memory, before allocating.
+    whose pattern's 8-byte ids alone exceed physical memory, before allocating.
     """
     expr = parse_structure(text)
-    n = degree(expr)
-    _check_memory([(f"degree {n} is too large: building its {n} x {n} pattern", lambda: _pattern_bytes(expr))])
+    n, ram = degree(expr), _physical_memory()
+    if 8 * n * n > ram:
+        raise ValueError(f"degree {n} is too large: building its {n} x {n} pattern needs {8 * n * n} bytes, "
+                         f"more than the {ram} bytes of physical memory")
     return expr
-
-
-def _check_verify_memory(expr: Structure, max_order: int) -> None:
-    """Raise ``ValueError``, before allocating, if a leg ``verify`` runs
-    beside the pattern exceeds physical memory: the generator orbits, the
-    group's elements when ``max_order`` lets it enumerate them, or the layer."""
-    n = degree(expr)
-    built = f"building its {n} x {n} pattern and then"
-    legs = [(f"degree {n} is too large: {built} its generator orbits", lambda: _verify_bytes(expr)),
-            (f"degree {n} is too large: {built} a layer of its {param_count(expr)} weight orbits",
-             lambda: _equivariance_bytes(expr))]
-    order = group_order(expr)
-    if order <= max_order:
-        legs.append((f"group order {order} is too large: enumerating it beside its {n} x {n} pattern",
-                     lambda: _enumeration_bytes(expr)))
-    _check_memory(legs)
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
@@ -223,7 +137,7 @@ def _verify_rows(expr, max_order: int, trials: int):
             yield ("group-order", "pass" if len(elements) == order else "FAIL",
                    f"{len(elements)} elements enumerated, closed-form order {order}")
             b = burnside_count(elements)
-            del elements  # the later legs run without it, as the memory guard counts them
+            del elements  # the later legs run without it
             yield ("burnside", "pass" if b == closed else "FAIL", f"average fixed points = {b}")
 
     if degree(expr) <= DEFAULT_ORACLE_MAX_DEGREE:
@@ -260,7 +174,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"--max-order must be at least 1, got {max_order}")
         if args.trials < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        _check_verify_memory(expr, max_order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -273,32 +186,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-# Bytes the demo peaks at, under tracemalloc in process with the scratch pool
-# emptied first, on 2,000 to 96,000 points.  Each cloud keeps 24 per point
-# beside its float64 features (int64 voxel, row and label; 24.0-25.2 measured)
-# and 16 per occupied voxel (int64 counts and ids); voxelizing counts all D**3
-# voxels in int64.  Beyond these, the tap rows and the cached block outputs, a
-# step or the equivariance check held 4.0-5.9 float64 (points, widest channels)
-# arrays, the attention backward up to 4 of (latents, points), and the pool its
-# step arrays up to arrays.POOL_BYTES.  The count read 1.11-1.41 times the peak
-# at D = 8 on 4,000 to 96,000 points (1.82-1.98 on 2,000); its tap rows of
-# min(points, D**3) voxels exceed what blob scenes occupy at D = 16 and 32.
-CLOUD_BYTES_PER_POINT = 24
-CLOUD_BYTES_PER_VOXEL = 16
-STEP_ARRAYS = 6
-ATTENTION_ARRAYS = 4
-
-
 def _demo_size_error(args: argparse.Namespace) -> str | None:
-    """The first demo size out of range, as an error message, or ``None``.
-
-    The bytes the demo peaks at are counted from its sizes and the constants
-    above before anything is allocated, one term per size, and the size whose
-    term takes the running sum past physical memory is named.
-    """
-    # the demo's modules load here, not with the command line, so `verify` and `pattern` skip them
-    from .train import FEATURE_CHANNELS, HELD_OUT_CLOUDS, HIDDEN_WIDTH, TRAIN_CLOUDS, kernel_width
-
+    """The first demo size out of range, as an error message, or ``None``."""
     least = {"res": 1, "blocks": 1, "blobs": 1, "points_per_blob": 1, "attention": 0, "epochs": 0,
              "seed": 0}
     for name, low in least.items():
@@ -309,29 +198,6 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
         return f"--noise must be finite and at least 0, got {args.noise}"
     if args.blobs > args.res ** 3:
         return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
-    n_points = args.blobs * args.points_per_blob
-    taps, clouds, width = kernel_width(args.res) ** 3, TRAIN_CLOUDS + HELD_OUT_CLOUDS, HIDDEN_WIDTH
-    widest = max(width, args.blobs)  # the logits have one channel per blob
-    step = 8 * STEP_ARRAYS * n_points * widest
-    sizes = [
-        # one count of every voxel; each cloud's occupied voxels; a convolution's tap rows and products
-        ("res", "its voxel counts and kernel-tap rows need",
-         8 * args.res ** 3 + (clouds * CLOUD_BYTES_PER_VOXEL + 8 * 2 * taps * widest) * min(n_points, args.res ** 3)),
-        ("points_per_blob", f"{clouds} clouds of {n_points} points and a training step over them need",
-         clouds * (CLOUD_BYTES_PER_POINT + 8 * FEATURE_CHANNELS) * n_points + step + min(POOL_BYTES, step)),
-        ("attention", "its interaction weights and soft assignments need",
-         8 * args.attention * (args.attention * width ** 2 + ATTENTION_ARRAYS * n_points)),
-        # each block holds its point map and kernel taps, and caches its output
-        ("blocks", "its weights and cached outputs need",
-         8 * args.blocks * ((taps + 1) * width * widest + n_points * width)),
-    ]
-    ram = _physical_memory()
-    total = 0
-    for name, what, need in sizes:
-        total += need
-        if total > ram:
-            return (f"--{name.replace('_', '-')} {getattr(args, name)} is too large: {what} "
-                    f"{need} bytes, {total} in all, more than the {ram} bytes of physical memory")
     return None
 
 
@@ -343,12 +209,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     error = _demo_size_error(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
-        return USAGE_ERROR
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
     scene_rng = np.random.default_rng(args.seed)
     centers = make_blob_scene(args.blobs, args.res, scene_rng)
@@ -366,11 +226,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    (out_dir / "trace.csv").write_text(trace_csv(trace))
 
     vox, x, labels = test[0]
     logits = net_forward(trained, vox, x)[0]
-    (out_dir / "predictions.txt").write_text(format_predictions(logits.argmax(axis=1)))
 
     check_rng = np.random.default_rng(args.seed + 7)
     y = logits
@@ -394,6 +252,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
         f"final train loss {trace[-1][1]!r}  held-out accuracy {acc!r}",
         f"equivariance max residual {worst:.3e} -> {'pass' if passed else 'FAIL'}",
     ]
+    # the directory is made only once everything is computed, so a run that
+    # ends in an error leaves none behind
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
+    (out_dir / "trace.csv").write_text(trace_csv(trace))
+    (out_dir / "predictions.txt").write_text(format_predictions(logits.argmax(axis=1)))
     (out_dir / "equivariance.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     return 0 if passed else 1
@@ -438,10 +306,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return USAGE_ERROR
+
+
+def _proc_bytes(path: str, key: str) -> int:
+    """The ``key:  N kB`` line of a Linux ``/proc`` file, in bytes."""
+    with open(path) as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+
+def _address_space_cap() -> int:
+    """The address space this process holds now plus the memory the machine
+    has available to it (``MemAvailable``), or physical memory where
+    ``/proc`` cannot say."""
+    try:
+        return _proc_bytes("/proc/self/status", "VmSize") + _proc_bytes("/proc/meminfo", "MemAvailable")
+    except (OSError, StopIteration):
+        return _physical_memory()
+
+
+def _limit_address_space() -> None:
+    """Lower the soft ``RLIMIT_AS`` to :func:`_address_space_cap`, or to the hard limit if
+    lower, so that an allocation past it raises ``MemoryError``; a lower soft limit stays."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = _address_space_cap() if hard == resource.RLIM_INFINITY else min(_address_space_cap(), hard)
+    if soft == resource.RLIM_INFINITY or soft > cap:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 def run() -> None:
+    """The console script: :func:`main` under :func:`_limit_address_space`."""
+    _limit_address_space()
     sys.exit(main())
 
 

@@ -81,8 +81,9 @@ class PointCloud:
     labels: np.ndarray | None = None  # (n,) ints
 
     def __post_init__(self) -> None:
+        shared = self.features is self.coords  # points whose features are their coordinates keep one copy
         freeze_field(self, "coords", self.coords)
-        freeze_field(self, "features", self.features)
+        freeze_field(self, "features", self.coords if shared else self.features, copy=not shared)
         if self.coords.ndim != 2 or self.coords.shape[1] != 3:
             raise ValueError(f"coords must be (n, 3), got {self.coords.shape}")
         if self.features.ndim != 2 or self.features.shape[0] != self.coords.shape[0]:

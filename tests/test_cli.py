@@ -1,17 +1,17 @@
 """End-to-end tests for the command-line entry points, driven through main()."""
 
 import math
+import os
+import resource
 
 import pytest
 
-import wreathlin.arrays
 import wreathlin.cli
-from wreathlin.basis import orbit_index, orbit_pattern, pattern_of_structure
+from wreathlin.basis import orbit_index, pattern_of_structure
 from wreathlin.cli import main
-from wreathlin.perm import DEFAULT_MAX_ORDER
-from wreathlin.structure import MAX_NESTING, group_of, parse_structure
+from wreathlin.structure import MAX_NESTING, parse_structure
 
-from memory import traced_peak
+from memory import traced_peak, under_address_limit
 
 
 def run_cli(capsys, argv):
@@ -242,39 +242,6 @@ def test_oversize_degree_exits_two_before_allocating(capsys, command, text):
     assert "physical memory" in err
 
 
-@pytest.mark.parametrize("command", ["pattern", "verify"])
-@pytest.mark.parametrize("text", ["S(100)", "trivial(100)", "wr(S(1),wr(S(1),S(100)))"])
-def test_pattern_guard_counts_temporaries_and_orbit_indexes(capsys, monkeypatch, command, text):
-    """A machine whose memory holds the 8-byte ids, but not what building
-    them takes, refuses the structure with one error line."""
-    need = wreathlin.cli._pattern_bytes(parse_structure(text))
-    assert need > 3 * 8 * 100 ** 2
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
-    code, out, err = run_cli(capsys, [command, "--structure", text])
-    assert code == 2
-    assert out == ""
-    assert err == (f"error: degree 100 is too large: building its 100 x 100 pattern needs {need} bytes, "
-                   f"more than the {need - 1} bytes of physical memory\n")
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need)
-    assert run_cli(capsys, ["pattern", "--structure", text])[0] == 0
-
-
-@pytest.mark.parametrize("text", [
-    "S(300)", "C(300)", "trivial(300)", "wr(S(15),S(20))", "prod(trivial(15),trivial(20))",
-    "prod(prod(prod(S(300),S(1)),S(1)),S(1))", "wr(S(1),wr(S(1),wr(S(1),trivial(300))))",
-    "wr(S(2),prod(wr(S(2),S(5)),S(15)))", "prod(S(1),wr(S(1),wr(S(1),S(300))))",
-    "wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),S(300)))))))", "wr(S(2),wr(S(2),wr(S(3),wr(S(5),S(5)))))",
-])
-def test_pattern_guard_bounds_the_measured_peak(text):
-    """The guard's count is at least what building the pattern allocates,
-    but for a few kilobytes of fixed-size objects, and less than twice it."""
-    expr = parse_structure(text)
-    for cached in (pattern_of_structure, orbit_index):
-        cached.cache_clear()
-    _, peak = traced_peak(pattern_of_structure, expr)
-    assert peak - 2 ** 14 <= wreathlin.cli._pattern_bytes(expr) < 2 * peak
-
-
 def test_pattern_peak_does_not_grow_with_nesting():
     """Each node builds its ids from its two factors' grids, so six nested
     ``wr``s peak as one leaf of the same degree does, but for a few kilobytes."""
@@ -286,94 +253,49 @@ def test_pattern_peak_does_not_grow_with_nesting():
     assert peaks[1] <= 1.05 * peaks[0] + 2 ** 14
 
 
-@pytest.mark.parametrize("text", ["S(100)", "trivial(100)", "wr(S(10),S(10))"])
-def test_verify_guard_counts_the_generator_orbits(capsys, monkeypatch, text):
-    """A machine whose memory holds the pattern, but not the generator orbits
-    that ``verify`` builds beside it, runs ``pattern`` and refuses ``verify``
-    with one error line."""
-    need = wreathlin.cli._verify_bytes(parse_structure(text))
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
-    assert run_cli(capsys, ["pattern", "--structure", text])[0] == 0
-    code, out, err = run_cli(capsys, ["verify", "--structure", text])
-    assert code == 2
-    assert out == ""
-    assert err == (f"error: degree 100 is too large: building its 100 x 100 pattern and then its generator "
-                   f"orbits needs {need} bytes, more than the {need - 1} bytes of physical memory\n")
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need)
-    assert run_cli(capsys, ["verify", "--structure", text])[0] == 0
+MiB = 2 ** 20
+OUT_OF_MEMORY_LIMIT = 300 * MiB  # three times what the interpreter and the library take with one BLAS thread
 
 
-@pytest.mark.parametrize("text", [
-    "S(300)", "C(300)", "trivial(300)", "wr(S(15),S(20))", "prod(trivial(15),trivial(20))",
-    "wr(wr(S(2),S(5)),S(30))", "wr(S(1),wr(S(1),wr(S(1),trivial(300))))",
-])
-def test_verify_guard_bounds_the_generator_orbit_peak(text):
-    """``verify`` builds the generator orbits while the pattern is alive; the
-    guard's count is at least that peak, but for a few kilobytes of
-    fixed-size objects, and less than twice it."""
-    expr = parse_structure(text)
-    for cached in (pattern_of_structure, orbit_index, group_of):
-        cached.cache_clear()
-    # the pattern is cached, so alive while the orbits are built
-    _, peak = traced_peak(lambda: (pattern_of_structure(expr), orbit_pattern(group_of(expr))))
-    assert peak - 2 ** 14 <= wreathlin.cli._verify_bytes(expr) < 2 * peak
+@pytest.mark.parametrize("argv, leg", [
+    (["pattern", "--structure", "trivial(4000)"], None),  # 128 MB of ids, 384 MB of orbit index
+    (["verify", "--structure", "S(3500)"], None),  # the pattern or its generator orbits, at twice the limit too
+    (["verify", "--structure", "S(10)", "--max-order", "4000000"], "pattern-equality"),  # 3,628,800 elements
+], ids=["pattern", "verify", "enumeration"])
+def test_out_of_memory_exits_two_with_one_error_line(argv, leg):
+    """Past the address-space limit, the console script prints one
+    ``error:`` line and exits 2; ``verify`` keeps the legs that finished."""
+    proc = under_address_limit(argv, OUT_OF_MEMORY_LIMIT)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()[1:]][-1:] == ([leg] if leg else [])
 
 
-def verify_through(expr, leg):
-    """Run ``verify``'s legs in process, building the pattern afresh, up to and including ``leg``."""
-    for cached in (pattern_of_structure, orbit_index, group_of):
-        cached.cache_clear()
-    next(row for row in wreathlin.cli._verify_rows(expr, DEFAULT_MAX_ORDER, 5) if row[0] == leg)
+READ_LIMIT = ("import resource; from wreathlin import cli; cli._address_space_cap = lambda: 3 << 30; "
+              "cli.main = lambda: print(resource.getrlimit(resource.RLIMIT_AS)[0]) or 0; cli.run()")
 
 
-@pytest.mark.parametrize("text, leg, count", [
-    ("prod(S(5),C(40))", "group order 4800 is too large: enumerating it beside its 200 x 200 pattern",
-     "_enumeration_bytes"),
-    ("trivial(300)", "degree 300 is too large: building its 300 x 300 pattern and then a layer of its 90000 weight "
-     "orbits", "_equivariance_bytes"),
-])
-def test_verify_guard_counts_the_enumeration_and_the_layer(capsys, monkeypatch, text, leg, count):
-    """A machine whose memory holds the pattern and the generator orbits, but
-    not the group's elements or the layer that ``verify`` builds beside the
-    pattern, runs ``pattern`` and refuses ``verify`` with one error line."""
-    expr = parse_structure(text)
-    need = getattr(wreathlin.cli, count)(expr)
-    assert need > wreathlin.cli._verify_bytes(expr)
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
-    assert run_cli(capsys, ["pattern", "--structure", text])[0] == 0
-    code, out, err = run_cli(capsys, ["verify", "--structure", text])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {leg} needs {need} bytes, more than the {need - 1} bytes of physical memory\n"
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need)
-    assert run_cli(capsys, ["verify", "--structure", text])[0] == 0
+def test_run_caps_its_address_space_at_the_available_memory():
+    """``run`` lowers an unlimited soft limit to the cap, or to the hard
+    limit, and keeps a lower soft limit as it is."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+    assert int(under_address_limit([], hard, READ_LIMIT).stdout) == cap
+    assert int(under_address_limit([], 512 * MiB, READ_LIMIT).stdout) == 512 * MiB
 
 
-def test_verify_guard_counts_the_enumeration_only_under_the_order_cap(capsys, monkeypatch):
-    need = wreathlin.cli._enumeration_bytes(parse_structure("prod(S(5),C(40))"))
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: need - 1)
-    assert run_cli(capsys, ["verify", "--structure", "prod(S(5),C(40))", "--max-order", "4799"])[0] == 0
+def test_the_cap_is_the_address_space_held_plus_the_memory_available():
+    held = wreathlin.cli._proc_bytes("/proc/self/status", "VmSize")
+    available = wreathlin.cli._proc_bytes("/proc/meminfo", "MemAvailable")
+    # other processes move MemAvailable between the reads
+    assert abs(wreathlin.cli._address_space_cap() - held - available) < 256 * MiB
 
 
-@pytest.mark.parametrize("text", ["S(8)", "wr(S(2),C(12))", "prod(S(5),C(40))", "wr(C(3),S(5))", "prod(S(6),C(20))"])
-def test_verify_guard_bounds_the_enumeration_peak(text):
-    """The group-order leg enumerates while both patterns are alive; on
-    groups whose enumeration outweighs the patterns, the guard's count is at
-    least that peak, but for a few kilobytes of fixed-size objects, and less
-    than twice it."""
-    expr = parse_structure(text)
-    _, peak = traced_peak(verify_through, expr, "group-order")
-    assert peak - 2 ** 14 <= wreathlin.cli._enumeration_bytes(expr) < 2 * peak
-
-
-@pytest.mark.parametrize("text", ["trivial(300)", "prod(trivial(15),trivial(20))"])
-def test_verify_guard_bounds_the_equivariance_peak(text):
-    """Where orbits are single entries, the layer's weights and full map
-    outweigh the generator orbits: the guard's count is at least the
-    equivariance leg's peak, less 16 KiB, and less than twice it."""
-    expr = parse_structure(text)
-    _, peak = traced_peak(verify_through, expr, "equivariance")
-    assert peak - 2 ** 14 <= wreathlin.cli._equivariance_bytes(expr) < 2 * peak
+def test_main_leaves_the_address_space_limit_as_it_found_it(capsys):
+    before = resource.getrlimit(resource.RLIMIT_AS)
+    assert run_cli(capsys, ["verify", "--structure", "S(3)"])[0] == 0
+    assert resource.getrlimit(resource.RLIMIT_AS) == before
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -481,53 +403,26 @@ def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):
     code, out, err = run_cli(capsys, DEMO_ARGS + ["--res", "100000", "--epochs", "0", "--out", str(out_dir)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --res 100000 is too large") and err.count("\n") == 1
-    assert "physical memory" in err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("bad, message", [
-    (["--attention", "40"],
-     "--attention 40 is too large: its interaction weights and soft assignments need 842240 bytes, "
-     "869968 in all"),
-    (["--points-per-blob", "1000"],
-     "--points-per-blob 1000 is too large: 9 clouds of 3000 points and a training step over them need "
-     "4248000 bytes, 4250240 in all"),
-    (["--blocks", "100"],
-     "--blocks 100 is too large: its weights and cached outputs need 217600 bytes, 245328 in all"),
-    (["--attention", "8", "--blocks", "30"],
-     "--blocks 30 is too large: its weights and cached outputs need 65280 bytes, 130384 in all"),
-])
-def test_demo_sizes_beyond_memory_exit_two_before_writing(tmp_path, capsys, monkeypatch, bad, message):
-    # a 100 kB machine: each size below is small enough to run, but not there;
-    # the last pair fits it one at a time, but not together
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: 100_000)
-    out_dir = tmp_path / "run"
-    code, out, err = run_cli(capsys, DEMO_ARGS + bad + ["--out", str(out_dir)])
+def test_demo_out_of_memory_leaves_an_existing_directory(tmp_path, capsys):
+    (tmp_path / "kept").write_text("")
+    code, _, _ = run_cli(capsys, DEMO_ARGS + ["--res", "100000", "--epochs", "0", "--out", str(tmp_path)])
     assert code == 2
-    assert out == ""
-    assert err == f"error: {message}, more than the 100000 bytes of physical memory\n"
+    assert (tmp_path / "kept").exists()
+
+
+def test_demo_out_of_memory_exits_two_before_writing(tmp_path):
+    out_dir = tmp_path / "run"
+    argv = ["demo", "--res", "16", "--blobs", "8", "--points-per-blob", "50000", "--out", str(out_dir)]
+    proc = under_address_limit(argv, OUT_OF_MEMORY_LIMIT)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("sizes", [
-    ["--points-per-blob", "500"],
-    ["--points-per-blob", "2000", "--attention", "4"],
-    ["--points-per-blob", "2000", "--blocks", "4"],
-])
-def test_demo_guard_bounds_the_measured_peak(tmp_path, capsys, monkeypatch, sizes):
-    """The guard's count is at least what the whole demo allocates, but for a
-    few kilobytes of fixed-size objects, and less than twice it."""
-    argv = ["demo", "--res", "8", "--blobs", "8", "--epochs", "1", *sizes, "--out", str(tmp_path / "run")]
-    run_cli(capsys, DEMO_ARGS + ["--out", str(tmp_path / "warm")])  # a first demo's imports, untraced
-    wreathlin.arrays._POOL.clear()
-    (code, _, _), peak = traced_peak(run_cli, capsys, argv)
-    assert code == 0
-    args = wreathlin.cli.build_parser().parse_args(argv)
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: peak - 2 ** 14 - 1)
-    assert wreathlin.cli._demo_size_error(args) is not None
-    monkeypatch.setattr("wreathlin.cli._physical_memory", lambda: 2 * peak - 1)
-    assert wreathlin.cli._demo_size_error(args) is None
 
 
 @pytest.mark.parametrize("where", ["under_file", "is_file"])

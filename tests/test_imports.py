@@ -82,6 +82,14 @@ def test_cli_import_leaves_the_demo_modules_out():
     assert _loaded_by_cli_import(["wreathlin.pointcloud", "wreathlin.train"]) == "[]\n"
 
 
+def test_console_script_runs_under_the_address_space_limit():
+    """The installed ``wreathlin`` command is ``cli.run``, which caps the
+    process's address space before ``cli.main`` runs."""
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"wreathlin": "wreathlin.cli:run"}
+
+
 def leaf_isinstance_lines(source: str) -> list[int]:
     """Lines of the ``isinstance`` calls that name a leaf class, alone or in a tuple."""
     lines = []

@@ -747,5 +747,17 @@ def test_sample_blob_cloud_labels_and_shapes():
     assert np.all((cloud.coords >= 0) & (cloud.coords <= 1))
 
 
+def test_coordinates_that_are_the_features_are_kept_once():
+    rng = np.random.default_rng(17)
+    coords = rng.uniform(size=(10, 3))
+    cloud = PointCloud(coords=coords, features=coords)
+    assert np.shares_memory(cloud.coords, cloud.features) and not np.shares_memory(cloud.coords, coords)
+    assert not cloud.features.flags.writeable
+    apart = PointCloud(coords=coords, features=coords.copy())
+    assert not np.shares_memory(apart.coords, apart.features)
+    blobs = sample_blob_cloud(make_blob_scene(3, 4, rng), points_per_blob=5, noise=0.1, resolution=4, rng=rng)
+    assert np.shares_memory(blobs.coords, blobs.features)
+
+
 def test_format_predictions():
     assert format_predictions(np.array([2, 0, 1])) == "2\n0\n1\n"
