@@ -18,7 +18,8 @@ linear in the orbit count, which is all :func:`layer.apply
 <wreathlin.layer.apply>` needs.  :func:`orbit_grid` numbers every entry
 through it, building a node's ``N x N`` ids from its two factors' grids, so
 :func:`pattern_of_structure` is a route independent of the three above.
-Patterns serve rendering and these oracles only.
+Patterns serve rendering and these oracles only, and nothing but the
+latest pattern is kept between calls.
 """
 
 from __future__ import annotations
@@ -186,7 +187,6 @@ def point_orbit(expr: Structure) -> np.ndarray:
     return ids
 
 
-@lru_cache(maxsize=256)
 def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical orbit order of a structure without building its pattern.
 
@@ -229,14 +229,17 @@ def orbit_index(expr: Structure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def pattern_of_structure(expr: Structure) -> SharingPattern:
     """Sharing pattern of a structure, numbered by :func:`orbit_grid`.
 
     Builds the full ``N x N`` id matrix, so only rendering and the oracles
-    call it; :func:`apply` numbers orbits through :func:`orbit_index`.
+    call it; :func:`apply` numbers orbits through :func:`orbit_index`.  Its
+    orbit count is read off the ids, not taken from the closed form, so the
+    two stay separate routes.  Only the latest pattern is kept.
     """
-    return SharingPattern(orbit_grid(expr), structure_orbit_count(expr))
+    ids = orbit_grid(expr)
+    return SharingPattern(ids, int(ids.max()) + 1)
 
 
 def orbit_grid(expr: Structure) -> np.ndarray:
@@ -255,7 +258,7 @@ def orbit_grid(expr: Structure) -> np.ndarray:
     P, Q = degree(expr.outer), degree(expr.inner)
     outer, inner = orbit_grid(expr.outer), orbit_grid(expr.inner)
     if isinstance(expr, Prod):
-        candidate = outer[:, None, :, None] * structure_orbit_count(expr.inner) + inner[:, None, :]
+        candidate = outer[:, None, :, None] * orbit_counts(expr.inner)[1] + inner[:, None, :]
     else:
         # off the diagonal blocks: the off-diagonal outer orbit in canonical
         # order, then the inner point orbits of both entries; on them, the
@@ -268,11 +271,6 @@ def orbit_grid(expr: Structure) -> np.ndarray:
         at = np.arange(P)
         candidate[at, :, at, :] = outer_points[:, None, None] * m2 + inner
     return rank[candidate].reshape(P * Q, P * Q)
-
-
-def structure_orbit_count(expr: Structure) -> int:
-    """``pattern_of_structure(expr).num_orbits`` without building the matrix."""
-    return len(orbit_index(expr)[2])
 
 
 def constant_on_orbits(matrix: np.ndarray, pattern: SharingPattern) -> bool:

@@ -51,8 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import broadcast_add, channel_mix, freeze_field
-from .basis import (materialize, orbit_grid, orbit_index, pattern_of_structure, point_orbit, point_orbit_grid,
-                    structure_orbit_count)
+from .basis import materialize, orbit_grid, orbit_index, pattern_of_structure, point_orbit, point_orbit_grid
 from .perm import PermGroup, permute_rows
 from .structure import Cycle, Prod, Set, Structure, Wreath, degree, group_of, orbit_counts
 
@@ -85,7 +84,7 @@ class EquivariantLayer:
     def __post_init__(self) -> None:
         # copies, so a caller writing into its arrays changes neither the weights nor the compiled map
         freeze_field(self, "weights", self.weights)
-        n_orbits = structure_orbit_count(self.structure)
+        n_orbits = orbit_counts(self.structure)[1]
         if self.weights.ndim != 3 or self.weights.shape[0] != n_orbits or min(self.weights.shape[1:]) < 1:
             raise ValueError(f"weights shape {self.weights.shape} is not ({n_orbits}, c_in >= 1, c_out >= 1)")
         if self.bias is not None:
@@ -119,7 +118,7 @@ def random_layer(
     bias: bool = False,
 ) -> EquivariantLayer:
     """Uniform init on ``[-s, s]`` with ``s = 1 / sqrt(c_in)`` per orbit."""
-    n_orbits = structure_orbit_count(structure)
+    n_orbits = orbit_counts(structure)[1]
     s = 1.0 / np.sqrt(c_in)
     w = rng.uniform(-s, s, size=(n_orbits, c_in, c_out))
     b = rng.uniform(-s, s, size=c_out) if bias else None
@@ -165,7 +164,7 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
     c_in, c_out = coeffs.shape[-2:]
     n = degree(expr)
     lengths = _cycle_lengths(expr)
-    if structure_orbit_count(expr) == n * n or (lengths is not None and n * n * c_in * c_out <= FULL_MAP_MADDS):
+    if orbit_counts(expr)[1] == n * n or (lengths is not None and n * n * c_in * c_out <= FULL_MAP_MADDS):
         # y_i = sum_j x_j @ full[i, j], as one (n c_in, n c_out) matrix
         full = coeffs[orbit_grid(expr)].transpose(1, 2, 0, 3).reshape(n * c_in, n * c_out)
 
@@ -196,7 +195,7 @@ def _compile_structure(expr: Structure, coeffs: np.ndarray) -> Callable[[np.ndar
         return run_cycles
     P, Q = degree(expr.outer), degree(expr.inner)
     if isinstance(expr, Prod):
-        n_o, n_i = structure_orbit_count(expr.outer), structure_orbit_count(expr.inner)
+        n_o, n_i = orbit_counts(expr.outer)[1], orbit_counts(expr.inner)[1]
         w = coeffs[orbit_index(expr)[2]].reshape(n_o, n_i, c_in, c_out)
         set_outer = _folds(expr.outer, expr.inner, n * c_out)
         if set_outer or _folds(expr.inner, expr.outer, n * c_out):

@@ -236,7 +236,9 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     first, then breadth-first order.  The closure applies one generator at a
     time to the whole frontier by fancy indexing and keeps the rows whose
     bytes it has not seen, so each element costs one hashed lookup however
-    deep the group is.  The dtype is that of :attr:`PermGroup.generators`.
+    deep the group is.  The dtype is that of :attr:`PermGroup.generators`,
+    and the array is a read-only view of the joined keys, so the call peaks
+    at two copies of the group, the keys and their join.
     Raises :class:`EnumerationLimitError` as soon as one generator's images
     take the closure past ``limit`` (default :func:`max_order_limit`), so
     the work done before raising stays within about twice ``limit`` rows.
@@ -262,4 +264,4 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
                 raise EnumerationLimitError(
                     f"group {group.label or f'of degree {n}'} exceeds enumeration limit {limit}"
                 )
-    return np.frombuffer(bytearray(b"".join(seen)), dtype=dtype).reshape(-1, n)
+    return np.frombuffer(b"".join(seen), dtype=dtype).reshape(-1, n)

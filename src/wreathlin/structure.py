@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Union
 
@@ -197,7 +196,6 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Structure, int]:
     raise StructureParseError(f"unknown structure head {head!r}")
 
 
-@lru_cache(maxsize=32)
 def group_of(expr: Structure) -> PermGroup:
     """The permutation group realizing the structure's symmetry."""
     if isinstance(expr, Leaf):

@@ -211,7 +211,7 @@ def init_attn_layer(c_in: int, c_out: int, n_latent: int, rng: np.random.Generat
     )
 
 
-# the blob task's shape, which ``cli`` also reads to estimate the demo's memory
+# the blob task's shape
 FEATURE_CHANNELS = 6  # noisy position and within-voxel offset
 TRAIN_CLOUDS, HELD_OUT_CLOUDS = 6, 3
 HIDDEN_WIDTH = 8

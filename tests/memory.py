@@ -1,6 +1,6 @@
-"""The traced peak memory and the page faults of one call, in this process
-or a fresh one, and fresh command-line processes under an address-space
-limit, for the allocation tests."""
+"""The traced peak memory, the traced memory left behind and the page
+faults of one call, in this process or a fresh one, and fresh command-line
+processes under an address-space limit, for the allocation tests."""
 
 import os
 import resource
@@ -17,6 +17,17 @@ def traced_peak(fn, *args):
     try:
         result = fn(*args)
         return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_left(fn, *args):
+    """The bytes that ``tracemalloc`` still traces once ``fn(*args)`` has
+    returned and its result is dropped: what the call left behind."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 

@@ -7,7 +7,7 @@ import resource
 import pytest
 
 import wreathlin.cli
-from wreathlin.basis import orbit_index, pattern_of_structure
+from wreathlin.basis import pattern_of_structure
 from wreathlin.cli import main
 from wreathlin.structure import MAX_NESTING, parse_structure
 
@@ -247,8 +247,7 @@ def test_pattern_peak_does_not_grow_with_nesting():
     ``wr``s peak as one leaf of the same degree does, but for a few kilobytes."""
     peaks = []
     for text in ["S(300)", "wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),wr(S(1),S(300)))))))"]:
-        for cached in (pattern_of_structure, orbit_index):
-            cached.cache_clear()
+        pattern_of_structure.cache_clear()
         peaks.append(traced_peak(pattern_of_structure, parse_structure(text))[1])
     assert peaks[1] <= 1.05 * peaks[0] + 2 ** 14
 
@@ -258,7 +257,7 @@ OUT_OF_MEMORY_LIMIT = 300 * MiB  # three times what the interpreter and the libr
 
 
 @pytest.mark.parametrize("argv, leg", [
-    (["pattern", "--structure", "trivial(4000)"], None),  # 128 MB of ids, 384 MB of orbit index
+    (["pattern", "--structure", "trivial(4000)"], None),  # 128 MB of ids, and twice that to check them
     (["verify", "--structure", "S(3500)"], None),  # the pattern or its generator orbits, at twice the limit too
     (["verify", "--structure", "S(10)", "--max-order", "4000000"], "pattern-equality"),  # 3,628,800 elements
 ], ids=["pattern", "verify", "enumeration"])
@@ -290,6 +289,15 @@ def test_the_cap_is_the_address_space_held_plus_the_memory_available():
     available = wreathlin.cli._proc_bytes("/proc/meminfo", "MemAvailable")
     # other processes move MemAvailable between the reads
     assert abs(wreathlin.cli._address_space_cap() - held - available) < 256 * MiB
+
+
+@pytest.mark.parametrize("error", [OSError, StopIteration])
+def test_the_cap_is_physical_memory_where_proc_cannot_say(monkeypatch, error):
+    def unreadable(path, key):
+        raise error(path)
+
+    monkeypatch.setattr(wreathlin.cli, "_proc_bytes", unreadable)
+    assert wreathlin.cli._address_space_cap() == wreathlin.cli._physical_memory()
 
 
 def test_main_leaves_the_address_space_limit_as_it_found_it(capsys):

@@ -178,8 +178,8 @@ def test_unread_definition_detection():
 
 
 def unbounded_caches(source: str) -> list[int]:
-    """Lines that make a cache with no integer bound: ``functools.cache``,
-    and ``lru_cache`` bare or called without an integer ``maxsize``."""
+    """Lines that make a cache of more than one entry: ``functools.cache``,
+    and ``lru_cache`` bare or called with a ``maxsize`` other than the integer 1."""
     tree = ast.parse(source)
     calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
     lines = []
@@ -191,23 +191,24 @@ def unbounded_caches(source: str) -> list[int]:
         elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
             call = calls.get(id(node))
             bound = [] if call is None else call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
-            if not (bound and isinstance(bound[0], ast.Constant) and type(bound[0].value) is int):
+            if not (bound and isinstance(bound[0], ast.Constant) and type(bound[0].value) is int
+                    and bound[0].value == 1):
                 lines.append(node.lineno)
     return sorted(lines)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_caches_are_bounded(path):
-    """Caches have bounded memory: each ``lru_cache`` states its entry count."""
+    """Caches have bounded memory: each ``lru_cache`` keeps one entry, the latest."""
     assert unbounded_caches(path.read_text()) == []
 
 
 def test_unbounded_cache_detection():
     source = (
         "from functools import cache, lru_cache\nimport functools\n"
-        "@lru_cache(maxsize=32)\ndef a(): pass\n@lru_cache(8)\ndef b(): pass\n"
+        "@lru_cache(maxsize=1)\ndef a(): pass\n@lru_cache(1)\ndef b(): pass\n"
         "@lru_cache\ndef c(): pass\n@lru_cache(maxsize=None)\ndef d(): pass\n"
         "@functools.lru_cache()\ndef e(): pass\n@functools.cache\ndef f(): pass\n"
-        "g = lru_cache(maxsize=True)(len)\n"
+        "g = lru_cache(maxsize=True)(len)\n@lru_cache(maxsize=32)\ndef h(): pass\n@lru_cache(2)\ndef i(): pass\n"
     )
-    assert unbounded_caches(source) == [1, 7, 9, 11, 13, 15]
+    assert unbounded_caches(source) == [1, 7, 9, 11, 13, 15, 16, 18]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from wreathlin.basis import materialize, pattern_of_structure, structure_orbit_count
+from wreathlin.basis import materialize, pattern_of_structure
 from wreathlin.layer import (
     EquivariantLayer,
     apply,
@@ -14,9 +14,10 @@ from wreathlin.layer import (
     random_layer,
 )
 from wreathlin.perm import permute_rows
-from wreathlin.structure import Prod, Wreath, degree, format_structure, group_of, orbit_counts, parse_structure
+from wreathlin.structure import (Prod, Wreath, degree, format_structure, group_of, orbit_counts, param_count,
+                                 parse_structure)
 
-from memory import traced_peak
+from memory import traced_left, traced_peak
 from strategies import structure_trees
 
 
@@ -268,9 +269,21 @@ def test_warm_apply_allocates_little_beyond_its_output(text):
     rng = np.random.default_rng(10)
     layer = random_layer(parse_structure(text), c_in=8, c_out=8, rng=rng, bias=True)
     x = rng.normal(size=(layer.degree, 8))
-    apply(layer, x)  # fills the orbit tables
+    apply(layer, x)  # compiles the layer
     y, peak = traced_peak(apply, layer, x)
     assert peak < 1.25 * y.nbytes
+
+
+def test_dropped_layers_leave_nothing_behind():
+    """Twelve layers on ``prod(trivial(40 + k),trivial(20))``, each built,
+    applied and dropped, leave next to nothing traced: no orbit index outlives
+    the call that needed it.  A cache of 256 orbit indexes kept 230 MiB here."""
+    def twelve_layers(rng):
+        for k in range(12):
+            layer = random_layer(parse_structure(f"prod(trivial({40 + k}),trivial(20))"), 1, 1, rng)
+            apply(layer, np.ones((layer.degree, 1)))
+
+    assert traced_left(twelve_layers, np.random.default_rng(0)) < 2 ** 20
 
 
 def test_wreath_adds_an_intransitive_inner_cross_term_in_place():
@@ -305,7 +318,7 @@ def widest_array(expr, c_in, c_out, batch=1):
     the inner point-orbit count over the pooled fibers."""
     if isinstance(expr, Prod):
         P, Q = degree(expr.outer), degree(expr.inner)
-        n_o, n_i = structure_orbit_count(expr.outer), structure_orbit_count(expr.inner)
+        n_o, n_i = param_count(expr.outer), param_count(expr.inner)
         wide = min(n_o, n_i) * c_out
         if n_o <= n_i:
             return max(widest_array(expr.inner, c_in, wide, batch * P), widest_array(expr.outer, wide, c_out, batch * Q))

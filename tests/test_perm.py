@@ -287,6 +287,16 @@ def test_capped_enumeration_stops_near_the_limit():
     assert peak < 8 * limit * group.degree
 
 
+def test_enumeration_holds_two_copies_of_the_group():
+    """The elements are a read-only view of the joined keys, not a copy of
+    them: the call peaks at the keys and their join, about 2.7 times the
+    result's bytes on ``prod(S(6),C(40))`` (a copy of the join made it 3.3)."""
+    elements, peak = traced_peak(enumerate_group, group_of(parse_structure("prod(S(6),C(40))")))
+    assert elements.shape == (720 * 40, 240)
+    assert not elements.flags.writeable
+    assert peak <= 3 * elements.nbytes
+
+
 def test_orbit_minima():
     assert orbit_minima(symmetric_group(4)) == [0]
     assert orbit_minima(trivial_group(3)) == [0, 1, 2]

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from wreathlin.basis import orbit_pattern, structure_orbit_count
+from wreathlin.basis import orbit_pattern, pattern_of_structure
 from wreathlin.perm import InvalidDegreeError, enumerate_group, orbit_minima
 from wreathlin.structure import (
     LEAF_KINDS,
@@ -136,14 +136,6 @@ def test_group_of_primitives_and_composites():
     assert len(enumerate_group(group_of(Prod(outer=Cycle(2), inner=Cycle(2))), limit=100)) == 4
 
 
-def test_group_of_cache_is_bounded():
-    bound = group_of.cache_info().maxsize
-    assert bound is not None
-    for n in range(1, bound + 10):
-        group_of(Cycle(n))
-    assert group_of.cache_info().currsize <= bound
-
-
 LEAVES = [("S", Set, 2), ("C", Cycle, 3), ("trivial", Trivial, 9)]
 
 
@@ -152,10 +144,11 @@ def test_leaf_kinds_share_a_base_but_stay_distinct(head, cls, orbits):
     others = [other for _, other, _ in LEAVES if other is not cls]
     assert repr(cls(3)) == f"{cls.__name__}(n=3)"
     assert all(cls(3) != other(3) for other in others)
-    # Leaves of equal size hash alike; a cached count must not leak across kinds.
+    assert param_count(cls(3)) == orbits
+    # Leaves of equal size hash alike; a cached pattern must not leak across kinds.
     for other in others:
-        structure_orbit_count(other(3))
-    assert structure_orbit_count(cls(3)) == orbits
+        pattern_of_structure(other(3))
+        assert pattern_of_structure(cls(3)).num_orbits == orbits
     with pytest.raises(InvalidDegreeError, match=rf"^{head}\(n\) needs n >= 1, got 0$"):
         parse_structure(f"{head}(0)")
 
