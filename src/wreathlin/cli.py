@@ -261,6 +261,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
     (out_dir / "trace.csv").write_text(trace_csv(trace))
+    # in the held-out sample's own order, which is voxel order
     (out_dir / "predictions.txt").write_text(format_predictions(logits.argmax(axis=1)))
     (out_dir / "equivariance.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))

@@ -32,11 +32,16 @@ counts, and that of ``conv3d_periodic`` in its grid is ``conv3d_periodic``
 with the kernel flipped in space and transposed in channels;
 ``conv3d_kernel_grad`` walks the forward's kernel taps.  Each is one gather
 through a ``neighbour_table`` and one batched product over the taps, and the
-table is built once per cloud and kernel width.  The kernels
-over the points hold no temporary of all of them: ``voxel_sum`` bins chunks
-of ``CHUNK_ELEMENTS`` elements, carrying the running totals into each later
-call as its first weights, and the gather back to points adds into the
-layer's output a chunk at a time, so each is bit for bit one call.  The attention
+table is built once per cloud and kernel width.  The samples
+``train.make_seg_samples`` builds are in voxel order, so each voxel's points
+are one run of rows, as each fiber of the engine's ``wr`` kernel is.  On such
+a cloud, with at least ``RUN_MIN_ELEMENTS`` elements per occupied voxel,
+``voxel_sum`` reduces each run in one call; elsewhere it bins chunks of
+``CHUNK_ELEMENTS`` elements, carrying the running totals into each later call
+as its first weights.  Both add each voxel's points in point order, so they
+give the same bits.  The gather back to points adds into the layer's output a
+chunk at a time, bit for bit one call, so neither kernel over the points holds
+a temporary of all of them.  The attention
 layer works latent-major: its assignment logits are ``(L, n)``, so the
 softmax reduces over the short latent axis as ``L`` whole rows rather than
 ``n`` rows of length ``L``.  Each ``(n, c) @ (c, c')`` product over the points
@@ -66,6 +71,15 @@ from .perm import InvalidDegreeError
 # process ran faster in 152 of 200 forwards.  Every segnet_train array fits
 # in one chunk.
 CHUNK_ELEMENTS = 2 ** 16
+# Elements per occupied voxel, n * c / n_occ, from which voxel_sum reduces a
+# cloud in runs one run at a time rather than by bincount.  On voxel-major
+# blob clouds, one BLAS thread, bincount / runs in ms: 868 elements (c = 8)
+# 0.168 / 0.201, 1,200 (c = 8) 0.265 / 0.260, 1,477 (c = 6) 0.394 / 0.359,
+# 1,736 (c = 16) 0.338 / 0.251, 4,762 (c = 6) 3.74 / 1.95, 12,698 (c = 16)
+# 6.24 / 3.00.  At c = 2 the two stay within 5% up to 4,651 elements.  So
+# every segnet_train call (4,000 points in 55-64 voxels, at most about 1,170
+# elements) bins, and segnet_infer (about 1,000 points a voxel) reduces runs.
+RUN_MIN_ELEMENTS = 2 ** 11
 
 
 class KernelError(ValueError):
@@ -108,7 +122,12 @@ class VoxelizedCloud:
     ``i``, in ``0 .. D**3 - 1``.  Derived from one count per voxel: ``occupied``,
     the ascending ids of voxels with a point, which per-voxel ``(n_occ, c)``
     rows follow, ``counts``, the points in each, and ``point_row[i]``, the row
-    of point ``i``'s voxel.  Its arrays are read-only, so each
+    of point ``i``'s voxel.  ``runs`` is ``None`` unless the points of every
+    voxel are one contiguous run of point indices, in whatever order the runs
+    come; then its rows are ``(start, end, row)``, one per run in point order.
+    The samples ``train.make_seg_samples`` builds are in voxel order, so they
+    are in runs, and so are their grid shifts and within-voxel permutations;
+    ``one_voxel`` is one run.  Its arrays are read-only, so each
     ``neighbour_table`` is built once per kernel width and kept with the cloud.
     """
 
@@ -117,6 +136,7 @@ class VoxelizedCloud:
     occupied: np.ndarray = field(init=False)  # (n_occ,)
     counts: np.ndarray = field(init=False)  # (n_occ,)
     point_row: np.ndarray = field(init=False)  # (n,)
+    runs: np.ndarray | None = field(init=False)  # (n_occ, 3) or None
     # kernel width -> neighbour_table
     _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -131,6 +151,14 @@ class VoxelizedCloud:
         freeze_field(self, "occupied", np.flatnonzero(per_voxel), dtype=np.int64, copy=False)
         freeze_field(self, "counts", per_voxel[self.occupied], dtype=np.int64, copy=False)
         freeze_field(self, "point_row", np.searchsorted(self.occupied, ids), dtype=np.int64, copy=False)
+        # each voxel's points are one run exactly when the row changes n_occ - 1 times
+        change = self.point_row[1:] != self.point_row[:-1]
+        runs = None
+        if ids.size and np.count_nonzero(change) == len(self.occupied) - 1:
+            bounds = np.concatenate([[0], np.flatnonzero(change) + 1, [ids.size]])
+            runs = np.stack([bounds[:-1], bounds[1:], self.point_row[bounds[:-1]]], axis=1)
+            runs.setflags(write=False)
+        object.__setattr__(self, "runs", runs)
 
     @property
     def n_points(self) -> int:
@@ -177,12 +205,42 @@ def voxelize(cloud: PointCloud, resolution: int) -> tuple[VoxelizedCloud, np.nda
 
 def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
     """Sum of point values per occupied voxel, ``(n_occ, c)``, the adjoint of
-    ``gather_to_points``: a flat ``bincount`` over (row, channel) bins, run
+    ``gather_to_points``.  Either path adds each voxel's points in ascending
+    order, starting from zero, so both give the same bits.
+
+    On a cloud in runs (``vox.runs``) with at least ``RUN_MIN_ELEMENTS``
+    elements per occupied voxel, each run is one ``np.add.reduce`` over its
+    rows.  Only a C-contiguous ``x`` of two or more channels goes that way:
+    numpy sums a ``(k, 1)`` or column-major slice pairwise, not row by row.
+
+    Everywhere else it is a flat ``bincount`` over (row, channel) bins, run
     over chunks of points.  Each later chunk's call takes the running totals
     as its first weights, at bins ``0 .. n_occ * c - 1``, so every bin still
-    adds its points in ascending order, exactly as one call would."""
+    adds its points in ascending order, exactly as one call would.
+
+    A voxel-major cloud and a shuffled copy of it pool to the same rows,
+    here exactly, since the sums of small whole numbers do not round:
+
+    >>> vox = VoxelizedCloud(2, np.repeat([0, 7], 2000))
+    >>> vox.runs.tolist()
+    [[0, 2000, 0], [2000, 4000, 1]]
+    >>> x = np.arange(8000.0).reshape(4000, 2)
+    >>> order = np.random.default_rng(0).permutation(4000)
+    >>> shuffled = permute_points(vox, order)
+    >>> shuffled.runs is None
+    True
+    >>> voxel_sum(vox, x).tolist()
+    [[3998000.0, 4000000.0], [11998000.0, 12000000.0]]
+    >>> np.array_equal(voxel_sum(shuffled, x[order]), voxel_sum(vox, x))
+    True
+    """
     x = np.asarray(x, dtype=np.float64)
     n_occ, c = len(vox.occupied), x.shape[1]
+    if vox.runs is not None and c > 1 and x.flags.c_contiguous and x.size >= RUN_MIN_ELEMENTS * n_occ:
+        totals = np.empty((n_occ, c))
+        for start, end, row in vox.runs.tolist():
+            np.add.reduce(x[start:end], axis=0, out=totals[row])
+        return totals
     size = n_occ * c
     # at least n_occ * c elements a chunk, so the carried totals at most double the work
     step = max(CHUNK_ELEMENTS, size) // max(c, 1)

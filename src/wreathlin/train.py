@@ -17,6 +17,7 @@ import numpy as np
 
 from .arrays import scratch
 from .pointcloud import (
+    CHUNK_ELEMENTS,
     AttnPCLayer,
     PCLayer,
     SetPCLayer,
@@ -24,6 +25,7 @@ from .pointcloud import (
     WreathPCLayer,
     layer_backward,
     pc_layer_forward,
+    permute_points,
     sample_blob_cloud,
     voxelize,
 )
@@ -237,14 +239,29 @@ def make_seg_samples(
     scale ``feature_noise``) plus the clean within-voxel offsets,
     ``FEATURE_CHANNELS`` in total; labels are blob indices.  Voxel assignment
     uses the clean positions, so per-voxel pooling can average the corruption
-    away while any purely per-point map cannot.
+    away while any purely per-point map cannot.  Each sample comes in voxel
+    order: one stable sort by voxel id reorders its voxelization, features
+    and labels alike, so each voxel's points are one run of rows
+    (``VoxelizedCloud.runs``).  The sort draws nothing from ``rng``.
     """
     samples = []
     for _ in range(n_samples):
         cloud = sample_blob_cloud(centers, points_per_blob, noise, resolution, rng)
         vox, offsets = voxelize(cloud, resolution)
         noisy = cloud.coords + feature_noise * rng.normal(size=cloud.coords.shape)
-        samples.append((vox, np.hstack([noisy, offsets]), cloud.labels))
+        # one stable sort puts the points in voxel order.  The features are
+        # gathered into it a chunk of rows at a time, and the unsorted arrays
+        # freed before the sorted voxelization is built: whole-array gathers
+        # left the 100,000-point cloud's heap about 2 MB larger.
+        order = np.argsort(vox.assignment, kind="stable")
+        x = np.empty((vox.n_points, FEATURE_CHANNELS))
+        step = CHUNK_ELEMENTS // FEATURE_CHANNELS
+        for start in range(0, vox.n_points, step):
+            rows = order[start:start + step]
+            x[start:start + step, :3] = noisy[rows]
+            x[start:start + step, 3:] = offsets[rows]
+        del noisy, offsets
+        samples.append((permute_points(vox, order), x, cloud.labels[order]))
     return samples
 
 

@@ -21,3 +21,9 @@ def test_docstring_examples_exist():
     counts = {name: doctest.testmod(importlib.import_module(name)).attempted for name in MODULES}
     assert counts["wreathlin.perm"] >= 7 and counts["wreathlin.structure"] >= 2 and counts["wreathlin.basis"] >= 1
     assert counts["wreathlin.pointcloud"] >= 1
+
+
+def test_voxel_sum_shows_its_two_layouts():
+    """The ``voxel_sum`` example pools a voxel-major cloud and a shuffled copy."""
+    (found,) = doctest.DocTestFinder().find(importlib.import_module("wreathlin.pointcloud").voxel_sum)
+    assert any("permute_points" in example.source for example in found.examples)

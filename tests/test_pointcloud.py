@@ -149,17 +149,86 @@ def dense_voxel_sum(vox, x):
     return np.bincount(bins, weights=x.ravel(), minlength=n_voxels * c).reshape(n_voxels, c)
 
 
+def in_voxel_order(vox, x):
+    """The cloud with its points sorted by voxel, stably, and their values."""
+    order = np.argsort(vox.assignment, kind="stable")
+    return permute_points(vox, order), x[order]
+
+
+def each_voxel_contiguous(vox):
+    """Whether every voxel's points span exactly as many indices as it has points."""
+    index = np.arange(vox.n_points)
+    first, last = np.full(len(vox.occupied), vox.n_points), np.full(len(vox.occupied), -1)
+    np.minimum.at(first, vox.point_row, index)
+    np.maximum.at(last, vox.point_row, index)
+    return bool(np.all(last - first + 1 == vox.counts))
+
+
+@pytest.fixture
+def bincount_calls(monkeypatch):
+    """A list that gains an entry at each ``np.bincount`` call."""
+    calls, real = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def test_runs_are_each_voxels_contiguous_points():
+    vox = VoxelizedCloud(2, [7, 7, 0, 0, 0, 3])
+    assert vox.runs.tolist() == [[0, 2, 2], [2, 5, 0], [5, 6, 1]]
+    assert not vox.runs.flags.writeable
+    assert VoxelizedCloud(2, [0, 7, 0]).runs is None
+    assert VoxelizedCloud(2, np.zeros(0, dtype=np.int64)).runs is None
+    assert VoxelizedCloud(3, [5, 5]).one_voxel.runs.tolist() == [[0, 2, 0]]
+    rng = np.random.default_rng(19)
+    cloud = random_cloud(rng, n=300)
+    vox, _ = voxelize(cloud, 3)
+    assert vox.runs is None and not each_voxel_contiguous(vox)
+    ordered, _ = in_voxel_order(vox, cloud.features)
+    assert ordered.runs[:, 2].tolist() == list(range(len(ordered.occupied)))
+    shifted = shift_assignment(ordered, (1, 2, 0))
+    assert sorted(shifted.runs[:, 2].tolist()) != shifted.runs[:, 2].tolist()
+    for moved in (ordered, shifted, permute_points(ordered, within_voxel_permutation(ordered, rng))):
+        assert moved.runs is not None and each_voxel_contiguous(moved)
+        assert np.array_equal(moved.runs[:, 0], np.concatenate([[0], moved.runs[:-1, 1]]))
+        assert moved.runs[-1, 1] == moved.n_points
+        for start, end, row in moved.runs.tolist():
+            assert np.all(moved.point_row[start:end] == row)
+
+
 @pytest.mark.parametrize("n", [37, 4000, 100000])
-def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n):
+def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n, monkeypatch, bincount_calls):
+    """Both paths, each channel count, and a voxel-major cloud, its grid
+    shift (runs in another row order) and an arbitrary reordering of its
+    points: every voxel adds its points as ``np.add.at`` does, to the bit."""
     rng = np.random.default_rng(n)
-    cloud = random_cloud(rng, n=n, c=5)
-    vox, _ = voxelize(cloud, 8)
-    acc = np.zeros((8 ** 3, 5))
-    np.add.at(acc, vox.assignment, cloud.features)
-    assert np.array_equal(dense_voxel_sum(vox, cloud.features), acc)
-    assert np.array_equal(voxel_sum(vox, cloud.features), acc[vox.occupied])
-    pooled = acc / np.maximum(np.bincount(vox.assignment, minlength=8 ** 3), 1)[:, None]
-    assert np.array_equal(mean_pool(vox, cloud.features), pooled[vox.occupied])
+    cloud = random_cloud(rng, n=n, c=16)
+    vox, features = in_voxel_order(voxelize(cloud, 8)[0], cloud.features)
+    order = rng.permutation(n)
+    layouts = [(vox, features), (shift_assignment(vox, (3, 0, 5)), features),
+               (permute_points(vox, order), features[order])]
+    assert [each_voxel_contiguous(v) for v, _ in layouts] == [v.runs is not None for v, _ in layouts]
+    assert layouts[0][0].runs is not None and layouts[1][0].runs is not None
+    if n > 37:
+        assert layouts[2][0].runs is None
+    for v, values in layouts:
+        for c in (1, 2, 3, 8, 16):
+            x = np.ascontiguousarray(values[:, :c])
+            acc = np.zeros((8 ** 3, c))
+            np.add.at(acc, v.assignment, x)
+            for threshold in (0, 2 ** 62):
+                monkeypatch.setattr(wreathlin.pointcloud, "RUN_MIN_ELEMENTS", threshold)
+                for given in (x, np.asfortranarray(x)):
+                    del bincount_calls[:]
+                    assert voxel_sum(v, given).tobytes() == acc[v.occupied].tobytes()
+                    by_run = threshold == 0 and v.runs is not None and c > 1 and given.flags.c_contiguous
+                    assert bool(bincount_calls) != by_run
+            assert np.array_equal(dense_voxel_sum(v, x), acc)
+            pooled = acc / np.maximum(np.bincount(v.assignment, minlength=8 ** 3), 1)[:, None]
+            assert mean_pool(v, x).tobytes() == pooled[v.occupied].tobytes()
+    # a sum of negative zeros is a positive zero on both paths, as np.add.at gives
+    for threshold in (0, 2 ** 62):
+        monkeypatch.setattr(wreathlin.pointcloud, "RUN_MIN_ELEMENTS", threshold)
+        assert voxel_sum(vox, np.full((n, 3), -0.0)).tobytes() == np.zeros((len(vox.occupied), 3)).tobytes()
 
 
 def _rolled_grids(grid, K):
@@ -512,6 +581,27 @@ def test_set_layer_reuses_its_one_voxel_cloud():
     d_y = rng.normal(size=y.shape)
     (grads, d_x), (grads_again, d_x_again) = layer.backward(vox, cache, d_y), layer.backward(vox, cache_again, d_y)
     assert np.array_equal(d_x_again, d_x) and all(np.array_equal(grads_again[k], g) for k, g in grads.items())
+
+
+def test_set_layer_pools_its_one_voxel_as_one_run(bincount_calls):
+    """The one voxel is one run whatever the order of the points, so a large
+    cloud pools by one reduce over all its rows, with the bits of ``np.add.at``."""
+    rng = np.random.default_rng(11)
+    n, c = 5000, 8
+    cloud = random_cloud(rng, n=n, c=c)
+    vox, _ = voxelize(cloud, 4)
+    assert vox.runs is None and vox.one_voxel.runs.tolist() == [[0, n, 0]]
+    assert n * c >= wreathlin.pointcloud.RUN_MIN_ELEMENTS
+    layer = SetPCLayer(w_point=rng.normal(size=(c, 3)), w_conv=rng.normal(size=(1, 1, 1, c, 3)))
+    d_y = rng.normal(size=(n, 3))
+    del bincount_calls[:]
+    _, cache = layer.forward(vox, cloud.features)
+    layer.backward(vox, cache, d_y)
+    assert not bincount_calls
+    total = np.zeros((1, c))
+    np.add.at(total, np.zeros(n, dtype=np.int64), cloud.features)
+    assert voxel_sum(vox.one_voxel, cloud.features).tobytes() == total.tobytes()
+    assert cache["pooled"].tobytes() == (total / n).tobytes()
 
 
 def test_set_layer_is_the_global_mean_pool_closed_form():

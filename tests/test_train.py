@@ -9,6 +9,7 @@ import wreathlin.arrays as arrays
 from wreathlin.pointcloud import (
     PointCloud,
     permute_points,
+    sample_blob_cloud,
     shift_assignment,
     voxelize,
     within_voxel_permutation,
@@ -225,6 +226,26 @@ def test_seg_samples_have_six_feature_channels():
         assert x.shape == (15, 6)
         assert labels.shape == (15,)
         assert vox.n_points == 15
+
+
+def test_seg_samples_come_in_voxel_order():
+    """Each sample is the cloud the same draws gave before the sort, with its
+    voxelization, features and labels in one stable voxel order."""
+    rng = np.random.default_rng(44)
+    centers = make_blob_scene(3, 4, rng)
+    state = rng.bit_generator.state
+    (vox, x, labels), = make_seg_samples(centers, 1, 50, 0.2, 0.25, 4, rng)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    cloud = sample_blob_cloud(centers, 50, 0.2, 4, rng)
+    raw, offsets = voxelize(cloud, 4)
+    noisy = cloud.coords + 0.25 * rng.normal(size=cloud.coords.shape)
+    assert rng.bit_generator.state == after
+    order = np.argsort(raw.assignment, kind="stable")
+    assert np.array_equal(vox.assignment, raw.assignment[order])
+    assert x.tobytes() == np.hstack([noisy, offsets])[order].tobytes() and x.flags.c_contiguous
+    assert np.array_equal(labels, cloud.labels[order])
+    assert vox.runs[:, 2].tolist() == list(range(len(vox.occupied)))
 
 
 @pytest.mark.parametrize("resolution", [1, 2, 3, 4])
