@@ -75,7 +75,7 @@ FULL_MAP_MADDS = 2 ** 14
 FOLD_MIN_OUTPUTS = 2 ** 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivariantLayer:
     structure: Structure
     weights: np.ndarray  # (num_orbits, c_in, c_out)

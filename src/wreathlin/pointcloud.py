@@ -49,6 +49,15 @@ runs through ``arrays.channel_mix``, in row blocks of at most
 ``2**19 // (c * c')`` rows: OpenBLAS's tall, skinny products slow two to three
 times per row past about ``2**19`` multiply-adds a call.
 
+Above ``arrays.SPLIT_MIN_ROWS`` points, ``arrays.split_rows`` runs the
+passes over the points as one row range per CPU: the channel products (at
+whole ``channel_mix`` blocks), the gather back to points (at whole chunks),
+the run path of ``voxel_sum`` (by whole runs, each thread writing its own
+voxels' rows, so one run stays one reduce) and the attention layer's logits
+and softmax (by columns).  Each range makes the serial pass's calls on its
+rows, so the bits do not change; the ``bincount`` path and ``soft @ x`` stay
+serial.
+
 Beside the layers the module holds the moves the equivariance checks apply
 (``shift_assignment``, ``permute_points``, ``within_voxel_permutation``), the
 toy blob scenes and the one-class-per-line prediction format.
@@ -61,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import channel_mix, freeze_field, scratch
+from .arrays import BLOCK_MADDS, channel_mix, freeze_field, scratch, split_rows
 from .perm import InvalidDegreeError
 
 # Elements that one chunk of a point temporary holds in voxel_sum and
@@ -86,7 +95,7 @@ class KernelError(ValueError):
     """The convolution kernel does not fit the grid (or has even width)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Points in 3-space with per-point feature channels and optional labels."""
 
@@ -114,7 +123,7 @@ class PointCloud:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoxelizedCloud:
     """Hard assignment of points to a ``D**3`` voxel grid.
 
@@ -138,7 +147,7 @@ class VoxelizedCloud:
     point_row: np.ndarray = field(init=False)  # (n,)
     runs: np.ndarray | None = field(init=False)  # (n_occ, 3) or None
     # kernel width -> neighbour_table
-    _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.resolution < 1:
@@ -238,8 +247,14 @@ def voxel_sum(vox: VoxelizedCloud, x: np.ndarray) -> np.ndarray:
     n_occ, c = len(vox.occupied), x.shape[1]
     if vox.runs is not None and c > 1 and x.flags.c_contiguous and x.size >= RUN_MIN_ELEMENTS * n_occ:
         totals = np.empty((n_occ, c))
-        for start, end, row in vox.runs.tolist():
-            np.add.reduce(x[start:end], axis=0, out=totals[row])
+        runs = vox.runs
+        starts = runs[:, 0]
+
+        def reduce_runs(first: int, stop: int) -> None:  # each run that starts in first .. stop - 1, whole
+            for start, end, row in runs[np.searchsorted(starts, first):np.searchsorted(starts, stop)].tolist():
+                np.add.reduce(x[start:end], axis=0, out=totals[row])
+
+        split_rows(vox.n_points, reduce_runs)
         return totals
     size = n_occ * c
     # at least n_occ * c elements a chunk, so the carried totals at most double the work
@@ -269,11 +284,15 @@ def gather_to_points(vox: VoxelizedCloud, per_voxel: np.ndarray, add_to: np.ndar
     return ``add_to``."""
     c = per_voxel.shape[1]
     step = max(CHUNK_ELEMENTS // max(c, 1), 1)
-    for start in range(0, vox.n_points, step):
-        rows = vox.point_row[start:start + step]
-        # every row is in range; mode="raise" would take into a copy of out
-        add_to[start:start + step] += np.take(per_voxel, rows, axis=0, mode="clip",
-                                              out=scratch((len(rows), c)))
+
+    def gather(first: int, stop: int) -> None:
+        for start in range(first, stop, step):
+            rows = vox.point_row[start:min(start + step, stop)]
+            # every row is in range; mode="raise" would take into a copy of out
+            add_to[start:start + len(rows)] += np.take(per_voxel, rows, axis=0, mode="clip",
+                                                       out=scratch((len(rows), c)))
+
+    split_rows(vox.n_points, gather, step)
     return add_to
 
 
@@ -322,8 +341,12 @@ def conv3d_periodic(kernel: np.ndarray, rows: np.ndarray, table: np.ndarray) -> 
 
 
 def _mix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` over the points, into a :func:`~wreathlin.arrays.scratch` array."""
-    return channel_mix(x, w, out=scratch((x.shape[0], w.shape[1])))
+    """``x @ w`` over the points, into a :func:`~wreathlin.arrays.scratch`
+    array, its row ranges split at whole blocks of ``channel_mix``."""
+    y = scratch((x.shape[0], w.shape[1]))
+    split_rows(x.shape[0], lambda start, stop: channel_mix(x[start:stop], w, out=y[start:stop]),
+               BLOCK_MADDS // w.size)
+    return y
 
 
 def conv3d_kernel_grad(rows: np.ndarray, d_out: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -333,7 +356,7 @@ def conv3d_kernel_grad(rows: np.ndarray, d_out: np.ndarray, table: np.ndarray) -
     return d_kernel.reshape(table.shape[:3] + d_kernel.shape[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WreathPCLayer:
     """Pointwise map plus a voxel-pooled circular convolution broadcast back."""
 
@@ -374,7 +397,7 @@ class WreathPCLayer:
         return {"w_point": x.T @ d_y, "w_conv": d_w_conv}, d_x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetPCLayer(WreathPCLayer):
     """Pointwise map plus a global mean broadcast, ignoring all structure: the
     wreath layer over a single voxel, so ``w_conv`` is ``(1, 1, 1, c_in, c_out)``."""
@@ -386,7 +409,7 @@ class SetPCLayer(WreathPCLayer):
         return super().backward(vox.one_voxel, cache, d_y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttnPCLayer:
     """Soft-assignment pooling: rows attend to learned latent groups."""
 
@@ -411,10 +434,20 @@ class AttnPCLayer:
         return self.w_interact.shape[3]
 
     def forward(self, vox: VoxelizedCloud | None, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        soft = self.w_assign.T @ x.T  # (L, n) logits, softmax over latents in place
-        soft -= soft.max(axis=0)
-        np.exp(soft, out=soft)
-        soft /= soft.sum(axis=0)
+        n, L = x.shape[0], self.w_assign.shape[1]
+        soft = np.empty((L, n))
+
+        def assign(start: int, stop: int) -> None:  # the logits, then their softmax over latents in place
+            s = soft[:, start:stop]
+            np.matmul(self.w_assign.T, x[start:stop].T, out=s)
+            s -= s.max(axis=0)
+            np.exp(s, out=s)
+            s /= s.sum(axis=0)
+
+        # numpy multiplies one latent row, or one point column, by gemv, which
+        # may round apart from a longer call; at two or more, each column of a
+        # gemm rounds as it does in the whole product
+        split_rows(n, assign, 2 if L > 1 else n)
         pooled = soft @ x  # (L, c_in)
         mixed = np.einsum("lkcd,kc->ld", self.w_interact, pooled)  # (L, c_out)
         y = _mix(soft.T, mixed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arrays import scratch
+from .arrays import scratch, split_rows
 from .pointcloud import (
     CHUNK_ELEMENTS,
     AttnPCLayer,
@@ -81,10 +81,16 @@ def block_forward(block: SegBlock, vox: VoxelizedCloud, x: np.ndarray) -> tuple[
     """The layer's output plus the skip, rectified, all in place in the
     layer's output array, which the cache also keeps as ``out``."""
     y, cache = pc_layer_forward(block.layer, vox, x)
-    if block.has_skip:
-        y += x
-    if block.rectify:
-        np.maximum(y, 0.0, out=y)
+
+    def epilogue(start: int, stop: int) -> None:
+        rows = y[start:stop]
+        if block.has_skip:
+            rows += x[start:stop]
+        if block.rectify:
+            np.maximum(rows, 0.0, out=rows)
+
+    if block.has_skip or block.rectify:
+        split_rows(len(y), epilogue)
     cache["out"] = y
     return y, cache
 
@@ -115,13 +121,24 @@ def net_backward(
         block, cache = blocks[i], caches[i]
         if block.rectify:
             # a rectified output is positive where its input was
-            d_h = np.multiply(d_h, cache["out"] > 0, out=scratch(d_h.shape))
+            d_h = _mask(d_h, cache["out"])
         layer_grads, d_x = layer_backward(block.layer, vox, cache, d_h)
         if block.has_skip:
             d_x += d_h
         grads[i] = layer_grads
         d_h = d_x
     return grads, d_h
+
+
+def _mask(d_y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``d_y`` where ``out > 0`` and zero elsewhere, in a scratch array."""
+    d_x = scratch(d_y.shape)
+
+    def mask(start: int, stop: int) -> None:
+        np.multiply(d_y[start:stop], out[start:stop] > 0, out=d_x[start:stop])
+
+    split_rows(len(d_y), mask)
+    return d_x
 
 
 def _block_params(block: SegBlock) -> dict[str, np.ndarray]:

@@ -58,8 +58,17 @@ def fresh_process_faults(setup, warm=5, runs=21):
     ``MALLOC_*`` or ``GLIBC_TUNABLES`` settings, which move glibc's mmap and
     trim thresholds."""
     script = FAULTS_PER_CALL.format(setup=setup, warm=warm, runs=runs)
-    out = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True, check=True)
+    out = fresh_process(script)
+    out.check_returncode()
     return float(out.stdout)
+
+
+def fresh_process(script, *argv, preexec_fn=None):
+    """The finished fresh Python process that runs the source ``script`` with
+    the arguments ``argv``, in the environment of :func:`fresh_process_faults`;
+    ``preexec_fn`` runs in the child before it starts."""
+    return subprocess.run([sys.executable, "-c", script, *argv], env=_fresh_env(), capture_output=True, text=True,
+                          preexec_fn=preexec_fn)
 
 
 def _fresh_env():
@@ -79,5 +88,4 @@ def under_address_limit(argv, limit, script=CONSOLE_SCRIPT):
     arguments ``argv``, its soft ``RLIMIT_AS`` set to ``limit`` bytes before
     it starts, in the environment of :func:`fresh_process_faults`."""
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    return subprocess.run([sys.executable, "-c", script, *argv], env=_fresh_env(), capture_output=True, text=True,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    return fresh_process(script, *argv, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))

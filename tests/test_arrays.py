@@ -2,6 +2,8 @@
 plain numpy expressions return, bit for bit, and the set and wreath kernels
 built on them still compute the closed-form set map."""
 
+import os
+import signal
 import sys
 import threading
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import wreathlin.arrays as arrays
-from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, broadcast_add, channel_mix, scratch
+from wreathlin.arrays import BLOCK_MADDS, WIDE_ROW, broadcast_add, channel_mix, scratch, split_rows
 from wreathlin.basis import pattern_of_structure
 from wreathlin.layer import apply, apply_dense, random_layer
 from wreathlin.structure import parse_structure
@@ -209,3 +211,100 @@ def test_scratch_never_hands_one_buffer_to_two_threads(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def ranges_of(n, step, cpus, monkeypatch):
+    """The ``(start, stop, thread)`` of each call ``split_rows(n, ..., step)``
+    makes with ``cpus`` CPUs to run on, in row order."""
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    calls = []
+    split_rows(n, lambda start, stop: calls.append((start, stop, threading.get_ident())), step)
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("n, step, cpus", [
+    (100_000, 2048, 2), (100_000, 4096, 3), (70_001, 1, 2), (3 * 2 ** 15, 2 ** 15, 4), (2 ** 15 + 5, 2 ** 15, 2),
+])
+def test_split_rows_covers_the_rows_in_whole_steps_one_range_per_cpu(n, step, cpus, monkeypatch):
+    calls = ranges_of(n, step, cpus, monkeypatch)
+    assert len(calls) == min(cpus, n // step)
+    assert [start for start, _, _ in calls] == [0] + [stop for _, stop, _ in calls[:-1]] and calls[-1][1] == n
+    assert all(start % step == 0 and stop - start >= step for start, stop, _ in calls)
+    # the first range runs in the caller, each other one on a helper thread
+    assert [thread == threading.get_ident() for _, _, thread in calls] == [True] + [False] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("n, step, cpus", [
+    (arrays.SPLIT_MIN_ROWS - 1, 1, 2),  # below the crossover
+    (100_000, 60_000, 2),  # one whole step
+    (100_000, 0, 2),  # no step: one call
+    (100_000, 1, 1),  # one CPU
+])
+def test_split_rows_makes_one_call_in_the_caller_where_it_does_not_split(n, step, cpus, monkeypatch):
+    assert ranges_of(n, step, cpus, monkeypatch) == [(0, n, threading.get_ident())]
+
+
+def test_split_rows_runs_a_range_whose_thread_cannot_start_in_the_caller(monkeypatch):
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(arrays, "_HELPERS", [])
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    calls = ranges_of(100_000, 1, 3, monkeypatch)
+    assert len(calls) == 3 and {thread for _, _, thread in calls} == {threading.get_ident()}
+    assert not arrays._HELPERS
+
+
+def test_split_rows_within_a_range_runs_serially(monkeypatch):
+    """One split at a time: a split called from within a range, as from
+    another thread while one runs, makes one call in its own thread."""
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+
+    def outer(start, stop):
+        here = threading.get_ident()
+        split_rows(stop - start, lambda a, b: calls.append((start, a, b, threading.get_ident() == here)))
+
+    split_rows(100_000, outer)
+    assert sorted(calls) == [(0, 0, 50_000, True), (50_000, 0, 50_000, True)]
+
+
+def test_split_rows_raises_a_range_error_once_every_range_is_done(monkeypatch):
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    done = []
+
+    def fn(start, stop):
+        if start:
+            raise ValueError(start)
+        time.sleep(0.05)
+        done.append(start)
+
+    with pytest.raises(ValueError):
+        split_rows(100_000, fn)
+    assert done == [0]
+    assert len(ranges_of(100_000, 1, 3, monkeypatch)) == 3  # and the helpers serve the next split
+
+
+def test_split_rows_in_a_forked_child_starts_its_own_helpers(monkeypatch):
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1})
+    x, y = np.arange(100_000.0), np.empty(100_000)
+    split_rows(len(x), lambda start, stop: np.negative(x[start:stop], out=y[start:stop]))
+    assert arrays._HELPERS
+    pid = os.fork()
+    if pid == 0:  # the child: a helper of its parent would never answer, so give up after 20 s
+        signal.alarm(20)
+        y[:] = 0
+        split_rows(len(x), lambda start, stop: np.negative(x[start:stop], out=y[start:stop]))
+        os._exit(0 if np.array_equal(y, -x) else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def test_split_rows_lets_go_of_the_arrays_its_threads_read(monkeypatch):
+    """The scratch pool hands out a buffer once nothing else references it,
+    so no helper thread may still hold the caller's arrays when it returns."""
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1})
+    x, y = np.arange(100_000.0), np.empty(100_000)
+    before = sys.getrefcount(x), sys.getrefcount(y)
+    split_rows(len(x), lambda start, stop: np.negative(x[start:stop], out=y[start:stop]))
+    assert (sys.getrefcount(x), sys.getrefcount(y)) == before
+    assert np.array_equal(y, -x)

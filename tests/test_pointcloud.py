@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import wreathlin.arrays as arrays
 import wreathlin.pointcloud
 from wreathlin.basis import constant_on_orbits, orbit_index, pattern_of_structure
 from wreathlin.layer import EquivariantLayer, apply
@@ -30,6 +33,7 @@ from wreathlin.structure import parse_structure
 from wreathlin.train import SegBlock, net_forward
 
 from memory import traced_peak
+from test_train import handed_off
 
 
 def random_cloud(rng, n=30, c=4):
@@ -43,6 +47,22 @@ def test_point_cloud_validates_shapes():
         PointCloud(coords=np.zeros((3, 3)), features=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         PointCloud(coords=np.full((2, 3), np.nan), features=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VoxelizedCloud(2, [0, 7]),
+    lambda: PointCloud(coords=np.zeros((2, 3)), features=np.ones((2, 1)), labels=[0, 1]),
+    lambda: WreathPCLayer(w_point=np.eye(2), w_conv=np.ones((1, 1, 1, 2, 2))),
+    lambda: SetPCLayer(w_point=np.eye(2), w_conv=np.ones((1, 1, 1, 2, 2))),
+    lambda: AttnPCLayer(w_assign=np.ones((2, 3)), w_interact=np.ones((3, 3, 2, 2))),
+    lambda: EquivariantLayer(parse_structure("S(3)"), np.ones((2, 1, 1))),
+], ids=["VoxelizedCloud", "PointCloud", "WreathPCLayer", "SetPCLayer", "AttnPCLayer", "EquivariantLayer"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    """Array fields have no truth value, so a field-by-field ``==`` would
+    raise: equal arrays still make two distinct objects."""
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_voxelize_single_point():
@@ -197,9 +217,12 @@ def test_runs_are_each_voxels_contiguous_points():
 
 @pytest.mark.parametrize("n", [37, 4000, 100000])
 def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n, monkeypatch, bincount_calls):
-    """Both paths, each channel count, and a voxel-major cloud, its grid
-    shift (runs in another row order) and an arbitrary reordering of its
-    points: every voxel adds its points as ``np.add.at`` does, to the bit."""
+    """Both paths, the run path serial and split over three threads, each
+    channel count, and a voxel-major cloud, its grid shift (runs in another
+    row order) and an arbitrary reordering of its points: every voxel adds
+    its points as ``np.add.at`` does, to the bit."""
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    handed = handed_off(monkeypatch)
     rng = np.random.default_rng(n)
     cloud = random_cloud(rng, n=n, c=16)
     vox, features = in_voxel_order(voxelize(cloud, 8)[0], cloud.features)
@@ -215,20 +238,32 @@ def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n, monkeypatch, bincou
             x = np.ascontiguousarray(values[:, :c])
             acc = np.zeros((8 ** 3, c))
             np.add.at(acc, v.assignment, x)
-            for threshold in (0, 2 ** 62):
+            for threshold, split in itertools.product((0, 2 ** 62), repeat=2):
                 monkeypatch.setattr(wreathlin.pointcloud, "RUN_MIN_ELEMENTS", threshold)
+                monkeypatch.setattr(arrays, "SPLIT_MIN_ROWS", split)
                 for given in (x, np.asfortranarray(x)):
-                    del bincount_calls[:]
+                    del bincount_calls[:], handed[:]
                     assert voxel_sum(v, given).tobytes() == acc[v.occupied].tobytes()
                     by_run = threshold == 0 and v.runs is not None and c > 1 and given.flags.c_contiguous
                     assert bool(bincount_calls) != by_run
+                    assert len(handed) == (2 if by_run and split == 0 else 0)
             assert np.array_equal(dense_voxel_sum(v, x), acc)
             pooled = acc / np.maximum(np.bincount(v.assignment, minlength=8 ** 3), 1)[:, None]
             assert mean_pool(v, x).tobytes() == pooled[v.occupied].tobytes()
     # a sum of negative zeros is a positive zero on both paths, as np.add.at gives
+    monkeypatch.setattr(arrays, "SPLIT_MIN_ROWS", 0)
     for threshold in (0, 2 ** 62):
         monkeypatch.setattr(wreathlin.pointcloud, "RUN_MIN_ELEMENTS", threshold)
         assert voxel_sum(vox, np.full((n, 3), -0.0)).tobytes() == np.zeros((len(vox.occupied), 3)).tobytes()
+    # the split never splits a run: one run is one reduce, where two halves added would round apart
+    x = np.ascontiguousarray(features[:, :8])
+    monkeypatch.setattr(wreathlin.pointcloud, "RUN_MIN_ELEMENTS", 0)
+    del handed[:]
+    assert voxel_sum(vox.one_voxel, x).tobytes() == np.add.reduce(x, axis=0, keepdims=True).tobytes()
+    assert len(handed) == 2
+    if n > 37:
+        halves = np.add.reduce(x[:n // 2], axis=0) + np.add.reduce(x[n // 2:], axis=0)
+        assert halves.tobytes() != np.add.reduce(x, axis=0).tobytes()
 
 
 def _rolled_grids(grid, K):

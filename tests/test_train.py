@@ -1,4 +1,7 @@
+import hashlib
+import os
 import resource
+import threading
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -40,7 +43,7 @@ from wreathlin.train import (
 from wreathlin.pointcloud import make_blob_scene
 
 from gradcheck import gradient_check
-from memory import fresh_process_faults, traced_peak
+from memory import fresh_process, fresh_process_faults, traced_peak
 
 
 def toy_batch(seed=0, n=18, c=4, classes=3, res=3):
@@ -317,6 +320,102 @@ def benchmark_step(blocks, vox, x, labels):
     grads, _ = net_backward(blocks, vox, caches, d_logits)
     return [replace(b, layer=replace(b.layer, **{k: getattr(b.layer, k) - 0.005 * g for k, g in grad.items()}))
             for b, grad in zip(blocks, grads)]
+
+
+def pass_bytes(blocks, vox, x, labels):
+    """The bytes of one forward's logits, then of every gradient and the
+    input gradient of the backward from its loss."""
+    logits, caches = net_forward(blocks, vox, x)
+    _, d_logits = loss_ce(logits, labels)
+    grads, d_x = net_backward(blocks, vox, caches, d_logits)
+    return b"".join([logits.tobytes(), *(g[k].tobytes() for g in grads for k in sorted(g)), d_x.tobytes()])
+
+
+@pytest.fixture(scope="module")
+def inference_cloud():
+    """The benchmark's 100,000-point cloud at D = 16, its net, and the bytes
+    of one pass with no row range split."""
+    blocks, sample = attention_net_and_cloud(12_500, 16)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrays, "SPLIT_MIN_ROWS", 2 ** 62)
+        return blocks, sample, pass_bytes(blocks, *sample)
+
+
+def handed_off(monkeypatch):
+    """A list that gains the ``(start, stop)`` of each range that
+    ``arrays.split_rows`` hands a helper thread."""
+    ranges, real = [], arrays._Helper.start
+
+    def start(helper, fn, first, stop):
+        ranges.append((first, stop))
+        real(helper, fn, first, stop)
+
+    monkeypatch.setattr(arrays._Helper, "start", start)
+    return ranges
+
+
+THREAD_SPY = """
+import threading
+made = []
+class Spy(threading.Thread):
+    def __init__(self, *args, **kwargs):
+        made.append(1)
+        super().__init__(*args, **kwargs)
+threading.Thread = Spy
+"""
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_splitting_the_row_passes_changes_no_bits(inference_cloud, cpus, monkeypatch):
+    """Split over two or three CPUs at every size, the forward's logits and
+    every gradient of the backward are the serial pass's, byte for byte."""
+    blocks, sample, serial = inference_cloud
+    assert sample[0].n_points == 100_000
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(arrays, "SPLIT_MIN_ROWS", 0)
+    ranges = handed_off(monkeypatch)
+    assert pass_bytes(blocks, *sample) == serial
+    assert ranges and all(stop - start >= 2048 for start, stop in ranges)
+
+
+def test_a_pass_whose_threads_cannot_start_runs_serially(inference_cloud, monkeypatch):
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    blocks, sample, serial = inference_cloud
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(arrays, "_HELPERS", [])
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    ranges = handed_off(monkeypatch)
+    assert pass_bytes(blocks, *sample) == serial
+    assert not ranges and not arrays._HELPERS
+
+
+def test_a_pass_on_one_cpu_starts_no_thread(inference_cloud):
+    """A process allowed one CPU, as ``taskset -c 0`` allows it, runs every
+    range itself and gives the same bytes."""
+    blocks, sample, serial = inference_cloud
+    out = fresh_process(THREAD_SPY + """
+import hashlib, sys
+from test_train import attention_net_and_cloud, pass_bytes
+blocks, sample = attention_net_and_cloud(12_500, 16)
+sys.stdout.write(f"{len(made)} {hashlib.sha256(pass_bytes(blocks, *sample)).hexdigest()}")
+""", preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"0 {hashlib.sha256(serial).hexdigest()}"
+
+
+def test_a_training_step_starts_no_thread():
+    """The benchmark's 4,000-point step is below ``arrays.SPLIT_MIN_ROWS``."""
+    out = fresh_process(THREAD_SPY + """
+import sys
+from test_train import attention_net_and_cloud, benchmark_step
+blocks, sample = attention_net_and_cloud(500, 8)
+benchmark_step(blocks, *sample)
+sys.stdout.write(f"{sample[0].n_points} {len(made)}")
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "4000 0"
 
 
 def test_a_warm_step_maps_no_fresh_pages():
