@@ -230,7 +230,8 @@ class _Helper:
         self._go.acquire()
         self._done.acquire()
         self._job = self._error = None
-        threading.Thread(target=self._serve, daemon=True).start()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
     def _serve(self) -> None:
         while True:
@@ -250,7 +251,9 @@ class _Helper:
 
     def join(self) -> BaseException | None:
         """Wait for the range to end; return what it raised, if anything."""
-        self._done.acquire()
+        while not self._done.acquire(timeout=1):
+            if not self._thread.is_alive():  # the range will never end
+                raise RuntimeError("a split_rows helper thread has stopped")
         error, self._error = self._error, None
         return error
 

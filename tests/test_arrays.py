@@ -308,3 +308,13 @@ def test_split_rows_lets_go_of_the_arrays_its_threads_read(monkeypatch):
     split_rows(len(x), lambda start, stop: np.negative(x[start:stop], out=y[start:stop]))
     assert (sys.getrefcount(x), sys.getrefcount(y)) == before
     assert np.array_equal(y, -x)
+
+
+def test_split_rows_raises_if_a_helper_thread_has_stopped(monkeypatch):
+    """A range handed to a thread that no longer runs raises, not waits."""
+    monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(arrays, "_HELPERS", [])
+    monkeypatch.setattr(arrays._Helper, "_serve", lambda helper: None)
+    with pytest.raises(RuntimeError, match="stopped"):
+        split_rows(100_000, lambda start, stop: None)
+    assert not arrays._HELPERS
