@@ -24,7 +24,7 @@ latest pattern is kept between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -45,11 +45,12 @@ class SharingPattern:
     """An ``n x n`` matrix of orbit ids with canonical labels.
 
     Labels are contiguous ``0 .. num_orbits-1`` and increase in order of first
-    appearance when the matrix is scanned row-major.
+    appearance when the matrix is scanned row-major; ``num_orbits`` is read
+    off the ids.
     """
 
     orbit_id: np.ndarray
-    num_orbits: int
+    num_orbits: int = field(init=False)
 
     def __post_init__(self) -> None:
         ids = np.ascontiguousarray(self.orbit_id, dtype=np.int64)
@@ -60,7 +61,7 @@ class SharingPattern:
         flat = ids.ravel()
         top = np.maximum.accumulate(flat)
         count = int(top[-1]) + 1 if flat.size else 0
-        if count != self.num_orbits or count > flat.size or (flat.size and flat.min() < 0):
+        if count > flat.size or (flat.size and flat.min() < 0):
             raise ValueError("orbit ids must be contiguous 0..num_orbits-1")
         if np.any(flat[:1]) or np.any(flat[1:] > top[:-1] + 1):
             if not np.bincount(flat, minlength=count).all():
@@ -68,6 +69,7 @@ class SharingPattern:
             raise ValueError("orbit ids must be canonical (first occurrence increasing)")
         ids.setflags(write=False)
         object.__setattr__(self, "orbit_id", ids)
+        object.__setattr__(self, "num_orbits", count)
 
     @property
     def n(self) -> int:
@@ -95,7 +97,7 @@ def orbit_pattern(group: PermGroup) -> SharingPattern:
     n = group.degree
     labels = orbit_labels(_pair_images(group))
     least = labels == np.arange(n * n)
-    return SharingPattern((np.cumsum(least) - 1)[labels].reshape(n, n), int(least.sum()))
+    return SharingPattern((np.cumsum(least) - 1)[labels].reshape(n, n))
 
 
 def burnside_count(elements: np.ndarray) -> int:
@@ -111,21 +113,18 @@ def burnside_count(elements: np.ndarray) -> int:
     return total // len(elements)
 
 
-def commutant_basis(group: PermGroup, max_degree: int = DEFAULT_ORACLE_MAX_DEGREE) -> np.ndarray:
+def commutant_basis(group: PermGroup) -> np.ndarray:
     """Exact basis of all matrices commuting with the group action.
 
     Solves the stacked system ``P_g W - W P_g = 0`` (one block per generator)
     by Gauss-Jordan elimination in integers, and returns the basis as one
     read-only ``(k, N, N)`` integer array, one matrix per free unknown.
-    Guarded by ``max_degree`` because the solve works on ``degree**2``
-    unknowns.
+    Refuses a degree above ``DEFAULT_ORACLE_MAX_DEGREE`` because the solve
+    works on ``degree**2`` unknowns.
     """
     n = group.degree
-    if n > max_degree:
-        raise DegreeTooLargeError(
-            f"degree {n} exceeds the oracle bound {max_degree}; "
-            "raise max_degree explicitly to override"
-        )
+    if n > DEFAULT_ORACLE_MAX_DEGREE:
+        raise DegreeTooLargeError(f"degree {n} exceeds the oracle bound {DEFAULT_ORACLE_MAX_DEGREE}")
     b = np.stack(list(_pair_images(group)))
     a = np.broadcast_to(np.arange(n * n), b.shape)
     a, b = a[a != b], b[a != b]
@@ -238,8 +237,7 @@ def pattern_of_structure(expr: Structure) -> SharingPattern:
     orbit count is read off the ids, not taken from the closed form, so the
     two stay separate routes.  Only the latest pattern is kept.
     """
-    ids = orbit_grid(expr)
-    return SharingPattern(ids, int(ids.max()) + 1)
+    return SharingPattern(orbit_grid(expr))
 
 
 def orbit_grid(expr: Structure) -> np.ndarray:

@@ -33,7 +33,7 @@ from .basis import (
     pattern_pgm,
     pattern_summary,
 )
-from .layer import equivariance_check, random_layer
+from .layer import EQUIVARIANCE_TOL, equivariance_check, random_layer
 from .perm import DEFAULT_MAX_ORDER, MAX_ORDER_ENV_VAR, EnumerationLimitError, enumerate_group, max_order_limit
 from .structure import (
     Structure,
@@ -244,7 +244,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             float(np.abs(y2 - y).max() / scale),
             float(np.abs(y3 - y[order]).max() / scale),
         )
-    passed = worst <= 1e-10
+    passed = worst <= EQUIVARIANCE_TOL
     acc = float((logits.argmax(axis=1) == labels).mean())
     report = [
         f"task segnet  res={args.res} blocks={args.blocks} attention={args.attention}",
@@ -253,17 +253,19 @@ def cmd_demo(args: argparse.Namespace) -> int:
         f"equivariance max residual {worst:.3e} -> {'pass' if passed else 'FAIL'}",
     ]
     # the directory is made only once everything is computed, so a run that
-    # ends in an error leaves none behind
+    # ends in an error before then leaves none behind
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
-    (out_dir / "trace.csv").write_text(trace_csv(trace))
-    # in the held-out sample's own order, which is voxel order
-    (out_dir / "predictions.txt").write_text(format_predictions(logits.argmax(axis=1)))
-    (out_dir / "equivariance.txt").write_text("\n".join(report) + "\n")
+    for name, text in [("trace.csv", trace_csv(trace)),
+                       # in the held-out sample's own order, which is voxel order
+                       ("predictions.txt", format_predictions(logits.argmax(axis=1))),
+                       ("equivariance.txt", "\n".join(report))]:
+        if _emit(text, str(out_dir / name)):
+            return USAGE_ERROR
     print("\n".join(report))
     return 0 if passed else 1
 

@@ -25,7 +25,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,28 +65,28 @@ def max_order_limit() -> int:
 
 @dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group given by its degree and the rows of its generators.
+    """A permutation group given by the rows of its generators.
 
     ``generators`` is stored as a read-only ``(k, N)`` array, one permutation
     of ``0 .. N-1`` per row in word form, of the least unsigned dtype that
     holds ``N - 1``.  Each distinct row is kept at its first occurrence.
+    ``degree`` is ``N``, read off the rows.
 
-    >>> PermGroup(3, [[1, 2, 0], [1, 0, 2], [1, 2, 0]]).generators
+    >>> PermGroup([[1, 2, 0], [1, 0, 2], [1, 2, 0]]).generators
     array([[1, 2, 0],
            [1, 0, 2]], dtype=uint8)
     """
 
-    degree: int
     generators: np.ndarray
-    label: str = ""
+    degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.degree
+        rows = np.asarray(self.generators)
+        if rows.ndim != 2:
+            raise DegreeMismatchError(f"generators need shape (k, N), got {rows.shape}")
+        n = rows.shape[1]
         if n < 1:
             raise InvalidDegreeError(f"group degree must be at least 1, got {n}")
-        rows = np.asarray(self.generators)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise DegreeMismatchError(f"generators need shape (k, {n}), got {rows.shape}")
         if not len(rows):
             raise InvalidGeneratorError("a group needs at least one generator")
         not_perm = f"each generator must be a permutation of 0..{n - 1}"
@@ -101,6 +101,7 @@ class PermGroup:
             raise InvalidGeneratorError(not_perm)
         unique = dict.fromkeys(map(bytes, rows))  # first occurrences, in order
         object.__setattr__(self, "generators", np.frombuffer(b"".join(unique), rows.dtype).reshape(-1, n))
+        object.__setattr__(self, "degree", n)
 
 
 def permute_rows(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -123,7 +124,7 @@ def cyclic_group(n: int) -> PermGroup:
     >>> cyclic_group(4).generators
     array([[1, 2, 3, 0]], dtype=uint8)
     """
-    return PermGroup(n, [np.arange(1, n + 1) % n], label=f"C{n}")
+    return PermGroup([np.arange(1, n + 1) % n])
 
 
 def symmetric_group(n: int) -> PermGroup:
@@ -137,7 +138,7 @@ def symmetric_group(n: int) -> PermGroup:
     """
     swap = np.arange(n)
     swap[:2] = swap[:2][::-1]  # the identity when n == 1
-    return PermGroup(n, [swap, np.arange(1, n + 1) % n], label=f"S{n}")
+    return PermGroup([swap, np.arange(1, n + 1) % n])
 
 
 def trivial_group(n: int) -> PermGroup:
@@ -146,7 +147,7 @@ def trivial_group(n: int) -> PermGroup:
     >>> trivial_group(3).generators
     array([[0, 1, 2]], dtype=uint8)
     """
-    return PermGroup(n, [np.arange(n)], label=f"trivial{n}")
+    return PermGroup([np.arange(n)])
 
 
 def _fiber_rows(outer: PermGroup, inner: PermGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +169,7 @@ def direct_product_group(outer: PermGroup, inner: PermGroup) -> PermGroup:
     The result acts on ``outer.degree * inner.degree`` points with the outer
     index major.
     """
-    n = outer.degree * inner.degree
-    return PermGroup(n, np.concatenate(_fiber_rows(outer, inner)).reshape(-1, n),
-                     label=f"({outer.label} x {inner.label})")
+    return PermGroup(np.concatenate(_fiber_rows(outer, inner)).reshape(-1, outer.degree * inner.degree))
 
 
 UNION_CHUNK = 1 << 14  # bounds the points of a row held as Python ints at once
@@ -226,7 +225,7 @@ def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     local = np.tile(np.arange(P * Q, dtype=spread.dtype).reshape(P, Q), (len(minima), len(spread), 1, 1))
     local[np.arange(len(minima)), :, minima] = spread[:, minima].swapaxes(0, 1)
     rows = np.concatenate([lifted.reshape(-1, P * Q), local.reshape(-1, P * Q)])
-    return PermGroup(P * Q, rows, label=f"({inner.label} wr {outer.label})")
+    return PermGroup(rows)
 
 
 def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
@@ -261,7 +260,5 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
             seen.update(dict.fromkeys(new))
             frontier += new
             if len(seen) > limit:
-                raise EnumerationLimitError(
-                    f"group {group.label or f'of degree {n}'} exceeds enumeration limit {limit}"
-                )
+                raise EnumerationLimitError(f"group of degree {n} exceeds enumeration limit {limit}")
     return np.frombuffer(b"".join(seen), dtype=dtype).reshape(-1, n)

@@ -368,8 +368,8 @@ class WreathPCLayer:
         freeze_field(self, "w_conv", self.w_conv)
         if self.w_point.ndim != 2:
             raise ValueError("w_point must be (c_in, c_out)")
-        if self.w_conv.ndim != 5 or self.w_conv.shape[3:] != self.w_point.shape:
-            raise ValueError("w_conv must be (K, K, K, c_in, c_out) matching w_point")
+        if self.w_conv.ndim != 5 or self.w_conv.shape[3:] != self.w_point.shape or min(self.w_conv.shape) < 1:
+            raise ValueError("w_conv must be (K, K, K, c_in, c_out) matching w_point, each axis at least 1")
 
     @property
     def c_in(self) -> int:
@@ -422,8 +422,9 @@ class AttnPCLayer:
         if self.w_assign.ndim != 2 or self.w_interact.ndim != 4:
             raise ValueError("w_assign must be (c_in, L), w_interact (L, L, c_in, c_out)")
         L = self.w_assign.shape[1]
-        if self.w_interact.shape[:2] != (L, L) or self.w_interact.shape[2] != self.w_assign.shape[0]:
-            raise ValueError("w_interact shape inconsistent with w_assign")
+        if (self.w_interact.shape[:2] != (L, L) or self.w_interact.shape[2] != self.w_assign.shape[0]
+                or min(self.w_interact.shape) < 1):
+            raise ValueError("w_interact shape inconsistent with w_assign, or an axis below 1")
 
     @property
     def c_in(self) -> int:

@@ -307,12 +307,12 @@ def seg_setup(
 
 
 def run_seg_experiment(
-    centers: np.ndarray, seed: int, set_only: bool, epochs: int = 40
+    centers: np.ndarray, seed: int, set_only: bool
 ) -> tuple[float, float, list[tuple[int, float, float]]]:
-    """Train one model on the blob task with ``lr = 0.2``; returns
-    (train acc, held-out acc, trace)."""
+    """Train one model on the blob task for 40 epochs with ``lr = 0.2``;
+    returns (train acc, held-out acc, trace)."""
     train, test, blocks = seg_setup(centers, seed, set_only=set_only)
-    trained, trace = sgd_train(blocks, train, epochs=epochs, lr=0.2, seed=seed)
+    trained, trace = sgd_train(blocks, train, epochs=40, lr=0.2, seed=seed)
     _, test_acc = evaluate(trained, test)
     return trace[-1][2], test_acc, trace
 

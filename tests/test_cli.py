@@ -441,3 +441,18 @@ def test_demo_unwritable_out_exits_two(tmp_path, capsys, where):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot create {out_dir}: ") and err.count("\n") == 1
+
+
+DEMO_FILES = ["trace.csv", "predictions.txt", "equivariance.txt"]
+
+
+@pytest.mark.parametrize("name", DEMO_FILES)
+def test_demo_unwritable_file_exits_two_at_the_first_failure(tmp_path, capsys, name):
+    """A file the demo cannot write, here because a directory holds its name,
+    is one ``error:`` line and exit 2; the files before it stay written."""
+    (tmp_path / name).mkdir()
+    code, out, err = run_cli(capsys, DEMO_ARGS[:-4] + ["--epochs", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / name}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == sorted(DEMO_FILES[:DEMO_FILES.index(name)])

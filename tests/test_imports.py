@@ -1,9 +1,11 @@
 """Every name a library module imports is used in that module, the library
 loads no rational arithmetic, only the leaf table knows the leaf kinds,
 every top-level definition of the library has a reader outside the tests,
-and every cache the library keeps has a bound."""
+every defaulted parameter of the library has a caller that sets it, and
+every cache the library keeps has a bound."""
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -175,6 +177,55 @@ def test_unread_definition_detection():
     ]
     users = ["import a\nprint('calls f')\n", "from b import m\n"]
     assert unread_definitions(library, users) == ["h", "L"]
+
+
+def unset_options(library: list[str], callers: list[str]) -> list[str]:
+    """``function.parameter`` for each defaulted parameter of a function or
+    method of the ``library`` sources that no call in ``callers`` passes, by
+    keyword or by position.  Calls match definitions by name, a method's
+    positions start after ``self``, and a call with ``*args`` or ``**kwargs``
+    passes every parameter it could reach.  Lambdas are left out: their
+    defaults capture values (``lambda x, w=w: ...``), no caller sets them."""
+    options = []
+    for source in library:
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                args, skip = fn.args, id(fn) in methods
+                params = args.posonlyargs + args.args
+                options += [(fn.name, i - skip, p.arg) for i, p in enumerate(params)
+                            if i >= len(params) - len(args.defaults)]
+                options += [(fn.name, None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    calls = []  # (name, positional count, keywords; None for ``**kwargs``)
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                calls.append((getattr(call.func, "id", getattr(call.func, "attr", None)),
+                              math.inf if starred else len(call.args), {k.arg for k in call.keywords}))
+    return [f"{name}.{param}" for name, at, param in options
+            if not any(called == name and ((at is not None and count > at) or param in keywords or None in keywords)
+                       for called, count, keywords in calls)]
+
+
+def test_every_option_has_a_caller():
+    """A defaulted parameter that only tests set is a constant: the library,
+    the demos and the benchmark each run with one value of it."""
+    library = [p.read_text() for p in MODULES]
+    assert unset_options(library, library + [p.read_text() for p in USERS]) == []
+
+
+def test_unset_option_detection():
+    library = [
+        "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+        "def g(x=0, y=0):\n    return f(x, 2, c=y, **{})\n"
+        "class K:\n    def m(self, u=1, v=2):\n        return lambda w=u: w\n",
+        "def h(*args, z=1):\n    return f(*args)\n",
+    ]
+    callers = library + ["K().m(5)\nh()\ng(y=1)\n"]
+    assert unset_options(library, callers) == ["g.x", "m.v", "h.z"]
+    assert unset_options(library, ["f(1, c=1)\n"]) == ["f.b", "f.d", "g.x", "g.y", "m.u", "m.v", "h.z"]
 
 
 def unbounded_caches(source: str) -> list[int]:

@@ -30,7 +30,7 @@ from wreathlin.pointcloud import (
     within_voxel_permutation,
 )
 from wreathlin.structure import parse_structure
-from wreathlin.train import SegBlock, net_forward
+from wreathlin.train import SegBlock, build_segnet, net_forward
 
 from memory import traced_peak
 from test_train import handed_off
@@ -47,6 +47,25 @@ def test_point_cloud_validates_shapes():
         PointCloud(coords=np.zeros((3, 3)), features=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         PointCloud(coords=np.full((2, 3), np.nan), features=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WreathPCLayer(np.zeros((0, 2)), np.zeros((3, 3, 3, 0, 2))),
+    lambda: WreathPCLayer(np.zeros((2, 0)), np.zeros((3, 3, 3, 2, 0))),
+    lambda: WreathPCLayer(np.zeros((2, 2)), np.zeros((0, 0, 0, 2, 2))),
+    lambda: SetPCLayer(np.zeros((2, 0)), np.zeros((1, 1, 1, 2, 0))),
+    lambda: AttnPCLayer(np.zeros((2, 0)), np.zeros((0, 0, 2, 2))),
+    lambda: AttnPCLayer(np.zeros((0, 3)), np.zeros((3, 3, 0, 2))),
+    lambda: AttnPCLayer(np.zeros((2, 3)), np.zeros((3, 3, 2, 0))),
+    lambda: build_segnet(6, 0, 2, 8, 3, np.random.default_rng(0)),
+], ids=["wreath-c_in", "wreath-c_out", "wreath-taps", "set-c_out", "attn-latents", "attn-c_in", "attn-c_out",
+        "segnet-classes"])
+def test_point_cloud_layers_reject_zero_widths(make):
+    """Every weight axis, and so every channel count and the latent count, is
+    at least 1 when the layer is built, as for ``EquivariantLayer``; a zero
+    width would otherwise fail only in the forward pass."""
+    with pytest.raises(ValueError, match="at least 1|below 1"):
+        make()
 
 
 @pytest.mark.parametrize("make", [

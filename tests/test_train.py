@@ -215,9 +215,9 @@ def test_evaluate_counts_correct_points():
 def test_seg_experiment_paired_runs_share_data():
     rng = np.random.default_rng(42)
     centers = make_blob_scene(4, 4, rng)
-    _, acc_a, trace_a = run_seg_experiment(centers, seed=0, set_only=False, epochs=2)
-    _, acc_b, _ = run_seg_experiment(centers, seed=0, set_only=True, epochs=2)
-    assert trace_a[0][0] == 0 and len(trace_a) == 3
+    _, acc_a, trace_a = run_seg_experiment(centers, seed=0, set_only=False)
+    _, acc_b, _ = run_seg_experiment(centers, seed=0, set_only=True)
+    assert trace_a[0][0] == 0 and len(trace_a) == 41
     assert 0.0 <= acc_a <= 1.0 and 0.0 <= acc_b <= 1.0
 
 
