@@ -198,6 +198,9 @@ def _demo_size_error(args: argparse.Namespace) -> str | None:
         return f"--noise must be finite and at least 0, got {args.noise}"
     if args.blobs > args.res ** 3:
         return f"--blobs {args.blobs} exceeds the {args.res ** 3} voxels of a resolution-{args.res} grid"
+    # voxelize forms flat voxel ids in float64, exact only up to 2**53
+    if args.res ** 3 > 2 ** 53:
+        return f"--res {args.res} gives {args.res ** 3} voxels, past the 2**53 whose float64 ids are exact"
     return None
 
 

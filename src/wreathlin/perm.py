@@ -50,7 +50,8 @@ class EnumerationLimitError(RuntimeError):
 
 
 def max_order_limit() -> int:
-    """Default enumeration limit, overridable via ``WREATHLIN_MAX_ORDER``.
+    """The enumeration limit ``verify --max-order`` defaults to, overridable
+    via ``WREATHLIN_MAX_ORDER``.
 
     Raises ``ValueError`` when the variable is set to anything but a
     positive integer.
@@ -228,7 +229,7 @@ def wreath_product_group(inner: PermGroup, outer: PermGroup) -> PermGroup:
     return PermGroup(rows)
 
 
-def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
+def enumerate_group(group: PermGroup, limit: int) -> np.ndarray:
     """All elements of the generated group, as the rows of an ``(m, N)`` array.
 
     Each row holds the images of one element in word form, the identity
@@ -239,11 +240,9 @@ def enumerate_group(group: PermGroup, limit: int | None = None) -> np.ndarray:
     and the array is a read-only view of the joined keys, so the call peaks
     at two copies of the group, the keys and their join.
     Raises :class:`EnumerationLimitError` as soon as one generator's images
-    take the closure past ``limit`` (default :func:`max_order_limit`), so
-    the work done before raising stays within about twice ``limit`` rows.
+    take the closure past ``limit``, so the work done before raising stays
+    within about twice ``limit`` rows.
     """
-    if limit is None:
-        limit = max_order_limit()
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     n = group.degree

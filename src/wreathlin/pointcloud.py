@@ -96,34 +96,6 @@ class KernelError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class PointCloud:
-    """Points in 3-space with per-point feature channels and optional labels."""
-
-    coords: np.ndarray  # (n, 3)
-    features: np.ndarray  # (n, c)
-    labels: np.ndarray | None = None  # (n,) ints
-
-    def __post_init__(self) -> None:
-        shared = self.features is self.coords  # points whose features are their coordinates keep one copy
-        freeze_field(self, "coords", self.coords)
-        freeze_field(self, "features", self.coords if shared else self.features, copy=not shared)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 3:
-            raise ValueError(f"coords must be (n, 3), got {self.coords.shape}")
-        if self.features.ndim != 2 or self.features.shape[0] != self.coords.shape[0]:
-            raise ValueError("features must be (n, c) with one row per point")
-        if not np.all(np.isfinite(self.coords)):
-            raise ValueError("coords must be finite")
-        if self.labels is not None:
-            freeze_field(self, "labels", self.labels, dtype=np.int64)
-            if self.labels.shape != (self.coords.shape[0],):
-                raise ValueError("labels must be (n,)")
-
-    @property
-    def n_points(self) -> int:
-        return self.coords.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class VoxelizedCloud:
     """Hard assignment of points to a ``D**3`` voxel grid.
 
@@ -180,22 +152,23 @@ class VoxelizedCloud:
         return VoxelizedCloud(1, np.zeros(self.n_points, dtype=np.int64))
 
 
-def voxelize(cloud: PointCloud, resolution: int) -> tuple[VoxelizedCloud, np.ndarray]:
-    """Scale the cloud's bounding box to ``[0, D)**3`` and bin the points; return
-    the voxelization and the ``(n, 3)`` offsets from the voxel centers, in
-    voxel units.  A degenerate extent along an axis is treated as one unit
-    wide, with the points at the center of the first cell on that axis (so
-    identical points get zero offsets).  Points on the upper boundary land in
-    the last voxel.
+def voxelize(coords: np.ndarray, resolution: int) -> tuple[VoxelizedCloud, np.ndarray]:
+    """Scale the bounding box of the ``(n, 3)`` coordinates to ``[0, D)**3`` and
+    bin the points; return the voxelization and the ``(n, 3)`` offsets from the
+    voxel centers, in voxel units.  A degenerate extent along an axis is
+    treated as one unit wide, with the points at the center of the first cell
+    on that axis (so identical points get zero offsets).  Points on the upper
+    boundary land in the last voxel.  Raises ``ValueError`` unless the
+    coordinates are a finite ``(n, 3)`` array with ``n >= 1``.
 
     >>> coords = np.array([[0, 0, 0], [0.25, 0, 0], [1, 1, 1]])
-    >>> vox, offsets = voxelize(PointCloud(coords, coords), 2)
+    >>> vox, offsets = voxelize(coords, 2)
     >>> vox.assignment.tolist(), vox.counts.tolist(), offsets.tolist()
     ([0, 0, 7], [2, 1], [[-0.5, -0.5, -0.5], [0.0, -0.5, -0.5], [0.5, 0.5, 0.5]])
     """
-    if resolution < 1:
-        raise InvalidDegreeError("resolution must be at least 1")
-    coords = cloud.coords
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 3 or not len(coords) or not np.isfinite(coords).all():
+        raise ValueError(f"coords must be a finite (n, 3) array with n >= 1, got shape {coords.shape}")
     lo = coords.min(axis=0)
     extent = coords.max(axis=0) - lo
     degenerate = extent == 0
@@ -206,7 +179,7 @@ def voxelize(cloud: PointCloud, resolution: int) -> tuple[VoxelizedCloud, np.nda
     scaled[:, degenerate] = 0.5
     cell = np.floor(scaled)
     np.minimum(cell, resolution - 1, out=cell)
-    # the flat id ix * D**2 + iy * D + iz, exact in float64
+    # the flat id ix * D**2 + iy * D + iz, exact in float64 while D**3 <= 2**53
     vox = VoxelizedCloud(resolution, (cell @ [resolution ** 2, resolution, 1.0]).astype(np.int64))
     scaled -= np.add(cell, 0.5, out=cell)
     return vox, scaled
@@ -520,16 +493,16 @@ def sample_blob_cloud(
     noise: float,
     resolution: int,
     rng: np.random.Generator,
-) -> PointCloud:
-    """Gaussian blob around each center; labels are blob indices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian blob around each center: the ``(n, 3)`` coordinates, clipped
+    to ``[0, 1]``, and the ``(n,)`` labels, which are blob indices.
 
-    ``noise`` is the standard deviation in voxel units.  Features are the
-    noisy coordinates themselves.
+    ``noise`` is the standard deviation in voxel units.
     """
     blobs = [center + noise / resolution * rng.standard_normal((points_per_blob, 3)) for center in centers]
     coords = np.concatenate(blobs)
     np.clip(coords, 0.0, 1.0, out=coords)
-    return PointCloud(coords=coords, features=coords, labels=np.repeat(np.arange(len(centers)), points_per_blob))
+    return coords, np.repeat(np.arange(len(centers)), points_per_blob)
 
 
 def format_predictions(labels: np.ndarray) -> str:

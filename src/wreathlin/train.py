@@ -263,22 +263,23 @@ def make_seg_samples(
     """
     samples = []
     for _ in range(n_samples):
-        cloud = sample_blob_cloud(centers, points_per_blob, noise, resolution, rng)
-        vox, offsets = voxelize(cloud, resolution)
-        noisy = cloud.coords + feature_noise * rng.normal(size=cloud.coords.shape)
+        coords, labels = sample_blob_cloud(centers, points_per_blob, noise, resolution, rng)
+        vox, offsets = voxelize(coords, resolution)
+        coords += feature_noise * rng.normal(size=coords.shape)  # in place: voxelize has read them
         # one stable sort puts the points in voxel order.  The features are
-        # gathered into it a chunk of rows at a time, and the unsorted arrays
-        # freed before the sorted voxelization is built: whole-array gathers
-        # left the 100,000-point cloud's heap about 2 MB larger.
+        # gathered into it a chunk of rows at a time, and the unsorted
+        # coordinates and offsets freed before the sorted voxelization is
+        # built: whole-array gathers left the 100,000-point cloud's heap about
+        # 2 MB larger.
         order = np.argsort(vox.assignment, kind="stable")
         x = np.empty((vox.n_points, FEATURE_CHANNELS))
         step = CHUNK_ELEMENTS // FEATURE_CHANNELS
         for start in range(0, vox.n_points, step):
             rows = order[start:start + step]
-            x[start:start + step, :3] = noisy[rows]
+            x[start:start + step, :3] = coords[rows]
             x[start:start + step, 3:] = offsets[rows]
-        del noisy, offsets
-        samples.append((permute_points(vox, order), x, cloud.labels[order]))
+        del coords, offsets
+        samples.append((permute_points(vox, order), x, labels[order]))
     return samples
 
 

@@ -23,7 +23,6 @@ from wreathlin.basis import (
 from wreathlin.layer import apply, apply_dense, equivariance_check_map, random_layer
 from wreathlin.pointcloud import (
     AttnPCLayer,
-    PointCloud,
     WreathPCLayer,
     make_blob_scene,
     pc_layer_forward,
@@ -273,20 +272,20 @@ def test_voxel_hierarchy_and_attention_equivariance():
         for _ in range(18):
             n = int(rng.integers(1, 40))
             c_in, c_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            cloud = PointCloud(coords=rng.uniform(size=(n, 3)), features=rng.normal(size=(n, c_in)))
-            vox, _ = voxelize(cloud, D)
+            coords, features = rng.uniform(size=(n, 3)), rng.normal(size=(n, c_in))
+            vox, _ = voxelize(coords, D)
             saw_empty = saw_empty or len(vox.occupied) < D ** 3
             K = 3 if D >= 3 else 1
             layer = WreathPCLayer(
                 w_point=rng.normal(size=(c_in, c_out)),
                 w_conv=rng.normal(size=(K, K, K, c_in, c_out)),
             )
-            y = pc_layer_forward(layer, vox, cloud.features)[0]
+            y = pc_layer_forward(layer, vox, features)[0]
             scale = max(float(np.abs(y).max()), 1e-12)
             shifts = tuple(rng.integers(0, D, size=3).tolist())
-            y_shift = pc_layer_forward(layer, shift_assignment(vox, shifts), cloud.features)[0]
+            y_shift = pc_layer_forward(layer, shift_assignment(vox, shifts), features)[0]
             order = within_voxel_permutation(vox, rng)
-            y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
+            y_perm = pc_layer_forward(layer, permute_points(vox, order), features[order])[0]
             worst = max(
                 worst,
                 float(np.abs(y_shift - y).max() / scale),
@@ -318,8 +317,8 @@ def test_voxel_hierarchy_and_attention_equivariance():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    cloud = PointCloud(coords=rng.uniform(size=(18, 3)), features=rng.normal(size=(18, 4)))
-    vox, _ = voxelize(cloud, 3)
+    coords, features = rng.uniform(size=(18, 3)), rng.normal(size=(18, 4))
+    vox, _ = voxelize(coords, 3)
     labels = rng.integers(0, 3, size=18)
     single_worst = 0.0
     for layer in (
@@ -328,17 +327,17 @@ def test_gradients_match_finite_differences():
         init_attn_layer(4, 3, 4, rng),
     ):
         report = gradient_check(
-            [SegBlock(layer, rectify=False)], vox, cloud.features, labels, threshold=1e-5
+            [SegBlock(layer, rectify=False)], vox, features, labels, threshold=1e-5
         )
         assert report.passed, report.lines()
         single_worst = max(single_worst, report.max_error)
 
     rng = np.random.default_rng(2)
-    cloud = PointCloud(coords=rng.uniform(size=(24, 3)), features=rng.normal(size=(24, 4)))
-    vox, _ = voxelize(cloud, 3)
+    coords, features = rng.uniform(size=(24, 3)), rng.normal(size=(24, 4))
+    vox, _ = voxelize(coords, 3)
     labels = rng.integers(0, 3, size=24)
     blocks = build_segnet(4, 3, 2, 5, 3, rng, attention_latents=3)
-    full = gradient_check(blocks, vox, cloud.features, labels, threshold=1e-4)
+    full = gradient_check(blocks, vox, features, labels, threshold=1e-4)
     _verdict(
         full.passed,
         "analytic gradients",
@@ -373,10 +372,10 @@ def test_negative_controls():
     split_report = equivariance_check_map(lambda x: w @ x, group, c_in=1, trials=3)
 
     rng = np.random.default_rng(5)
-    cloud = PointCloud(coords=rng.uniform(size=(25, 3)), features=rng.normal(size=(25, 3)))
-    vox, _ = voxelize(cloud, 3)
+    coords, features = rng.uniform(size=(25, 3)), rng.normal(size=(25, 3))
+    vox, _ = voxelize(coords, 3)
     ident = WreathPCLayer(w_point=np.eye(3), w_conv=np.zeros((3, 3, 3, 3, 3)))
-    ident_ok = np.array_equal(pc_layer_forward(ident, vox, cloud.features)[0], cloud.features)
+    ident_ok = np.array_equal(pc_layer_forward(ident, vox, features)[0], features)
     _verdict(
         (not split_report.passed) and ident_ok,
         "negative controls",

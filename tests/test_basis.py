@@ -123,9 +123,9 @@ def test_orbit_pattern_hierarchy_of_sets():
 
 
 def test_burnside_counts():
-    assert burnside_count(enumerate_group(wreath_product_group(symmetric_group(2), symmetric_group(3)))) == 3
-    assert burnside_count(enumerate_group(trivial_group(3))) == 9
-    assert burnside_count(enumerate_group(cyclic_group(2))) == 2
+    assert burnside_count(enumerate_group(wreath_product_group(symmetric_group(2), symmetric_group(3)), limit=100)) == 3
+    assert burnside_count(enumerate_group(trivial_group(3), limit=100)) == 9
+    assert burnside_count(enumerate_group(cyclic_group(2), limit=100)) == 2
 
 
 def test_burnside_respects_enumeration_limit():

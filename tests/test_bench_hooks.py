@@ -88,11 +88,11 @@ def test_layer_gradients_are_keyed_by_the_layer_fields():
         pc.AttnPCLayer: init_attn_layer(4, 3, 2, rng),
     }
     assert set(layers) == set(typing.get_args(pc.PCLayer))
-    cloud = pc.PointCloud(coords=rng.uniform(size=(10, 3)), features=rng.normal(size=(10, 4)))
-    vox, _ = pc.voxelize(cloud, 2)
+    coords, features = rng.uniform(size=(10, 3)), rng.normal(size=(10, 4))
+    vox, _ = pc.voxelize(coords, 2)
     for cls, layer in layers.items():
         assert type(layer) is cls
-        y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
+        y, cache = pc.pc_layer_forward(layer, vox, features)
         grads, _ = pc.layer_backward(layer, vox, cache, np.ones_like(y))
         assert set(grads) == {f.name for f in dataclasses.fields(layer)}, cls.__name__
 
@@ -114,10 +114,10 @@ def test_wreath_layer_calls_the_pooled_primitives_through_the_module(monkeypatch
     for name in calls:
         monkeypatch.setattr(pc, name, counting(name, getattr(pc, name)))
     rng = np.random.default_rng(1)
-    cloud = pc.PointCloud(coords=rng.uniform(size=(30, 3)), features=rng.normal(size=(30, 4)))
-    vox, _ = pc.voxelize(cloud, 4)
+    coords, features = rng.uniform(size=(30, 3)), rng.normal(size=(30, 4))
+    vox, _ = pc.voxelize(coords, 4)
     layer = init_wreath_layer(4, 3, 3, rng)
-    y, cache = pc.pc_layer_forward(layer, vox, cloud.features)
+    y, cache = pc.pc_layer_forward(layer, vox, features)
     pc.layer_backward(layer, vox, cache, np.ones_like(y))
     # the forward pools, convolves and gathers once; the backward convolves
     # with the flipped kernel and gathers again

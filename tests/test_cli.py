@@ -396,6 +396,12 @@ def test_demo_attention_path(tmp_path, capsys):
     (["--noise", "inf"], "--noise must be finite and at least 0, got inf"),
     (["--noise", "-1"], "--noise must be finite and at least 0, got -1.0"),
     (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["--res", "208064"], "--res 208064 gives 9007221244166144 voxels, past the 2**53 whose float64 ids are exact"),
+    (["--res", "300000"], "--res 300000 gives 27000000000000000 voxels, past the 2**53 whose float64 ids are exact"),
+    (["--res", "2097151"],
+     "--res 2097151 gives 9223358842721533951 voxels, past the 2**53 whose float64 ids are exact"),
+    (["--res", "2100000"],
+     "--res 2100000 gives 9261000000000000000 voxels, past the 2**53 whose float64 ids are exact"),
 ])
 def test_demo_bad_sizes_exit_two_before_writing(tmp_path, capsys, bad, message):
     out_dir = tmp_path / "run"
@@ -404,6 +410,15 @@ def test_demo_bad_sizes_exit_two_before_writing(tmp_path, capsys, bad, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_demo_largest_grid_of_exact_ids_passes_the_size_check(tmp_path, capsys):
+    """``--res 208063`` is the last grid of at most ``2**53`` voxels: the size
+    check lets it through, and it ends out of memory as ``--res 100000`` does."""
+    assert 208063 ** 3 <= 2 ** 53 < 208064 ** 3
+    code, out, err = run_cli(capsys, DEMO_ARGS + ["--res", "208063", "--epochs", "0", "--out", str(tmp_path / "run")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
 def test_demo_oversize_res_exits_two_before_writing(tmp_path, capsys):

@@ -296,7 +296,7 @@ def test_enumeration_holds_two_copies_of_the_group():
     """The elements are a read-only view of the joined keys, not a copy of
     them: the call peaks at the keys and their join, about 2.7 times the
     result's bytes on ``prod(S(6),C(40))`` (a copy of the join made it 3.3)."""
-    elements, peak = traced_peak(enumerate_group, group_of(parse_structure("prod(S(6),C(40))")))
+    elements, peak = traced_peak(enumerate_group, group_of(parse_structure("prod(S(6),C(40))")), 720 * 40)
     assert elements.shape == (720 * 40, 240)
     assert not elements.flags.writeable
     assert peak <= 3 * elements.nbytes

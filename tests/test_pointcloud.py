@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from wreathlin.layer import EquivariantLayer, apply
 from wreathlin.pointcloud import (
     AttnPCLayer,
     KernelError,
-    PointCloud,
     SetPCLayer,
     VoxelizedCloud,
     WreathPCLayer,
@@ -29,6 +29,7 @@ from wreathlin.pointcloud import (
     voxelize,
     within_voxel_permutation,
 )
+from wreathlin.perm import InvalidDegreeError
 from wreathlin.structure import parse_structure
 from wreathlin.train import SegBlock, build_segnet, net_forward
 
@@ -37,16 +38,21 @@ from test_train import handed_off
 
 
 def random_cloud(rng, n=30, c=4):
-    return PointCloud(coords=rng.uniform(size=(n, 3)), features=rng.normal(size=(n, c)))
+    """Uniform ``(n, 3)`` coordinates and normal ``(n, c)`` features, drawn in that order."""
+    return rng.uniform(size=(n, 3)), rng.normal(size=(n, c))
 
 
 def test_point_cloud_validates_shapes():
-    with pytest.raises(ValueError):
-        PointCloud(coords=np.zeros((3, 2)), features=np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        PointCloud(coords=np.zeros((3, 3)), features=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        PointCloud(coords=np.full((2, 3), np.nan), features=np.zeros((2, 1)))
+    """``voxelize`` refuses anything but a finite ``(n, 3)`` array of at least
+    one point with one ``ValueError`` naming the shape, before any reduction
+    over the points; a resolution below 1 is ``VoxelizedCloud``'s error."""
+    for coords in (np.zeros((3, 2)), np.zeros(3), np.full((2, 3), np.nan), np.array([[0.0, np.inf, 0.0]]),
+                   np.zeros((0, 3))):
+        message = rf"^coords must be a finite \(n, 3\) array with n >= 1, got shape {re.escape(str(coords.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            voxelize(coords, 2)
+    with pytest.raises(InvalidDegreeError, match="^resolution must be at least 1$"):
+        voxelize(np.zeros((2, 3)), 0)
 
 
 @pytest.mark.parametrize("make", [
@@ -70,12 +76,11 @@ def test_point_cloud_layers_reject_zero_widths(make):
 
 @pytest.mark.parametrize("make", [
     lambda: VoxelizedCloud(2, [0, 7]),
-    lambda: PointCloud(coords=np.zeros((2, 3)), features=np.ones((2, 1)), labels=[0, 1]),
     lambda: WreathPCLayer(w_point=np.eye(2), w_conv=np.ones((1, 1, 1, 2, 2))),
     lambda: SetPCLayer(w_point=np.eye(2), w_conv=np.ones((1, 1, 1, 2, 2))),
     lambda: AttnPCLayer(w_assign=np.ones((2, 3)), w_interact=np.ones((3, 3, 2, 2))),
     lambda: EquivariantLayer(parse_structure("S(3)"), np.ones((2, 1, 1))),
-], ids=["VoxelizedCloud", "PointCloud", "WreathPCLayer", "SetPCLayer", "AttnPCLayer", "EquivariantLayer"])
+], ids=["VoxelizedCloud", "WreathPCLayer", "SetPCLayer", "AttnPCLayer", "EquivariantLayer"])
 def test_array_holders_compare_and_hash_by_identity(make):
     """Array fields have no truth value, so a field-by-field ``==`` would
     raise: equal arrays still make two distinct objects."""
@@ -85,27 +90,26 @@ def test_array_holders_compare_and_hash_by_identity(make):
 
 
 def test_voxelize_single_point():
-    vox, offsets = voxelize(PointCloud(coords=np.array([[5.0, -2.0, 9.0]]), features=np.zeros((1, 1))), 3)
+    vox, offsets = voxelize(np.array([[5.0, -2.0, 9.0]]), 3)
     assert vox.assignment[0] == 0
     assert np.all(offsets == 0)
 
 
 def test_voxelize_cube_corners():
     corners = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    vox, _ = voxelize(PointCloud(coords=corners, features=np.zeros((8, 1))), 2)
+    vox, _ = voxelize(corners, 2)
     assert sorted(vox.assignment.tolist()) == list(range(8))
 
 
 def test_voxelize_identical_points():
-    vox, offsets = voxelize(PointCloud(coords=np.full((5, 3), 0.7), features=np.zeros((5, 1))), 4)
+    vox, offsets = voxelize(np.full((5, 3), 0.7), 4)
     assert len(set(vox.assignment.tolist())) == 1
     assert np.all(offsets == 0)
 
 
 def test_voxelize_offsets_bounded_and_occupancy_total():
     rng = np.random.default_rng(0)
-    cloud = random_cloud(rng, n=60)
-    vox, offsets = voxelize(cloud, 3)
+    vox, offsets = voxelize(random_cloud(rng, n=60)[0], 3)
     assert np.all(np.abs(offsets) <= 0.5 + 1e-12)
     assert vox.counts.sum() == 60
     assert vox.assignment.min() >= 0 and vox.assignment.max() < 27
@@ -113,12 +117,11 @@ def test_voxelize_offsets_bounded_and_occupancy_total():
 
 def test_mean_pool_and_gather():
     coords = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.9, 0.9, 0.9]])
-    cloud = PointCloud(coords=coords, features=np.array([[2.0], [4.0], [10.0]]))
-    vox, _ = voxelize(cloud, 2)
+    vox, _ = voxelize(coords, 2)
     # only the two occupied voxels get a row, in ascending voxel order
     assert vox.occupied.tolist() == [0, 7]
     assert vox.point_row.tolist() == [0, 0, 1]
-    pooled = mean_pool(vox, cloud.features)
+    pooled = mean_pool(vox, np.array([[2.0], [4.0], [10.0]]))
     assert pooled.tolist() == [[3.0], [10.0]]
     back = gather_to_points(vox, pooled, np.zeros((3, 1)))
     assert back[0, 0] == back[1, 0] == 3.0
@@ -126,12 +129,12 @@ def test_mean_pool_and_gather():
 
 def test_occupied_rows_are_read_only_and_derived():
     rng = np.random.default_rng(17)
-    vox, _ = voxelize(random_cloud(rng, n=40), 4)
+    vox, _ = voxelize(random_cloud(rng, n=40)[0], 4)
     assert np.array_equal(vox.occupied, np.flatnonzero(np.bincount(vox.assignment, minlength=4 ** 3)))
     assert np.array_equal(vox.occupied[vox.point_row], vox.assignment)
     assert not vox.occupied.flags.writeable and not vox.point_row.flags.writeable
     # on a fully occupied grid the rows are the voxel ids themselves
-    full, _ = voxelize(random_cloud(rng, n=40), 1)
+    full, _ = voxelize(random_cloud(rng, n=40)[0], 1)
     assert np.array_equal(full.point_row, full.assignment)
 
 
@@ -152,33 +155,29 @@ def test_voxelized_cloud_rejects_malformed_ids(assignment):
 
 def test_value_objects_own_their_arrays():
     """A view its caller kept of an array it handed over writes into the
-    caller's array alone: the cloud, the voxelization with its derived rows
-    and the layer keep the values they were built with."""
+    caller's array alone: the voxelization with its derived rows and the
+    layer keep the values they were built with."""
     rng = np.random.default_rng(18)
-    vox, _ = voxelize(random_cloud(rng, n=40), 4)
-    given = vox.assignment.copy(), rng.uniform(size=(40, 3)), rng.normal(size=(4, 2))
+    vox, _ = voxelize(random_cloud(rng, n=40)[0], 4)
+    given = vox.assignment.copy(), rng.normal(size=(4, 2))
     before = [a.copy() for a in given]
     views = [a[:] for a in given]
     held = VoxelizedCloud(4, given[0])
-    cloud = PointCloud(coords=given[1], features=np.zeros((40, 1)))
-    layer = WreathPCLayer(given[2], np.zeros((3, 3, 3, 4, 2)))
+    layer = WreathPCLayer(given[1], np.zeros((3, 3, 3, 4, 2)))
     for view in views:
         view[...] = view[-1]
-    for kept, value in zip([held.assignment, cloud.coords, layer.w_point], before):
+    for kept, value in zip([held.assignment, layer.w_point], before):
         assert np.array_equal(kept, value)
     assert np.array_equal(held.occupied[held.point_row], held.assignment)
 
 
 def test_mean_pool_is_duplication_invariant():
     rng = np.random.default_rng(1)
-    cloud = random_cloud(rng, n=20, c=3)
-    vox, _ = voxelize(cloud, 2)
-    pooled = mean_pool(vox, cloud.features)
-    dup = PointCloud(
-        coords=np.vstack([cloud.coords] * 3), features=np.vstack([cloud.features] * 3)
-    )
-    vox_dup, _ = voxelize(dup, 2)
-    assert np.allclose(mean_pool(vox_dup, dup.features), pooled)
+    coords, features = random_cloud(rng, n=20, c=3)
+    vox, _ = voxelize(coords, 2)
+    pooled = mean_pool(vox, features)
+    vox_dup, _ = voxelize(np.vstack([coords] * 3), 2)
+    assert np.allclose(mean_pool(vox_dup, np.vstack([features] * 3)), pooled)
 
 
 def dense_voxel_sum(vox, x):
@@ -219,10 +218,10 @@ def test_runs_are_each_voxels_contiguous_points():
     assert VoxelizedCloud(2, np.zeros(0, dtype=np.int64)).runs is None
     assert VoxelizedCloud(3, [5, 5]).one_voxel.runs.tolist() == [[0, 2, 0]]
     rng = np.random.default_rng(19)
-    cloud = random_cloud(rng, n=300)
-    vox, _ = voxelize(cloud, 3)
+    coords, features = random_cloud(rng, n=300)
+    vox, _ = voxelize(coords, 3)
     assert vox.runs is None and not each_voxel_contiguous(vox)
-    ordered, _ = in_voxel_order(vox, cloud.features)
+    ordered, _ = in_voxel_order(vox, features)
     assert ordered.runs[:, 2].tolist() == list(range(len(ordered.occupied)))
     shifted = shift_assignment(ordered, (1, 2, 0))
     assert sorted(shifted.runs[:, 2].tolist()) != shifted.runs[:, 2].tolist()
@@ -243,8 +242,8 @@ def test_voxel_sum_and_mean_pool_match_add_at_bit_for_bit(n, monkeypatch, bincou
     monkeypatch.setattr(arrays.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     handed = handed_off(monkeypatch)
     rng = np.random.default_rng(n)
-    cloud = random_cloud(rng, n=n, c=16)
-    vox, features = in_voxel_order(voxelize(cloud, 8)[0], cloud.features)
+    coords, features = random_cloud(rng, n=n, c=16)
+    vox, features = in_voxel_order(voxelize(coords, 8)[0], features)
     order = rng.permutation(n)
     layouts = [(vox, features), (shift_assignment(vox, (3, 0, 5)), features),
                (permute_points(vox, order), features[order])]
@@ -490,14 +489,14 @@ def dense_wreath_layer(layer, vox, x, d_y):
 @pytest.mark.parametrize("D, K", [(4, 3), (6, 3), (7, 5)])
 def test_wreath_layer_matches_the_dense_layer_bit_for_bit(D, K):
     rng = np.random.default_rng(D * K)
-    cloud = random_cloud(rng, n=60, c=4)
-    vox, _ = voxelize(cloud, D)
+    coords, features = random_cloud(rng, n=60, c=4)
+    vox, _ = voxelize(coords, D)
     assert 1 < len(vox.occupied) < D ** 3
     layer = WreathPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(K, K, K, 4, 3)))
     d_y = rng.normal(size=(60, 3))
-    y, cache = layer.forward(vox, cloud.features)
+    y, cache = layer.forward(vox, features)
     grads, d_x = layer.backward(vox, cache, d_y)
-    ref_y, ref_grads, ref_d_x = dense_wreath_layer(layer, vox, cloud.features, d_y)
+    ref_y, ref_grads, ref_d_x = dense_wreath_layer(layer, vox, features, d_y)
     assert np.array_equal(y, ref_y) and np.array_equal(d_x, ref_d_x)
     assert grads.keys() == ref_grads.keys()
     assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
@@ -507,12 +506,12 @@ def test_wreath_layer_memory_follows_the_occupied_voxels():
     # 50 points on a 64**3 grid: one dense (D**3, c) float grid is 16.8 MB
     rng = np.random.default_rng(18)
     D, c = 64, 8
-    cloud = random_cloud(rng, n=50, c=c)
-    vox, _ = voxelize(cloud, D)
+    coords, features = random_cloud(rng, n=50, c=c)
+    vox, _ = voxelize(coords, D)
     layer = WreathPCLayer(w_point=rng.normal(size=(c, c)), w_conv=rng.normal(size=(3, 3, 3, c, c)))
     d_y = rng.normal(size=(50, c))
-    layer.backward(vox, layer.forward(vox, cloud.features)[1], d_y)
-    _, peak = traced_peak(lambda: layer.backward(vox, layer.forward(vox, cloud.features)[1], d_y))
+    layer.backward(vox, layer.forward(vox, features)[1], d_y)
+    _, peak = traced_peak(lambda: layer.backward(vox, layer.forward(vox, features)[1], d_y))
     assert peak < D ** 3 * c * 8
 
 
@@ -521,14 +520,14 @@ def test_chunks_of_one_row_give_the_one_call_bits(monkeypatch):
     chunk as in one call: voxel sums carry their totals and gather-adds are
     elementwise."""
     rng = np.random.default_rng(24)
-    cloud = random_cloud(rng, n=400, c=3)
-    vox, _ = voxelize(cloud, 5)
+    coords, features = random_cloud(rng, n=400, c=3)
+    vox, _ = voxelize(coords, 5)
     layer = WreathPCLayer(w_point=rng.normal(size=(3, 4)), w_conv=rng.normal(size=(3, 3, 3, 3, 4)))
     d_y = rng.normal(size=(400, 4))
     runs = []
     for budget in (2 ** 40, 1):
         monkeypatch.setattr(wreathlin.pointcloud, "CHUNK_ELEMENTS", budget)
-        y, cache = layer.forward(vox, cloud.features)
+        y, cache = layer.forward(vox, features)
         grads, d_x = layer.backward(vox, cache, d_y)
         runs.append([y, grads["w_point"], grads["w_conv"], d_x])
     assert all(np.array_equal(one_call, chunked) for one_call, chunked in zip(*runs))
@@ -541,23 +540,23 @@ def test_wreath_layer_holds_chunks_of_points_not_all_of_them():
     plus backward at 3.11; in chunks they read 1.56 and 2.58."""
     rng = np.random.default_rng(24)
     n, c = 50_000, 16
-    cloud = random_cloud(rng, n=n, c=c)
-    vox, _ = voxelize(cloud, 8)
+    coords, features = random_cloud(rng, n=n, c=c)
+    vox, _ = voxelize(coords, 8)
     layer = WreathPCLayer(w_point=rng.normal(size=(c, c)), w_conv=rng.normal(size=(3, 3, 3, c, c)))
     d_y = rng.normal(size=(n, c))
-    layer.forward(vox, cloud.features)  # builds the neighbour table
-    (y, cache), forward_peak = traced_peak(layer.forward, vox, cloud.features)
+    layer.forward(vox, features)  # builds the neighbour table
+    (y, cache), forward_peak = traced_peak(layer.forward, vox, features)
     assert forward_peak < 1.75 * y.nbytes
-    _, peak = traced_peak(lambda: layer.backward(vox, layer.forward(vox, cloud.features)[1], d_y))
+    _, peak = traced_peak(lambda: layer.backward(vox, layer.forward(vox, features)[1], d_y))
     assert peak < 2.85 * y.nbytes
 
 
 def test_zero_kernel_identity_mixing_is_identity():
     rng = np.random.default_rng(5)
-    cloud = random_cloud(rng, n=25, c=3)
-    vox, _ = voxelize(cloud, 3)
+    coords, features = random_cloud(rng, n=25, c=3)
+    vox, _ = voxelize(coords, 3)
     layer = WreathPCLayer(w_point=np.eye(3), w_conv=np.zeros((3, 3, 3, 3, 3)))
-    assert np.array_equal(pc_layer_forward(layer, vox, cloud.features)[0], cloud.features)
+    assert np.array_equal(pc_layer_forward(layer, vox, features)[0], features)
 
 
 def test_single_occupancy_unit_kernel_collapses_to_pointwise_map():
@@ -565,13 +564,13 @@ def test_single_occupancy_unit_kernel_collapses_to_pointwise_map():
     per-point linear term, so the layer is x @ (w_point + w_conv[0,0,0])."""
     rng = np.random.default_rng(6)
     coords = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    cloud = PointCloud(coords=coords, features=rng.normal(size=(8, 3)))
-    vox, _ = voxelize(cloud, 2)
+    features = rng.normal(size=(8, 3))
+    vox, _ = voxelize(coords, 2)
     layer = WreathPCLayer(
         w_point=rng.normal(size=(3, 2)), w_conv=rng.normal(size=(1, 1, 1, 3, 2))
     )
-    y = pc_layer_forward(layer, vox, cloud.features)[0]
-    assert np.allclose(y, cloud.features @ (layer.w_point + layer.w_conv[0, 0, 0]))
+    y = pc_layer_forward(layer, vox, features)[0]
+    assert np.allclose(y, features @ (layer.w_point + layer.w_conv[0, 0, 0]))
 
 
 def test_wreath_layer_hierarchy_equivariance():
@@ -579,17 +578,17 @@ def test_wreath_layer_hierarchy_equivariance():
     for _ in range(10):
         D = int(rng.integers(2, 5))
         K = 3 if D >= 3 else 1
-        cloud = random_cloud(rng, n=int(rng.integers(5, 40)))
-        vox, _ = voxelize(cloud, D)
+        coords, features = random_cloud(rng, n=int(rng.integers(5, 40)))
+        vox, _ = voxelize(coords, D)
         layer = WreathPCLayer(
             w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(K, K, K, 4, 3))
         )
-        y = pc_layer_forward(layer, vox, cloud.features)[0]
+        y = pc_layer_forward(layer, vox, features)[0]
         shifts = tuple(rng.integers(0, D, size=3).tolist())
-        y_shift = pc_layer_forward(layer, shift_assignment(vox, shifts), cloud.features)[0]
+        y_shift = pc_layer_forward(layer, shift_assignment(vox, shifts), features)[0]
         assert np.allclose(y, y_shift, atol=1e-10 * max(1.0, np.abs(y).max()))
         order = within_voxel_permutation(vox, rng)
-        y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
+        y_perm = pc_layer_forward(layer, permute_points(vox, order), features[order])[0]
         assert np.allclose(y[order], y_perm, atol=1e-10 * max(1.0, np.abs(y).max()))
 
 
@@ -604,32 +603,32 @@ def scan_within_voxel_permutation(vox, rng):
 
 @pytest.mark.parametrize("n", [1, 30, 4_000, 100_000])
 def test_within_voxel_permutation_draws_as_the_scan_did(n):
-    vox, _ = voxelize(random_cloud(np.random.default_rng(n), n=n, c=1), 16)
+    vox, _ = voxelize(random_cloud(np.random.default_rng(n), n=n, c=1)[0], 16)
     got = within_voxel_permutation(vox, np.random.default_rng(7))
     assert np.array_equal(got, scan_within_voxel_permutation(vox, np.random.default_rng(7)))
 
 
 def test_set_layer_permutation_equivariance():
     rng = np.random.default_rng(8)
-    cloud = random_cloud(rng, n=15)
-    vox, _ = voxelize(cloud, 2)
+    coords, features = random_cloud(rng, n=15)
+    vox, _ = voxelize(coords, 2)
     layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(1, 1, 1, 4, 3)))
-    y = pc_layer_forward(layer, vox, cloud.features)[0]
+    y = pc_layer_forward(layer, vox, features)[0]
     order = rng.permutation(15)
-    y_perm = pc_layer_forward(layer, permute_points(vox, order), cloud.features[order])[0]
+    y_perm = pc_layer_forward(layer, permute_points(vox, order), features[order])[0]
     assert np.allclose(y[order], y_perm)
 
 
 def test_set_layer_reuses_its_one_voxel_cloud():
     rng = np.random.default_rng(9)
-    cloud = random_cloud(rng, n=30)
-    vox, _ = voxelize(cloud, 3)
+    coords, features = random_cloud(rng, n=30)
+    vox, _ = voxelize(coords, 3)
     layer = SetPCLayer(w_point=rng.normal(size=(4, 3)), w_conv=rng.normal(size=(1, 1, 1, 4, 3)))
-    y, cache = layer.forward(vox, cloud.features)
+    y, cache = layer.forward(vox, features)
     one = vox.one_voxel
     assert one is vox.one_voxel and 1 in one._tables
     table = one._tables[1]
-    y_again, cache_again = layer.forward(vox, cloud.features)
+    y_again, cache_again = layer.forward(vox, features)
     assert vox.one_voxel is one and cache_again["table"] is table
     assert np.array_equal(y_again, y)
     d_y = rng.normal(size=y.shape)
@@ -642,31 +641,31 @@ def test_set_layer_pools_its_one_voxel_as_one_run(bincount_calls):
     cloud pools by one reduce over all its rows, with the bits of ``np.add.at``."""
     rng = np.random.default_rng(11)
     n, c = 5000, 8
-    cloud = random_cloud(rng, n=n, c=c)
-    vox, _ = voxelize(cloud, 4)
+    coords, features = random_cloud(rng, n=n, c=c)
+    vox, _ = voxelize(coords, 4)
     assert vox.runs is None and vox.one_voxel.runs.tolist() == [[0, n, 0]]
     assert n * c >= wreathlin.pointcloud.RUN_MIN_ELEMENTS
     layer = SetPCLayer(w_point=rng.normal(size=(c, 3)), w_conv=rng.normal(size=(1, 1, 1, c, 3)))
     d_y = rng.normal(size=(n, 3))
     del bincount_calls[:]
-    _, cache = layer.forward(vox, cloud.features)
+    _, cache = layer.forward(vox, features)
     layer.backward(vox, cache, d_y)
     assert not bincount_calls
     total = np.zeros((1, c))
-    np.add.at(total, np.zeros(n, dtype=np.int64), cloud.features)
-    assert voxel_sum(vox.one_voxel, cloud.features).tobytes() == total.tobytes()
+    np.add.at(total, np.zeros(n, dtype=np.int64), features)
+    assert voxel_sum(vox.one_voxel, features).tobytes() == total.tobytes()
     assert cache["pooled"].tobytes() == (total / n).tobytes()
 
 
 def test_set_layer_is_the_global_mean_pool_closed_form():
     rng = np.random.default_rng(10)
     n = 40
-    cloud = random_cloud(rng, n=n)
-    vox, _ = voxelize(cloud, 3)
+    coords, features = random_cloud(rng, n=n)
+    vox, _ = voxelize(coords, 3)
     assert len(vox.occupied) > 1
     w_point, w_conv = rng.normal(size=(4, 3)), rng.normal(size=(1, 1, 1, 4, 3))
     layer = SetPCLayer(w_point=w_point, w_conv=w_conv)
-    x, d_y = cloud.features, rng.normal(size=(n, 3))
+    x, d_y = features, rng.normal(size=(n, 3))
     y, cache = layer.forward(vox, x)
     grads, d_x = layer.backward(vox, cache, d_y)
 
@@ -677,7 +676,7 @@ def test_set_layer_is_the_global_mean_pool_closed_form():
     np.testing.assert_allclose(d_x, d_y @ w_point.T + (w_pool @ d_y.sum(axis=0)) / n, rtol=1e-12)
 
     # the layer ignores the grid: a shifted or coarser voxelization changes nothing
-    for other in (shift_assignment(vox, (1, 2, 0)), voxelize(cloud, 2)[0]):
+    for other in (shift_assignment(vox, (1, 2, 0)), voxelize(coords, 2)[0]):
         y_other, cache_other = layer.forward(other, x)
         assert np.array_equal(y_other, y)
         grads_other, d_x_other = layer.backward(other, cache_other, d_y)
@@ -765,7 +764,7 @@ def test_voxel_layer_is_the_engines_wreath_map_by_its_coefficient_map(D, K, q):
 
 def test_set_layer_is_the_engines_set_map():
     rng = np.random.default_rng(11)
-    vox, _ = voxelize(random_cloud(rng, n=9), 3)
+    vox, _ = voxelize(random_cloud(rng, n=9)[0], 3)
     layer = SetPCLayer(w_point=rng.normal(size=(2, 3)), w_conv=rng.normal(size=(1, 1, 1, 2, 3)))
     assert_engine_layer(layer, vox, "S(9)", 2)
 
@@ -835,42 +834,42 @@ def test_attention_zero_interaction_gives_zero():
 
 def test_segnet_zero_weights_zero_logits():
     rng = np.random.default_rng(12)
-    cloud = random_cloud(rng, n=10, c=3)
-    vox, _ = voxelize(cloud, 2)
+    coords, features = random_cloud(rng, n=10, c=3)
+    vox, _ = voxelize(coords, 2)
     blocks = [
         SegBlock(WreathPCLayer(w_point=np.zeros((3, 3)), w_conv=np.zeros((1, 1, 1, 3, 3))),
                  rectify=True),
         SegBlock(WreathPCLayer(w_point=np.zeros((3, 2)), w_conv=np.zeros((1, 1, 1, 3, 2))),
                  rectify=False),
     ]
-    assert np.array_equal(net_forward(blocks, vox, cloud.features)[0], np.zeros((10, 2)))
+    assert np.array_equal(net_forward(blocks, vox, features)[0], np.zeros((10, 2)))
 
 
 def test_segnet_channel_mismatch_raises():
     rng = np.random.default_rng(13)
-    cloud = random_cloud(rng, n=6, c=3)
-    vox, _ = voxelize(cloud, 2)
+    coords, features = random_cloud(rng, n=6, c=3)
+    vox, _ = voxelize(coords, 2)
     blocks = [
         SegBlock(WreathPCLayer(w_point=np.zeros((4, 2)), w_conv=np.zeros((1, 1, 1, 4, 2))),
                  rectify=False)
     ]
     with pytest.raises(ValueError):
-        net_forward(blocks, vox, cloud.features)
+        net_forward(blocks, vox, features)
 
 
 def test_segnet_end_to_end_hierarchy_equivariance():
     rng = np.random.default_rng(14)
-    cloud = random_cloud(rng, n=24, c=3)
-    vox, _ = voxelize(cloud, 3)
+    coords, features = random_cloud(rng, n=24, c=3)
+    vox, _ = voxelize(coords, 3)
     blocks = [
         SegBlock(WreathPCLayer(w_point=rng.normal(size=(3, 3)),
                                w_conv=rng.normal(size=(3, 3, 3, 3, 3))), rectify=True),
         SegBlock(WreathPCLayer(w_point=rng.normal(size=(3, 2)),
                                w_conv=rng.normal(size=(3, 3, 3, 3, 2))), rectify=False),
     ]
-    y = net_forward(blocks, vox, cloud.features)[0]
+    y = net_forward(blocks, vox, features)[0]
     order = within_voxel_permutation(vox, rng)
-    y_perm = net_forward(blocks, permute_points(vox, order), cloud.features[order])[0]
+    y_perm = net_forward(blocks, permute_points(vox, order), features[order])[0]
     assert np.allclose(y[order], y_perm)
 
 
@@ -885,22 +884,10 @@ def test_blob_scene_centers_distinct_voxels():
 def test_sample_blob_cloud_labels_and_shapes():
     rng = np.random.default_rng(16)
     centers = make_blob_scene(3, 4, rng)
-    cloud = sample_blob_cloud(centers, points_per_blob=5, noise=0.1, resolution=4, rng=rng)
-    assert cloud.n_points == 15
-    assert sorted(set(cloud.labels.tolist())) == [0, 1, 2]
-    assert np.all((cloud.coords >= 0) & (cloud.coords <= 1))
-
-
-def test_coordinates_that_are_the_features_are_kept_once():
-    rng = np.random.default_rng(17)
-    coords = rng.uniform(size=(10, 3))
-    cloud = PointCloud(coords=coords, features=coords)
-    assert np.shares_memory(cloud.coords, cloud.features) and not np.shares_memory(cloud.coords, coords)
-    assert not cloud.features.flags.writeable
-    apart = PointCloud(coords=coords, features=coords.copy())
-    assert not np.shares_memory(apart.coords, apart.features)
-    blobs = sample_blob_cloud(make_blob_scene(3, 4, rng), points_per_blob=5, noise=0.1, resolution=4, rng=rng)
-    assert np.shares_memory(blobs.coords, blobs.features)
+    coords, labels = sample_blob_cloud(centers, points_per_blob=5, noise=0.1, resolution=4, rng=rng)
+    assert coords.shape == (15, 3) and labels.shape == (15,)
+    assert labels.tolist() == [0] * 5 + [1] * 5 + [2] * 5
+    assert np.all((coords >= 0) & (coords <= 1))
 
 
 def test_format_predictions():

@@ -10,7 +10,6 @@ import pytest
 
 import wreathlin.arrays as arrays
 from wreathlin.pointcloud import (
-    PointCloud,
     permute_points,
     sample_blob_cloud,
     shift_assignment,
@@ -48,10 +47,10 @@ from memory import fresh_process, fresh_process_faults, traced_peak
 
 def toy_batch(seed=0, n=18, c=4, classes=3, res=3):
     rng = np.random.default_rng(seed)
-    cloud = PointCloud(coords=rng.uniform(size=(n, 3)), features=rng.normal(size=(n, c)))
-    vox, _ = voxelize(cloud, res)
+    coords, features = rng.uniform(size=(n, 3)), rng.normal(size=(n, c))
+    vox, _ = voxelize(coords, res)
     labels = rng.integers(0, classes, size=n)
-    return rng, vox, cloud.features, labels
+    return rng, vox, features, labels
 
 
 def test_loss_ce_uniform_logits():
@@ -135,11 +134,11 @@ def test_single_layer_gradient_check(kind):
 
 def test_full_stack_gradient_check_with_attention():
     rng = np.random.default_rng(2)
-    cloud = PointCloud(coords=rng.uniform(size=(24, 3)), features=rng.normal(size=(24, 4)))
-    vox, _ = voxelize(cloud, 3)
+    coords, features = rng.uniform(size=(24, 3)), rng.normal(size=(24, 4))
+    vox, _ = voxelize(coords, 3)
     labels = rng.integers(0, 3, size=24)
     blocks = build_segnet(4, 3, 2, 5, 3, rng, attention_latents=3)
-    report = gradient_check(blocks, vox, cloud.features, labels, threshold=1e-4)
+    report = gradient_check(blocks, vox, features, labels, threshold=1e-4)
     assert report.passed, report.lines()
 
 
@@ -147,8 +146,8 @@ def test_sgd_reduces_loss_and_is_deterministic():
     rng = np.random.default_rng(3)
     samples = []
     for _ in range(3):
-        cloud = PointCloud(coords=rng.uniform(size=(18, 3)), features=rng.normal(size=(18, 4)))
-        samples.append((voxelize(cloud, 3)[0], cloud.features, rng.integers(0, 3, size=18)))
+        coords, features = rng.uniform(size=(18, 3)), rng.normal(size=(18, 4))
+        samples.append((voxelize(coords, 3)[0], features, rng.integers(0, 3, size=18)))
     net = [SegBlock(init_wreath_layer(4, 5, 3, rng), rectify=True),
            SegBlock(init_wreath_layer(5, 3, 3, rng), rectify=False)]
     _, trace_a = sgd_train(net, samples, epochs=4, lr=0.05, seed=9)
@@ -160,8 +159,8 @@ def test_sgd_reduces_loss_and_is_deterministic():
 
 def test_zero_learning_rate_changes_nothing():
     rng = np.random.default_rng(4)
-    cloud = PointCloud(coords=rng.uniform(size=(12, 3)), features=rng.normal(size=(12, 4)))
-    samples = [(voxelize(cloud, 2)[0], cloud.features, rng.integers(0, 2, size=12))]
+    coords, features = rng.uniform(size=(12, 3)), rng.normal(size=(12, 4))
+    samples = [(voxelize(coords, 2)[0], features, rng.integers(0, 2, size=12))]
     net = [SegBlock(init_wreath_layer(4, 2, 1, rng), rectify=False)]
     trained, trace = sgd_train(net, samples, epochs=3, lr=0.0, seed=0)
     assert all(row[1] == trace[0][1] for row in trace)
@@ -171,8 +170,8 @@ def test_zero_learning_rate_changes_nothing():
 def test_divergence_raises():
     # two blocks so a huge step makes the forward pass overflow to non-finite
     rng = np.random.default_rng(5)
-    cloud = PointCloud(coords=rng.uniform(size=(12, 3)), features=rng.normal(size=(12, 4)))
-    samples = [(voxelize(cloud, 2)[0], cloud.features, rng.integers(0, 2, size=12))]
+    coords, features = rng.uniform(size=(12, 3)), rng.normal(size=(12, 4))
+    samples = [(voxelize(coords, 2)[0], features, rng.integers(0, 2, size=12))]
     net = [SegBlock(init_wreath_layer(4, 4, 1, rng), rectify=True),
            SegBlock(init_wreath_layer(4, 2, 1, rng), rectify=False)]
     with pytest.raises(TrainingDivergedError):
@@ -182,17 +181,17 @@ def test_divergence_raises():
 
 def test_training_preserves_hierarchy_equivariance():
     rng = np.random.default_rng(6)
-    cloud = PointCloud(coords=rng.uniform(size=(20, 3)), features=rng.normal(size=(20, 4)))
-    vox, _ = voxelize(cloud, 3)
-    samples = [(vox, cloud.features, rng.integers(0, 3, size=20))]
+    coords, features = rng.uniform(size=(20, 3)), rng.normal(size=(20, 4))
+    vox, _ = voxelize(coords, 3)
+    samples = [(vox, features, rng.integers(0, 3, size=20))]
     net = [SegBlock(init_wreath_layer(4, 4, 3, rng), rectify=True),
            SegBlock(init_wreath_layer(4, 3, 3, rng), rectify=False)]
     trained, _ = sgd_train(net, samples, epochs=5, lr=0.1, seed=1)
-    y = net_forward(trained, vox, cloud.features)[0]
-    y_shift = net_forward(trained, shift_assignment(vox, (1, 2, 0)), cloud.features)[0]
+    y = net_forward(trained, vox, features)[0]
+    y_shift = net_forward(trained, shift_assignment(vox, (1, 2, 0)), features)[0]
     assert np.allclose(y, y_shift, atol=1e-10 * max(1.0, np.abs(y).max()))
     order = within_voxel_permutation(vox, rng)
-    y_perm = net_forward(trained, permute_points(vox, order), cloud.features[order])[0]
+    y_perm = net_forward(trained, permute_points(vox, order), features[order])[0]
     assert np.allclose(y[order], y_perm, atol=1e-10 * max(1.0, np.abs(y).max()))
 
 
@@ -240,14 +239,14 @@ def test_seg_samples_come_in_voxel_order():
     (vox, x, labels), = make_seg_samples(centers, 1, 50, 0.2, 0.25, 4, rng)
     after = rng.bit_generator.state
     rng.bit_generator.state = state
-    cloud = sample_blob_cloud(centers, 50, 0.2, 4, rng)
-    raw, offsets = voxelize(cloud, 4)
-    noisy = cloud.coords + 0.25 * rng.normal(size=cloud.coords.shape)
+    coords, raw_labels = sample_blob_cloud(centers, 50, 0.2, 4, rng)
+    raw, offsets = voxelize(coords, 4)
+    noisy = coords + 0.25 * rng.normal(size=coords.shape)
     assert rng.bit_generator.state == after
     order = np.argsort(raw.assignment, kind="stable")
     assert np.array_equal(vox.assignment, raw.assignment[order])
     assert x.tobytes() == np.hstack([noisy, offsets])[order].tobytes() and x.flags.c_contiguous
-    assert np.array_equal(labels, cloud.labels[order])
+    assert np.array_equal(labels, raw_labels[order])
     assert vox.runs[:, 2].tolist() == list(range(len(vox.occupied)))
 
 
